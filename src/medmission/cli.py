@@ -4,6 +4,7 @@ Subcommands:
 
 * ``run``      execute a sweep and write all report files
 * ``report``   recompute summaries/rollup/pareto from an existing trials file
+  (``trials.csv``, or ``trials.jsonl`` from a ``--format jsonl`` run)
 * ``validate`` check a configuration and echo its normalized form
 
 Configuration precedence is flags over config file over built-in
@@ -109,11 +110,11 @@ def config_from_dict(data: dict) -> SweepConfig:
         if key in known:
             kwargs[key] = known.pop(key)
     if "degradation_levels" in known:
-        kwargs["degradation_levels"] = tuple(float(x) for x in known.pop("degradation_levels"))
+        kwargs["degradation_levels"] = _list_value(known, "degradation_levels", float)
     if "patient_loads" in known:
-        kwargs["patient_loads"] = tuple(int(x) for x in known.pop("patient_loads"))
+        kwargs["patient_loads"] = _list_value(known, "patient_loads", int)
     if "policies" in known:
-        kwargs["policies"] = _parse_policies(known.pop("policies"))
+        kwargs["policies"] = _parse_policies(_list_value(known, "policies", str))
     if "triage_weights" in known:
         kwargs["triage_weights"] = _build_section(TriageWeights,
                                                   known.pop("triage_weights"),
@@ -138,6 +139,20 @@ def config_from_dict(data: dict) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
+
+
+def _list_value(data: dict, key: str, convert) -> tuple:
+    """Pop a list-valued key and convert its items, naming the key on failure.
+
+    A bare string is rejected: iterating it would split it into characters.
+    """
+    values = data.pop(key)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key}: must be a list, got {type(values).__name__}")
+    try:
+        return tuple(convert(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _parse_policies(values) -> tuple[PolicyId, ...]:
@@ -345,10 +360,15 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 # Reading a previous run back for the `report` subcommand.
 
 def load_trials(trials_path: str | Path, config: SweepConfig) -> tuple[TrialRecord, ...]:
+    """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines."""
     records = []
     with open(trials_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        if Path(trials_path).suffix == ".jsonl":
+            # Render each value as the CSV writer would, so one parser reads both.
+            rows = ({c: _fmt(v) for c, v in json.loads(line).items()} for line in fh)
+        else:
+            rows = csv.DictReader(fh)
+        for row in rows:
             ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
             delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
             censored = [x == "1" for x in row["high_sev_censored"].split(";") if x != ""]
@@ -415,7 +435,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         manifest = json.load(fh)
     config = config_from_dict(manifest["config"])
     trials_path = indir / "trials.csv"
+    if not trials_path.exists() and (indir / "trials.jsonl").exists():
+        trials_path = indir / "trials.jsonl"
     records = load_trials(trials_path, config)
+    if manifest.get("trial_rows") != len(records):
+        raise ConfigError(f"trial_rows: manifest says {manifest.get('trial_rows')!r}, "
+                          f"{trials_path.name} holds {len(records)} rows")
     result = aggregate(config, records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report",
                               help="recompute summaries from an existing run")
     report_p.add_argument("--in", dest="indir", required=True,
-                          help="directory holding trials.csv and manifest.json")
+                          help="directory holding manifest.json and trials.csv "
+                               "(or trials.jsonl)")
     report_p.add_argument("--out", required=True, help="output directory")
     report_p.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     report_p.set_defaults(func=_cmd_report)

@@ -27,7 +27,8 @@ than under pure autonomy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ TASK_ALPHABET = frozenset({TASK_NAVIGATE, TASK_ASSESS, TASK_INTERVENE,
                            TASK_RECOVER, TASK_MONITOR})
 
 
-@dataclass(frozen=True)
-class MissionEvent:
+class MissionEvent(NamedTuple):
     time: float
     kind: str
     patient_id: int | None = None
@@ -154,13 +154,23 @@ def travel_time(origin: tuple[float, float], target: tuple[float, float],
     covariance trace against a reference distance) and divided by the
     patient's accessibility.
     """
+    return _leg_time(origin, target, _uncertainty_penalty(pose_variance, params),
+                     accessibility, params.cruise_speed)
+
+
+def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
+    """Travel inflation factor for a pose-covariance trace."""
+    return 1.0 + params.uncertainty_penalty * math.sqrt(pose_variance) / params.reference_distance
+
+
+def _leg_time(origin: tuple[float, float], target: tuple[float, float],
+              penalty: float, accessibility: float, cruise_speed: float) -> float:
     if accessibility <= 0.0:
         raise ValueError("accessibility must be positive")
     distance = math.hypot(target[0] - origin[0], target[1] - origin[1])
     if distance == 0.0:
         return 0.0
-    penalty = 1.0 + params.uncertainty_penalty * math.sqrt(pose_variance) / params.reference_distance
-    return (distance / params.cruise_speed) * penalty / accessibility
+    return (distance / cruise_speed) * penalty / accessibility
 
 
 def check_abort(twin: TwinState, elapsed_outage: float, elapsed_over_threshold: float,
@@ -284,7 +294,7 @@ class _TaskLog:
 
     def switch(self, label: str, time: float) -> None:
         if self.view.switch_task(label):
-            self.events.append(MissionEvent(time, TASK_SWITCH, task_label=label))
+            self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
 
 
 def _make_twin(scenario: Scenario, remaining: tuple[int, ...],
@@ -356,7 +366,8 @@ def run_mission(scenario: Scenario, policy: PolicyId,
 
 def _planned_leg_times(order, patients, base, policy, delta, params, loc):
     """(depart, arrive, intervene) times per planned visit, ignoring pauses."""
-    trace_now = nominal_trace(policy, delta, loc)
+    penalty = _uncertainty_penalty(nominal_trace(policy, delta, loc), params)
+    cruise_speed = params.cruise_speed
     speed_scale = 1.0
     service = params.service_time
     if policy is PolicyId.PI1_TELEOP:
@@ -367,8 +378,8 @@ def _planned_leg_times(order, patients, base, policy, delta, params, loc):
     legs = []
     for pid in order:
         patient = patients[pid]
-        leg = travel_time(pos, patient.position, trace_now,
-                          patient.accessibility, params) * speed_scale
+        leg = _leg_time(pos, patient.position, penalty, patient.accessibility,
+                        cruise_speed) * speed_scale
         depart = t
         arrive = depart + leg
         intervene = arrive + service
@@ -401,11 +412,11 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
     for pid, depart, arrive, intervene in legs:
         if depart > terminal:
             break
-        activity.append(MissionEvent(depart, DEPART, patient_id=pid))
+        activity.append(MissionEvent(depart, DEPART, pid))
         if arrive <= terminal:
-            activity.append(MissionEvent(arrive, ARRIVE, patient_id=pid))
+            activity.append(MissionEvent(arrive, ARRIVE, pid))
         if intervene <= terminal:
-            activity.append(MissionEvent(intervene, INTERVENE, patient_id=pid))
+            activity.append(MissionEvent(intervene, INTERVENE, pid))
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
     # alerts; the twin autonomously resolves a share of them.
@@ -418,7 +429,7 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
     handled: list[float] = []
     for when in alert_times:
         suppressed = (policy is PolicyId.PI3_GEODT
-                      and float(stream.uniform()) < params.alert_suppression)
+                      and stream.random() < params.alert_suppression)
         if suppressed:
             continue
         if when < terminal:
@@ -507,14 +518,14 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
             leg_work = arrive - depart
             events.append(MissionEvent(t, OPERATOR_INTERVENTION))
             log.switch(TASK_NAVIGATE, t)
-            events.append(MissionEvent(t, DEPART, patient_id=pid))
+            events.append(MissionEvent(t, DEPART, pid))
             t = do_work(t, leg_work, TASK_NAVIGATE)
-            events.append(MissionEvent(t, ARRIVE, patient_id=pid))
+            events.append(MissionEvent(t, ARRIVE, pid))
             log.switch(TASK_ASSESS, t)
             t = do_work(t, assess_dur, TASK_ASSESS)
             log.switch(TASK_INTERVENE, t)
             t = do_work(t, intervene_dur, TASK_INTERVENE)
-            events.append(MissionEvent(t, INTERVENE, patient_id=pid))
+            events.append(MissionEvent(t, INTERVENE, pid))
     except _TeleopAbort as signal:
         aborted = True
         abort_time = signal.time

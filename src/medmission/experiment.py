@@ -9,6 +9,7 @@ output, and adding or removing trials never perturbs the others.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -64,9 +65,14 @@ class SweepConfig:
     scenario_params: ScenarioParams = DEFAULT_SCENARIO_PARAMS
 
     def validate(self) -> None:
-        """Raise ValueError naming the offending key for any bad field."""
-        if self.trials_per_condition < 1:
-            raise ValueError("trials_per_condition: must be >= 1")
+        """Raise ValueError naming the offending key for any bad field.
+
+        Comparisons are written so that NaN fails them.
+        """
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError("master_seed: must be a nonnegative integer")
+        if not _is_int(self.trials_per_condition) or self.trials_per_condition < 1:
+            raise ValueError("trials_per_condition: must be an integer >= 1")
         if not self.degradation_levels:
             raise ValueError("degradation_levels: must be nonempty")
         for i, delta in enumerate(self.degradation_levels):
@@ -81,15 +87,15 @@ class SweepConfig:
             raise ValueError("policies: must be nonempty")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("policies: duplicate entries")
-        if self.tau_c <= 0.0:
+        if not self.tau_c > 0.0:
             raise ValueError("tau_c: must be positive")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError("alpha: must be nonnegative")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("beta: must be nonnegative")
         if not 0.0 <= self.operator_error_rate <= 1.0:
             raise ValueError("operator_error_rate: outside [0, 1]")
-        if self.platform.cruise_speed <= 0.0:
+        if not self.platform.cruise_speed > 0.0:
             raise ValueError("platform.cruise_speed: must be positive")
         if not 0.0 < self.platform.teleop_speed_factor <= 1.0:
             raise ValueError("platform.teleop_speed_factor: outside (0, 1]")
@@ -112,6 +118,10 @@ class SweepConfig:
 
 
 DEFAULT_SWEEP_CONFIG = SweepConfig()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

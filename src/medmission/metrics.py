@@ -68,7 +68,11 @@ def intervention_delays(trace: MissionTrace, scenario: Scenario) -> tuple[DelayR
     Patients not reached before the terminal event get the mission-end
     delay, flagged censored.
     """
-    times = _intervention_times(trace)
+    return _delays(_intervention_times(trace), trace, scenario)
+
+
+def _delays(times: dict[int, float], trace: MissionTrace,
+            scenario: Scenario) -> tuple[DelayRecord, ...]:
     records = []
     for patient in scenario.patients:
         if not patient.high_severity:
@@ -88,14 +92,17 @@ def served_within_window(trace: MissionTrace, scenario: Scenario,
 
     The window boundary is inclusive; unserved patients contribute zero.
     """
+    count = _served_count(_intervention_times(trace), scenario, tau_c)
+    return count, count / len(scenario.patients) if scenario.patients else 0.0
+
+
+def _served_count(times: dict[int, float], scenario: Scenario, tau_c: float) -> int:
     if tau_c <= 0.0:
         raise ValueError("tau_c must be positive")
-    times = _intervention_times(trace)
-    count = sum(
+    return sum(
         1 for p in scenario.patients
         if p.id in times and times[p.id] - p.detect_time <= tau_c
     )
-    return count, count / len(scenario.patients) if scenario.patients else 0.0
 
 
 def failure_rate(aborted_flags: list[bool] | tuple[bool, ...]) -> float:
@@ -151,10 +158,10 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
     """Extract the full per-mission metric bundle from one trace."""
     lam_sw = task_switch_rate(trace)
     lam_int = intervention_frequency(trace)
-    served, _ = served_within_window(trace, scenario, tau_c)
+    times = _intervention_times(trace)
     return TrialMetrics(
-        high_severity_delays=intervention_delays(trace, scenario),
-        served_count=served,
+        high_severity_delays=_delays(times, trace, scenario),
+        served_count=_served_count(times, scenario, tau_c),
         total_patients=len(scenario.patients),
         aborted=trace.aborted,
         lambda_sw=lam_sw,

@@ -66,8 +66,40 @@ class TriageWeights:
 DEFAULT_TRIAGE_WEIGHTS = TriageWeights()
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _nearest_neighbour_order(scenario: Scenario, stream: np.random.Generator | None,
+                             error_rate: float) -> tuple[int, ...]:
+    """Nearest-neighbour walk from the base, ties to the lower id.
+
+    With probability `error_rate` a step instead picks a uniformly random
+    remaining patient. The remaining patients are kept as an index list in
+    scenario order over precomputed coordinate lists, so a random pick
+    indexes the same list the operator sees and a nearest pick is one pass
+    of `math.hypot` over it.
+    """
+    patients = scenario.patients
+    ids = [p.id for p in patients]
+    xs = [p.position[0] for p in patients]
+    ys = [p.position[1] for p in patients]
+    remaining = list(range(len(patients)))
+    cx, cy = scenario.base_position
+    hypot = math.hypot
+    order: list[int] = []
+    while remaining:
+        if len(remaining) == 1:
+            k = 0
+        elif error_rate > 0.0 and stream.random() < error_rate:
+            k = int(stream.integers(len(remaining)))
+        else:
+            dists = [hypot(cx - xs[i], cy - ys[i]) for i in remaining]
+            best = min(dists)
+            k = dists.index(best)
+            if dists.count(best) > 1:   # exact tie: the lower id wins
+                k = min((j for j, d in enumerate(dists) if d == best),
+                        key=lambda j: ids[remaining[j]])
+        i = remaining.pop(k)
+        order.append(ids[i])
+        cx, cy = xs[i], ys[i]
+    return tuple(order)
 
 
 def order_teleop(scenario: Scenario, stream: np.random.Generator,
@@ -80,33 +112,12 @@ def order_teleop(scenario: Scenario, stream: np.random.Generator,
     draw picks the random target when needed, so the stream consumption
     pattern is fixed.
     """
-    remaining = list(scenario.patients)
-    current = scenario.base_position
-    order: list[int] = []
-    while remaining:
-        if len(remaining) == 1:
-            pick = remaining[0]
-        elif error_rate > 0.0 and float(stream.uniform()) < error_rate:
-            pick = remaining[int(stream.integers(len(remaining)))]
-        else:
-            pick = min(remaining, key=lambda p: (_distance(current, p.position), p.id))
-        order.append(pick.id)
-        remaining.remove(pick)
-        current = pick.position
-    return VisitPlan(order=tuple(order))
+    return VisitPlan(order=_nearest_neighbour_order(scenario, stream, error_rate))
 
 
 def order_heuristic(scenario: Scenario) -> VisitPlan:
     """Deterministic nearest-neighbor from the base, ties to the lower id."""
-    remaining = list(scenario.patients)
-    current = scenario.base_position
-    order: list[int] = []
-    while remaining:
-        pick = min(remaining, key=lambda p: (_distance(current, p.position), p.id))
-        order.append(pick.id)
-        remaining.remove(pick)
-        current = pick.position
-    return VisitPlan(order=tuple(order))
+    return VisitPlan(order=_nearest_neighbour_order(scenario, None, 0.0))
 
 
 def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ class Condition:
             raise ValueError(f"patient_load must be >= 1, got {self.patient_load}")
 
 
-@dataclass(frozen=True)
-class Patient:
+class Patient(NamedTuple):
     id: int
     position: tuple[float, float]   # meters
     severity: float                 # in [0, 1]
@@ -126,21 +126,19 @@ def generate_scenario(condition: Condition, stream: np.random.Generator,
     severities = stream.beta(params.severity_alpha, params.severity_beta, size=n)
     access = stream.uniform(params.accessibility_low, params.accessibility_high, size=n)
 
-    patients = []
-    for i in range(n):
-        sev = float(severities[i])
-        patients.append(Patient(
-            id=i,
-            position=(float(positions[i, 0]), float(positions[i, 1])),
-            severity=sev,
-            detect_time=0.0,
-            time_to_criticality=params.criticality_max * (1.0 - sev) + params.criticality_floor,
-            accessibility=float(access[i]),
-            high_severity=sev >= params.high_severity_threshold,
-        ))
+    criticality_max = params.criticality_max
+    criticality_floor = params.criticality_floor
+    threshold = params.high_severity_threshold
+    patients = tuple([
+        Patient(i, (x, y), sev, 0.0,
+                criticality_max * (1.0 - sev) + criticality_floor, acc,
+                sev >= threshold)
+        for i, ((x, y), sev, acc) in enumerate(zip(positions.tolist(),
+                                                    severities.tolist(),
+                                                    access.tolist()))])
     return Scenario(
         condition=condition,
-        patients=tuple(patients),
+        patients=patients,
         base_position=params.base_position,
         area_extent=params.area_extent,
     )

@@ -76,6 +76,33 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "patient_load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"tau_c": float("nan")}, "tau_c"),
+    ({"alpha": float("nan")}, "alpha"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"policies": "pi1_teleop"}, "policies"),
+    ({"degradation_levels": "0,1"}, "degradation_levels"),
+    ({"patient_loads": ["many"]}, "patient_loads"),
+    ({"trials_per_condition": 2.5}, "trials_per_condition"),
+])
+def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))   # NaN is written as the JSON token NaN
+    code = run_cli("validate", "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key}:" in err
+    assert "policies[0]" not in err
+
+
+def test_negative_seed_flag_fails_before_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("run", *FAST_FLAGS, "--seed", "-3", "--out", str(out))
+    assert code == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_echo_parses_back(capsys):
     code = run_cli("validate", *FAST_FLAGS)
     assert code == 0
@@ -139,6 +166,31 @@ def test_report_reproduces_the_run_summaries(tmp_path):
     assert run_cli("report", "--in", str(out), "--out", str(redo)) == 0
     for name in ("summary.json", "rollup.csv", "pareto.csv"):
         assert read(out / name) == read(redo / name)
+
+
+def test_report_reads_a_jsonl_run(tmp_path):
+    out = tmp_path / "run"
+    redo = tmp_path / "redo"
+    assert run_cli("run", *FAST_FLAGS, "--format", "jsonl", "--out", str(out)) == 0
+    assert not (out / "trials.csv").exists()
+    assert run_cli("report", "--in", str(out), "--out", str(redo),
+                   "--format", "jsonl") == 0
+    for name in ("summary.json", "rollup.jsonl", "pareto.jsonl"):
+        assert read(out / name) == read(redo / name)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_report_rejects_a_table_that_disagrees_with_the_manifest(tmp_path, capsys, fmt):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    table = out / f"trials.{fmt}"
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines[:-1]))   # drop the last trial row
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trial_rows" in err
+    assert "23 rows" in err
 
 
 def test_unwritable_output_directory_fails_cleanly(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medmission import (
     Condition,
@@ -124,6 +126,67 @@ def test_heuristic_matches_oracle_on_200_random_small_cases():
     for _ in range(200):
         scenario = random_scenario(rng)
         assert order_heuristic(scenario).order == nn_oracle(scenario)
+
+
+# ---------------------------------------------------------------------------
+# Nearest-neighbour planners against the original list-of-patients walk.
+
+def nearest_walk_oracle(scenario, stream=None, error_rate=0.0):
+    """The first implementation: `min` over (distance, id), then `remove`."""
+    remaining = list(scenario.patients)
+    current = scenario.base_position
+    order = []
+    while remaining:
+        if len(remaining) == 1:
+            pick = remaining[0]
+        elif error_rate > 0.0 and float(stream.uniform()) < error_rate:
+            pick = remaining[int(stream.integers(len(remaining)))]
+        else:
+            pick = min(remaining, key=lambda p: (
+                math.hypot(current[0] - p.position[0], current[1] - p.position[1]),
+                p.id))
+        order.append(pick.id)
+        remaining.remove(pick)
+        current = pick.position
+    return tuple(order)
+
+
+# A coarse grid makes duplicate positions and equal distances common.
+COORDS = st.sampled_from([0.0, 3.0, 4.0, 5.0, 100.0, 2500.0]) | st.floats(0.0, 4000.0)
+
+
+@st.composite
+def shuffled_scenarios(draw):
+    positions = draw(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=12))
+    ids = draw(st.permutations(range(len(positions))))
+    patients = tuple(Patient(pid, pos, 0.5, 0.0, 130.0, 1.0, False)
+                     for pid, pos in zip(ids, positions))
+    base = draw(st.sampled_from([BASE, (4.0, 3.0)]))
+    return Scenario(Condition(0, 0.0, len(patients)), patients, base, 4000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=shuffled_scenarios())
+def test_heuristic_matches_the_original_walk(scenario):
+    assert order_heuristic(scenario).order == nearest_walk_oracle(scenario)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=shuffled_scenarios(), error_rate=st.sampled_from([0.0, 0.15, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_teleop_matches_the_original_walk_and_its_draws(scenario, error_rate, seed):
+    stream = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    got = order_teleop(scenario, stream, error_rate).order
+    assert got == nearest_walk_oracle(scenario, reference, error_rate)
+    assert stream.random() == reference.random()   # same number of draws
+
+
+def test_planners_on_a_single_patient_draw_nothing():
+    scenario = make_scenario([(7.0, 7.0)])
+    stream = np.random.default_rng(5)
+    assert order_teleop(scenario, stream, 1.0).order == (0,)
+    assert stream.random() == np.random.default_rng(5).random()
 
 
 # ---------------------------------------------------------------------------
