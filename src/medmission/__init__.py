@@ -79,7 +79,6 @@ from .scenario import (
     Patient,
     Scenario,
     ScenarioParams,
-    SeedSpec,
     StreamPurpose,
     classify_high_severity,
     derive_stream,

@@ -360,36 +360,63 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 # Reading a previous run back for the `report` subcommand.
 
 def load_trials(trials_path: str | Path, config: SweepConfig) -> tuple[TrialRecord, ...]:
-    """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines."""
+    """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines.
+
+    A table missing a column or holding a value that does not parse raises
+    ConfigError naming the file, the row and the column or value.
+    """
+    path = Path(trials_path)
     records = []
-    with open(trials_path, newline="", encoding="utf-8") as fh:
-        if Path(trials_path).suffix == ".jsonl":
-            # Render each value as the CSV writer would, so one parser reads both.
-            rows = ({c: _fmt(v) for c, v in json.loads(line).items()} for line in fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        if path.suffix == ".jsonl":
+            rows = (_jsonl_row(line) for line in fh)
         else:
-            rows = csv.DictReader(fh)
-        for row in rows:
-            ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
-            delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
-            censored = [x == "1" for x in row["high_sev_censored"].split(";") if x != ""]
-            load = int(row["load"])
-            metrics = TrialMetrics(
-                high_severity_delays=tuple(
-                    DelayRecord(i, d, c) for i, d, c in zip(ids, delays, censored)),
-                served_count=int(row["served"]),
-                total_patients=load,
-                aborted=row["aborted"] == "1",
-                lambda_sw=float(row["lambda_sw"]),
-                lambda_int=float(row["lambda_int"]),
-                workload=float(row["workload"]),
-                duration=float(row["duration"]),
-            )
-            records.append(TrialRecord(
-                policy=PolicyId(row["policy"]), delta=float(row["delta"]),
-                load=load, condition_id=int(row["condition"]),
-                trial=int(row["trial"]), metrics=metrics))
+            rows = csv.DictReader(fh, restval="")
+            missing = [c for c in TRIALS_COLUMNS if c not in (rows.fieldnames or ())]
+            if missing:
+                raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
+        row_no = 1
+        try:
+            for row in rows:
+                records.append(_trial_record(row))
+                row_no += 1
+        except KeyError as exc:
+            raise ConfigError(f"{path.name}: row {row_no} has no "
+                              f"{exc.args[0]} column") from None
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path.name}: row {row_no}: {exc}") from None
     records.sort(key=lambda r: (r.condition_id, r.policy.index, r.trial))
     return tuple(records)
+
+
+def _jsonl_row(line: str) -> dict:
+    """One JSON-lines record, each value rendered as the CSV writer would."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return {c: _fmt(v) for c, v in record.items()}
+
+
+def _trial_record(row: dict) -> TrialRecord:
+    ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
+    delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
+    censored = [x == "1" for x in row["high_sev_censored"].split(";") if x != ""]
+    load = int(row["load"])
+    metrics = TrialMetrics(
+        high_severity_delays=tuple(
+            DelayRecord(i, d, c) for i, d, c in zip(ids, delays, censored)),
+        served_count=int(row["served"]),
+        total_patients=load,
+        aborted=row["aborted"] == "1",
+        lambda_sw=float(row["lambda_sw"]),
+        lambda_int=float(row["lambda_int"]),
+        workload=float(row["workload"]),
+        duration=float(row["duration"]),
+    )
+    return TrialRecord(
+        policy=PolicyId(row["policy"]), delta=float(row["delta"]),
+        load=load, condition_id=int(row["condition"]),
+        trial=int(row["trial"]), metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +457,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
-    manifest_path = indir / "manifest.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    with open(indir / "manifest.json", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"manifest.json: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError("manifest.json: config: must be an object")
     config = config_from_dict(manifest["config"])
     trials_path = indir / "trials.csv"
     if not trials_path.exists() and (indir / "trials.jsonl").exists():

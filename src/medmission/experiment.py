@@ -34,11 +34,13 @@ from .policy import (
 )
 from .scenario import (
     DEFAULT_SCENARIO_PARAMS,
+    MAX_TRIALS_PER_CELL,
     Condition,
     ScenarioParams,
     StreamPurpose,
-    derive_stream,
+    cell_seed_words,
     generate_scenario,
+    seeded_stream,
 )
 
 DEFAULT_DEGRADATION_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -71,13 +73,16 @@ class SweepConfig:
         """
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ValueError("master_seed: must be a nonnegative integer")
-        if not _is_int(self.trials_per_condition) or self.trials_per_condition < 1:
-            raise ValueError("trials_per_condition: must be an integer >= 1")
+        if (not _is_int(self.trials_per_condition)
+                or not 1 <= self.trials_per_condition <= MAX_TRIALS_PER_CELL):
+            raise ValueError("trials_per_condition: must be an integer in "
+                             f"[1, {MAX_TRIALS_PER_CELL}]")
         if not self.degradation_levels:
             raise ValueError("degradation_levels: must be nonempty")
         for i, delta in enumerate(self.degradation_levels):
-            if not 0.0 <= delta <= 1.0:
-                raise ValueError(f"degradation_levels[{i}]: {delta} outside [0, 1]")
+            key = f"degradation_levels[{i}]"
+            if not 0.0 <= _real(delta, key) <= 1.0:
+                raise ValueError(f"{key}: {delta} outside [0, 1]")
         if not self.patient_loads:
             raise ValueError("patient_loads: must be nonempty")
         for i, load in enumerate(self.patient_loads):
@@ -87,18 +92,23 @@ class SweepConfig:
             raise ValueError("policies: must be nonempty")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("policies: duplicate entries")
-        if not self.tau_c > 0.0:
+        if not _real(self.tau_c, "tau_c") > 0.0:
             raise ValueError("tau_c: must be positive")
-        if not self.alpha >= 0.0:
+        if not _real(self.alpha, "alpha") >= 0.0:
             raise ValueError("alpha: must be nonnegative")
-        if not self.beta >= 0.0:
+        if not _real(self.beta, "beta") >= 0.0:
             raise ValueError("beta: must be nonnegative")
-        if not 0.0 <= self.operator_error_rate <= 1.0:
+        if not 0.0 <= _real(self.operator_error_rate, "operator_error_rate") <= 1.0:
             raise ValueError("operator_error_rate: outside [0, 1]")
-        if not self.platform.cruise_speed > 0.0:
+        if not _real(self.platform.cruise_speed, "platform.cruise_speed") > 0.0:
             raise ValueError("platform.cruise_speed: must be positive")
-        if not 0.0 < self.platform.teleop_speed_factor <= 1.0:
+        if not 0.0 < _real(self.platform.teleop_speed_factor,
+                           "platform.teleop_speed_factor") <= 1.0:
             raise ValueError("platform.teleop_speed_factor: outside (0, 1]")
+        for name in ("sigma_gps", "sigma_auto"):
+            key = f"localization.{name}"
+            if not 0.0 < _real(getattr(self.localization, name), key) < math.inf:
+                raise ValueError(f"{key}: must be positive and finite")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
@@ -122,6 +132,13 @@ DEFAULT_SWEEP_CONFIG = SweepConfig()
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value, key: str):
+    """`value` if it is a real number, else ValueError naming `key`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{key}: must be a number, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -279,13 +296,14 @@ def pareto_front(points) -> list:
 def _run_cell(config: SweepConfig, condition: Condition,
               policy: PolicyId) -> list[TrialRecord]:
     records = []
+    # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
+    seeds = cell_seed_words(config.master_seed, condition.condition_id,
+                            policy.index, config.trials_per_condition)
     for trial in range(config.trials_per_condition):
-        scenario_stream = derive_stream(config.master_seed, condition.condition_id,
-                                        trial, policy.index, StreamPurpose.SCENARIO)
+        scenario_stream = seeded_stream(seeds[2 * trial + StreamPurpose.SCENARIO])
         scenario = generate_scenario(condition, scenario_stream,
                                      config.scenario_params)
-        mission_stream = derive_stream(config.master_seed, condition.condition_id,
-                                       trial, policy.index, StreamPurpose.MISSION)
+        mission_stream = seeded_stream(seeds[2 * trial + StreamPurpose.MISSION])
         trace = run_mission(scenario, policy, config.platform,
                             config.triage_weights, mission_stream,
                             config.localization, config.operator_error_rate,

@@ -12,6 +12,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_HIGH_SEVERITY_THRESHOLD = 0.7
 
@@ -80,18 +81,6 @@ class ScenarioParams:
 DEFAULT_SCENARIO_PARAMS = ScenarioParams()
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus the derivation rule mapping trial coordinates to streams."""
-
-    master_seed: int
-
-    def stream(self, condition_index: int, trial_index: int, policy_index: int,
-               purpose: StreamPurpose) -> np.random.Generator:
-        return derive_stream(self.master_seed, condition_index, trial_index,
-                             policy_index, purpose)
-
-
 def derive_stream(master_seed: int, condition_index: int, trial_index: int,
                   policy_index: int, purpose: StreamPurpose) -> np.random.Generator:
     """Derive an independent, reproducible stream for one trial coordinate.
@@ -105,6 +94,115 @@ def derive_stream(master_seed: int, condition_index: int, trial_index: int,
         spawn_key=(condition_index, trial_index, policy_index, int(purpose)),
     )
     return np.random.Generator(np.random.PCG64(seq))
+
+
+# The pool hash of NumPy's SeedSequence (numpy/random/bit_generator.pyx),
+# restated over uint32 arrays so that one call hashes every stream of a cell.
+# Its multipliers advance once per hash, independently of the data, so the
+# words shared by a cell are hashed once and broadcast against the rest.
+_POOL_SIZE = 4
+_PCG64_WORDS = 4   # generate_state(4, np.uint64): what PCG64 seeds from
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+MAX_TRIALS_PER_CELL = 2 ** 32
+"""Trials a cell may hold: each trial index must fit one uint32 spawn-key word."""
+
+
+def _uint32_words(value: int) -> list[np.ndarray]:
+    """SeedSequence's little-endian uint32 words of a nonnegative integer."""
+    if value < 0:
+        raise ValueError(f"seed coordinates must be nonnegative, got {value}")
+    words = [np.array([value & _MASK32], dtype=np.uint32)]
+    value >>= 32
+    while value:
+        words.append(np.array([value & _MASK32], dtype=np.uint32))
+        value >>= 32
+    return words
+
+
+class _Hashmix:
+    """SeedSequence's hashmix with its running multiplier (`hash_const`)."""
+
+    def __init__(self, init: int, mult: int) -> None:
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * self.const
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
+                    n_trials: int) -> np.ndarray:
+    """PCG64 seed words of every stream of one (condition, policy) cell.
+
+    Returns a ``(2 * n_trials, 4)`` uint64 array whose row
+    ``2 * trial + purpose`` holds exactly the words the PCG64 of
+    ``derive_stream(master_seed, condition_index, trial, policy_index,
+    purpose)`` is seeded from; ``seeded_stream`` turns a row into that
+    stream. Trial indices must each fit one uint32 word, so a cell of more
+    than ``MAX_TRIALS_PER_CELL`` trials raises ValueError.
+    """
+    if not 0 <= n_trials <= MAX_TRIALS_PER_CELL:
+        raise ValueError(f"n_trials must be in [0, {MAX_TRIALS_PER_CELL}], "
+                         f"got {n_trials}")
+    master = _uint32_words(master_seed)
+    zero = np.zeros(1, dtype=np.uint32)
+    # A spawn key makes SeedSequence pad the master words to the pool size.
+    entropy = (master + [zero] * (_POOL_SIZE - len(master))
+               + _uint32_words(condition_index)
+               + [np.arange(n_trials).astype(np.uint32)[:, None]]
+               + _uint32_words(policy_index)
+               + [np.array([int(p) for p in StreamPurpose], dtype=np.uint32)])
+
+    hashmix = _Hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state: uint32 words cycling over the pool, paired little-endian.
+    hash_out = _Hashmix(_INIT_B, _MULT_B)
+    state = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64)
+             for i in range(2 * _PCG64_WORDS)]
+    words = np.stack([state[2 * j] | (state[2 * j + 1] << 32)
+                      for j in range(_PCG64_WORDS)], axis=-1)
+    return words.reshape(-1, _PCG64_WORDS)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 one precomputed row of `cell_seed_words`."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _PCG64_WORDS or dtype is not np.uint64:
+            raise ValueError("only PCG64's 4 uint64 seed words are precomputed")
+        return self.words
+
+
+def seeded_stream(words: np.ndarray) -> np.random.Generator:
+    """The stream seeded from one row of `cell_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def classify_high_severity(patient: Patient,

@@ -84,6 +84,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"degradation_levels": "0,1"}, "degradation_levels"),
     ({"patient_loads": ["many"]}, "patient_loads"),
     ({"trials_per_condition": 2.5}, "trials_per_condition"),
+    ({"localization": {"sigma_gps": 0}}, "localization.sigma_gps"),
+    ({"localization": {"sigma_gps": -3.0}}, "localization.sigma_gps"),
+    ({"localization": {"sigma_auto": float("nan")}}, "localization.sigma_auto"),
+    ({"platform": {"cruise_speed": "fast"}}, "platform.cruise_speed"),
+    ({"tau_c": "long"}, "tau_c"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
@@ -93,6 +98,13 @@ def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     err = capsys.readouterr().err
     assert f"{key}:" in err
     assert "policies[0]" not in err
+
+
+def test_trials_per_condition_must_fit_one_uint32_word(capsys):
+    assert run_cli("validate", "--trials", str(2**32)) == 0
+    capsys.readouterr()
+    assert run_cli("validate", "--trials", str(2**32 + 1)) == 2
+    assert "trials_per_condition:" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_fails_before_the_run(tmp_path, capsys):
@@ -199,3 +211,35 @@ def test_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
     code = run_cli("run", *FAST_FLAGS, "--out", str(blocker / "sub"))
     assert code == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_report_names_a_missing_trials_column(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--out", str(out)) == 0
+    table = out / "trials.csv"
+    lines = table.read_text().splitlines()
+    table.write_text("".join(",".join(line.split(",")[:5]) + "\n" for line in lines))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trials.csv" in err
+    assert "high_sev_ids" in err
+
+
+def test_report_names_a_truncated_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--out", str(out)) == 0
+    (out / "manifest.json").write_text('{"bad": ')
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_report_names_a_row_that_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", "jsonl", "--out", str(out)) == 0
+    table = out / "trials.jsonl"
+    table.write_text(table.read_text()[:-20] + "\n")   # cut the last record short
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert "trials.jsonl: row 24:" in capsys.readouterr().err

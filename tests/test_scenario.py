@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medmission import (
     Condition,
     Patient,
     ScenarioParams,
-    SeedSpec,
     StreamPurpose,
     classify_high_severity,
     derive_stream,
     generate_scenario,
 )
+from medmission.scenario import MAX_TRIALS_PER_CELL, cell_seed_words, seeded_stream
 
 MASTER = 42
 
@@ -41,11 +43,42 @@ def test_master_seed_changes_the_stream():
     assert not np.array_equal(a, b)
 
 
-def test_seed_spec_applies_the_same_derivation_rule():
-    spec = SeedSpec(master_seed=MASTER)
-    a = spec.stream(2, 14, 1, StreamPurpose.MISSION).uniform(size=5)
-    b = derive_stream(MASTER, 2, 14, 1, StreamPurpose.MISSION).uniform(size=5)
-    assert np.array_equal(a, b)
+# Master seeds of one word, of several words, and of more words than the
+# SeedSequence pool holds (>= 2**128), where no zero padding applies.
+master_seeds = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**128 - 1),
+    st.integers(2**128, 2**200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=master_seeds,
+       condition=st.one_of(st.integers(0, 63), st.integers(2**32, 2**40)),
+       policy=st.one_of(st.integers(0, 2), st.integers(3, 2**36)),
+       n_trials=st.integers(1, 5))
+def test_cell_seed_words_give_the_streams_derive_stream_gives(seed, condition, policy,
+                                                               n_trials):
+    words = cell_seed_words(seed, condition, policy, n_trials)
+    assert words.shape == (2 * n_trials, 4)
+    assert words.dtype == np.uint64
+    for trial in range(n_trials):
+        for purpose in StreamPurpose:
+            got = seeded_stream(words[2 * trial + purpose])
+            want = derive_stream(seed, condition, trial, policy, purpose)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.random(4), want.random(4))
+            assert got.integers(1 << 63) == want.integers(1 << 63)
+
+
+def test_cell_seed_words_reject_trial_indices_beyond_one_word():
+    # Index 2**32 would take two spawn-key words, which the kernel does not
+    # hash; it must refuse before allocating anything.
+    with pytest.raises(ValueError, match="n_trials"):
+        cell_seed_words(MASTER, 0, 0, MAX_TRIALS_PER_CELL + 1)
+    with pytest.raises(ValueError):
+        cell_seed_words(-1, 0, 0, 1)
 
 
 def test_no_stream_collisions_over_the_full_sweep_domain():
