@@ -17,7 +17,6 @@ from .engine import (
     MissionTrace,
     OperatorView,
     PlatformParams,
-    TwinState,
     check_abort,
     run_mission,
     travel_time,

@@ -23,12 +23,12 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
-from .engine import PlatformParams
 from .experiment import (
+    DEFAULT_SWEEP_CONFIG,
     ParetoPoint,
     SweepConfig,
     SweepResult,
@@ -36,9 +36,8 @@ from .experiment import (
     aggregate,
     run_sweep,
 )
-from .localization import LocalizationParams
 from .metrics import DelayRecord, TrialMetrics
-from .policy import PolicyId, TriageWeights
+from .policy import PolicyId
 from .scenario import ScenarioParams
 
 log = logging.getLogger("medmission")
@@ -64,34 +63,36 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config serialization.
+# Config serialization: one JSON key per SweepConfig field, one object per
+# parameter section.
+
+_JSON_KEYS = {"scenario_params": "scenario"}   # field name -> JSON key, where they differ
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, PolicyId):
+        return value.value
+    return value
+
 
 def config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "master_seed": config.master_seed,
-        "degradation_levels": list(config.degradation_levels),
-        "patient_loads": list(config.patient_loads),
-        "policies": [p.value for p in config.policies],
-        "trials_per_condition": config.trials_per_condition,
-        "tau_c": config.tau_c,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "operator_error_rate": config.operator_error_rate,
-        "triage_weights": asdict(config.triage_weights),
-        "platform": asdict(config.platform),
-        "localization": asdict(config.localization),
-        "scenario": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in asdict(config.scenario_params).items()},
-    }
+    return {_JSON_KEYS.get(f.name, f.name): _json_value(getattr(config, f.name))
+            for f in fields(SweepConfig)}
 
 
-def _build_section(cls, data: dict, key: str):
-    known = {f: v for f, v in data.items()}
-    valid = set(cls.__dataclass_fields__)
+def _build_section(cls, data, key: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{key}: must be an object, got {type(data).__name__}")
+    known = dict(data)
+    valid = {f.name for f in fields(cls)}
     for name in known:
         if name not in valid:
             raise ConfigError(f"{key}.{name}: unknown key")
-    if cls is ScenarioParams and "base_position" in known:
+    if cls is ScenarioParams and isinstance(known.get("base_position"), list):
         known["base_position"] = tuple(known["base_position"])
     try:
         return cls(**known)
@@ -99,40 +100,42 @@ def _build_section(cls, data: dict, key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _list_value(values, key: str, convert) -> tuple:
+    """Convert the items of a list-valued key, naming the key on failure.
+
+    A bare string is rejected: iterating it would split it into characters.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key}: must be a list, got {type(values).__name__}")
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(convert(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: {value!r} at {key}[{i}] is not a valid "
+                              f"{convert.__name__}") from None
+    return tuple(out)
+
+
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON form, naming any bad key."""
-    base = SweepConfig()
     known = dict(data)
     kwargs = {}
-    simple = ["master_seed", "trials_per_condition", "tau_c", "alpha", "beta",
-              "operator_error_rate"]
-    for key in simple:
-        if key in known:
-            kwargs[key] = known.pop(key)
-    if "degradation_levels" in known:
-        kwargs["degradation_levels"] = _list_value(known, "degradation_levels", float)
-    if "patient_loads" in known:
-        kwargs["patient_loads"] = _list_value(known, "patient_loads", int)
-    if "policies" in known:
-        kwargs["policies"] = _parse_policies(_list_value(known, "policies", str))
-    if "triage_weights" in known:
-        kwargs["triage_weights"] = _build_section(TriageWeights,
-                                                  known.pop("triage_weights"),
-                                                  "triage_weights")
-    if "platform" in known:
-        kwargs["platform"] = _build_section(PlatformParams, known.pop("platform"),
-                                            "platform")
-    if "localization" in known:
-        kwargs["localization"] = _build_section(LocalizationParams,
-                                                known.pop("localization"),
-                                                "localization")
-    if "scenario" in known:
-        kwargs["scenario_params"] = _build_section(ScenarioParams,
-                                                   known.pop("scenario"), "scenario")
+    for f in fields(SweepConfig):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key not in known:
+            continue
+        value = known.pop(key)
+        default = getattr(DEFAULT_SWEEP_CONFIG, f.name)
+        if is_dataclass(default):
+            value = _build_section(type(default), value, key)
+        elif isinstance(default, tuple):
+            value = _list_value(value, key, type(default[0]))
+        kwargs[f.name] = value
     if known:
         raise ConfigError(f"{sorted(known)[0]}: unknown key")
     try:
-        config = replace(base, **kwargs)
+        config = SweepConfig(**kwargs)
         config.validate()
     except ConfigError:
         raise
@@ -141,34 +144,22 @@ def config_from_dict(data: dict) -> SweepConfig:
     return config
 
 
-def _list_value(data: dict, key: str, convert) -> tuple:
-    """Pop a list-valued key and convert its items, naming the key on failure.
-
-    A bare string is rejected: iterating it would split it into characters.
-    """
-    values = data.pop(key)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key}: must be a list, got {type(values).__name__}")
-    try:
-        return tuple(convert(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _parse_policies(values) -> tuple[PolicyId, ...]:
-    out = []
-    for i, name in enumerate(values):
-        try:
-            out.append(PolicyId(name))
-        except ValueError:
-            valid = ", ".join(p.value for p in PolicyId)
-            raise ConfigError(f"policies[{i}]: unknown policy {name!r} "
-                              f"(expected one of {valid})") from None
-    return tuple(out)
-
-
-def _csv_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+# Flag dest -> config key; a "section.name" key sets one field of a section.
+_FLAG_KEYS = {
+    "seed": "master_seed",
+    "trials": "trials_per_condition",
+    "deltas": "degradation_levels",
+    "loads": "patient_loads",
+    "policies": "policies",
+    "tau_c": "tau_c",
+    "alpha": "alpha",
+    "beta": "beta",
+    "error_rate": "operator_error_rate",
+    "w_severity": "triage_weights.w_severity",
+    "w_urgency": "triage_weights.w_urgency",
+    "w_access": "triage_weights.w_access",
+    "urgency_timescale": "triage_weights.urgency_timescale",
+}
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
@@ -184,37 +175,16 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file: top level must be an object")
 
-    overrides = {
-        "master_seed": getattr(args, "seed", None),
-        "trials_per_condition": getattr(args, "trials", None),
-        "tau_c": getattr(args, "tau_c", None),
-        "alpha": getattr(args, "alpha", None),
-        "beta": getattr(args, "beta", None),
-        "operator_error_rate": getattr(args, "error_rate", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    if getattr(args, "deltas", None) is not None:
-        data["degradation_levels"] = _csv_floats(args.deltas)
-    if getattr(args, "loads", None) is not None:
-        data["patient_loads"] = [int(x) for x in _csv_floats(args.loads)]
-    if getattr(args, "policies", None) is not None:
-        data["policies"] = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
-
-    weight_flags = {
-        "w_severity": getattr(args, "w_severity", None),
-        "w_urgency": getattr(args, "w_urgency", None),
-        "w_access": getattr(args, "w_access", None),
-        "urgency_timescale": getattr(args, "urgency_timescale", None),
-    }
-    if any(v is not None for v in weight_flags.values()):
-        section = dict(data.get("triage_weights", {}))
-        for key, value in weight_flags.items():
-            if value is not None:
-                section[key] = value
-        data["triage_weights"] = section
-
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if isinstance(value, str):   # comma-separated list flag
+            value = [tok.strip() for tok in value.split(",") if tok.strip()]
+        section, _, name = key.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        if isinstance(target, dict):   # else config_from_dict names the section
+            target[name] = value
     return config_from_dict(data)
 
 
@@ -319,31 +289,26 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_summaries(result: SweepResult, fmt: str, out: Path) -> list[Path]:
+    """Write summary.json and the rollup and pareto tables into `out`."""
+    out.mkdir(parents=True, exist_ok=True)
+    summary_path = out / "summary.json"
+    rollup_path = out / f"rollup.{fmt}"
+    pareto_path = out / f"pareto.{fmt}"
+    _write_json(summary_path, _summary_payload(result))
+    _write_table(rollup_path, ROLLUP_COLUMNS, _rollup_rows(result), fmt)
+    _write_table(pareto_path, PARETO_COLUMNS, _pareto_rows(result), fmt)
+    return [summary_path, rollup_path, pareto_path]
+
+
 def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path]:
     """Write trials, summary, rollup, pareto, and manifest files."""
     if fmt not in TABLE_FORMATS:
         raise ConfigError(f"format: unknown format {fmt!r}")
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if fmt == "csv" else "jsonl"
-
-    paths = []
-    trials_path = out / f"trials.{ext}"
+    summaries = _write_summaries(result, fmt, out)
+    trials_path = out / f"trials.{fmt}"
     _write_table(trials_path, TRIALS_COLUMNS, _trial_rows(result), fmt)
-    paths.append(trials_path)
-
-    summary_path = out / "summary.json"
-    _write_json(summary_path, _summary_payload(result))
-    paths.append(summary_path)
-
-    rollup_path = out / f"rollup.{ext}"
-    _write_table(rollup_path, ROLLUP_COLUMNS, _rollup_rows(result), fmt)
-    paths.append(rollup_path)
-
-    pareto_path = out / f"pareto.{ext}"
-    _write_table(pareto_path, PARETO_COLUMNS, _pareto_rows(result), fmt)
-    paths.append(pareto_path)
-
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {
         "config": config_to_dict(result.config),
@@ -352,8 +317,7 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
         "total_missions": result.config.total_missions,
         "trial_rows": len(result.records),
     })
-    paths.append(manifest_path)
-    return paths
+    return [trials_path, *summaries, manifest_path]
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +436,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if manifest.get("trial_rows") != len(records):
         raise ConfigError(f"trial_rows: manifest says {manifest.get('trial_rows')!r}, "
                           f"{trials_path.name} holds {len(records)} rows")
-    result = aggregate(config, records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "jsonl"
-    _write_json(out / "summary.json", _summary_payload(result))
-    _write_table(out / f"rollup.{ext}", ROLLUP_COLUMNS, _rollup_rows(result),
-                 args.format)
-    _write_table(out / f"pareto.{ext}", PARETO_COLUMNS, _pareto_rows(result),
-                 args.format)
+    _write_summaries(aggregate(config, records), args.format, Path(args.out))
     log.info("recomputed summaries for %d trials from %s", len(records), trials_path)
     return 0
 

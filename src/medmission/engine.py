@@ -35,8 +35,8 @@ import numpy as np
 from .localization import (
     DEFAULT_LOCALIZATION_PARAMS,
     LocalizationParams,
-    PoseEstimate,
     integrity_schedule,
+    merge_intervals,
     outage_schedule,
 )
 from .policy import (
@@ -56,9 +56,6 @@ TASK_SWITCH = "task_switch"
 OPERATOR_INTERVENTION = "operator_intervention"
 ABORT = "abort"
 COMPLETE = "complete"
-
-EVENT_KINDS = frozenset({DEPART, ARRIVE, INTERVENE, TASK_SWITCH,
-                         OPERATOR_INTERVENTION, ABORT, COMPLETE})
 
 # Operator task alphabet.
 TASK_NAVIGATE = "navigate"
@@ -118,31 +115,19 @@ class PlatformParams:
 DEFAULT_PLATFORM_PARAMS = PlatformParams()
 
 
-@dataclass(frozen=True)
-class TwinState:
-    """Snapshot of the synchronized world model at a decision point."""
-
-    fused_pose: PoseEstimate
-    remaining_plan: tuple[int, ...]
-    patient_snapshot: dict[int, tuple[float, tuple[float, float]]]
-    platform_healthy: bool
-
-
 @dataclass
 class OperatorView:
-    """What the operator currently sees: pose, active task, open alerts."""
+    """The operator's active task; each change is logged as a task_switch event."""
 
-    pose: PoseEstimate | None = None
+    events: list[MissionEvent]
     task_label: str | None = None
-    pending_alerts: int = 0
 
-    def switch_task(self, label: str) -> bool:
+    def switch(self, label: str, time: float) -> None:
         if label not in TASK_ALPHABET:
             raise ValueError(f"unknown task label {label!r}")
-        if label == self.task_label:
-            return False
-        self.task_label = label
-        return True
+        if label != self.task_label:
+            self.task_label = label
+            self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
 
 
 def travel_time(origin: tuple[float, float], target: tuple[float, float],
@@ -173,7 +158,7 @@ def _leg_time(origin: tuple[float, float], target: tuple[float, float],
     return (distance / cruise_speed) * penalty / accessibility
 
 
-def check_abort(twin: TwinState, elapsed_outage: float, elapsed_over_threshold: float,
+def check_abort(elapsed_outage: float, elapsed_over_threshold: float,
                 policy: PolicyId, params: PlatformParams = DEFAULT_PLATFORM_PARAMS) -> bool:
     """Abort rule: strict exceedance of the policy's timeout or grace period."""
     if elapsed_outage < 0.0 or elapsed_over_threshold < 0.0:
@@ -222,20 +207,6 @@ def _intersect(a: tuple[tuple[float, float], ...],
     return tuple(out)
 
 
-def _merge(intervals: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    if not intervals:
-        return ()
-    intervals = sorted(intervals)
-    merged = [intervals[0]]
-    for start, end in intervals[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return tuple(merged)
-
-
 def _complement(intervals: tuple[tuple[float, float], ...],
                 horizon: float) -> tuple[tuple[float, float], ...]:
     out = []
@@ -276,7 +247,7 @@ def crossing_intervals(policy: PolicyId, delta: float,
     for gps_part, ep_part, gps_valid, episode in regimes:
         if monitored_trace(policy, delta, gps_valid, episode, loc) > theta:
             pieces.extend(_intersect(gps_part, ep_part))
-    return _merge(pieces)
+    return merge_intervals(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -285,35 +256,7 @@ def crossing_intervals(policy: PolicyId, delta: float,
 _EPS = 1e-9
 
 
-class _TaskLog:
-    """Chronological task_switch emitter backed by an OperatorView."""
-
-    def __init__(self, view: OperatorView, events: list[MissionEvent]):
-        self.view = view
-        self.events = events
-
-    def switch(self, label: str, time: float) -> None:
-        if self.view.switch_task(label):
-            self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
-
-
-def _make_twin(scenario: Scenario, remaining: tuple[int, ...],
-               policy: PolicyId, delta: float,
-               loc: LocalizationParams) -> TwinState:
-    pose = PoseEstimate(
-        position=scenario.base_position,
-        covariance=np.eye(2) * (nominal_trace(policy, delta, loc) / 2.0),
-        source="dt_fused" if policy is PolicyId.PI3_GEODT else
-               ("gps" if policy is PolicyId.PI1_TELEOP else "auto"),
-        valid=True,
-    )
-    snapshot = {p.id: (p.severity, p.position) for p in scenario.patients}
-    return TwinState(fused_pose=pose, remaining_plan=remaining,
-                     patient_snapshot=snapshot, platform_healthy=True)
-
-
-def _first_abort_from_intervals(intervals, stamp_offset, twin, policy, params,
-                                as_outage):
+def _first_abort_from_intervals(intervals, stamp_offset, policy, params, as_outage):
     """First abort time implied by interval durations, or None.
 
     Each interval is judged with check_abort on its full length; the abort
@@ -322,9 +265,9 @@ def _first_abort_from_intervals(intervals, stamp_offset, twin, policy, params,
     for start, end in intervals:
         duration = end - start
         if as_outage:
-            tripped = check_abort(twin, duration, 0.0, policy, params)
+            tripped = check_abort(duration, 0.0, policy, params)
         else:
-            tripped = check_abort(twin, 0.0, duration, policy, params)
+            tripped = check_abort(0.0, duration, policy, params)
         if tripped:
             return start + stamp_offset
     return None
@@ -354,14 +297,13 @@ def run_mission(scenario: Scenario, policy: PolicyId,
                                    params.horizon, params, loc)
 
     patients = {p.id: p for p in scenario.patients}
-    twin = _make_twin(scenario, plan.order, policy, delta, loc)
 
     if policy is PolicyId.PI1_TELEOP:
         return _run_teleop(scenario, plan.order, patients, profile.outages,
-                           params, loc, delta, twin, trial_index)
+                           params, loc, delta, trial_index)
     return _run_supervised(scenario, policy, plan.order, patients,
                            profile.outages, crossings, params, loc, delta,
-                           twin, stream, trial_index)
+                           stream, trial_index)
 
 
 def _planned_leg_times(order, patients, base, policy, delta, params, loc):
@@ -390,17 +332,15 @@ def _planned_leg_times(order, patients, base, policy, delta, params, loc):
 
 
 def _run_supervised(scenario, policy, order, patients, outages, crossings,
-                    params, loc, delta, twin, stream, trial_index):
+                    params, loc, delta, stream, trial_index):
     """Autonomous and twin-managed missions: no pauses, supervisory operator."""
     legs, natural_end, _ = _planned_leg_times(
         order, patients, scenario.base_position, policy, delta, params, loc)
 
     comm_abort = _first_abort_from_intervals(
-        outages, params.comm_timeout_for(policy), twin, policy, params,
-        as_outage=True)
+        outages, params.comm_timeout_for(policy), policy, params, as_outage=True)
     unc_abort = _first_abort_from_intervals(
-        crossings, params.abort_grace, twin, policy, params,
-        as_outage=False)
+        crossings, params.abort_grace, policy, params, as_outage=False)
 
     candidates = [c for c in (comm_abort, unc_abort) if c is not None and c < natural_end]
     if natural_end > params.horizon:
@@ -420,10 +360,9 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
     # alerts; the twin autonomously resolves a share of them.
-    view = OperatorView()
     ops: list[MissionEvent] = []
-    log = _TaskLog(view, ops)
-    log.switch(TASK_MONITOR, 0.0)
+    view = OperatorView(ops)
+    view.switch(TASK_MONITOR, 0.0)
 
     alert_times = sorted([s for s, _ in outages] + [s for s, _ in crossings])
     handled: list[float] = []
@@ -438,23 +377,21 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
     release: float | None = None
     for when in handled:
         if release is not None and release <= when:
-            log.switch(TASK_MONITOR, release)
-        view.pending_alerts += 1
-        log.switch(TASK_ASSESS, when)
+            view.switch(TASK_MONITOR, release)
+        view.switch(TASK_ASSESS, when)
         ops.append(MissionEvent(when, OPERATOR_INTERVENTION))
-        view.pending_alerts -= 1
         release = when + params.alert_handling_time
     if release is not None and release < terminal:
-        log.switch(TASK_MONITOR, release)
+        view.switch(TASK_MONITOR, release)
 
-    tail: list[MissionEvent] = []
     if aborted:
-        warn = _TaskLog(view, tail)
-        warn.switch(TASK_ASSESS, terminal)
-        tail.append(MissionEvent(terminal, OPERATOR_INTERVENTION))
-        tail.append(MissionEvent(terminal, ABORT))
+        # Every other operator event precedes `terminal` and no activity
+        # event follows it, so the stable sort puts this switch last.
+        view.switch(TASK_ASSESS, terminal)
+        tail = [MissionEvent(terminal, OPERATOR_INTERVENTION),
+                MissionEvent(terminal, ABORT)]
     else:
-        tail.append(MissionEvent(terminal, COMPLETE))
+        tail = [MissionEvent(terminal, COMPLETE)]
 
     events = sorted(activity + ops, key=lambda e: e.time) + tail
     return MissionTrace(policy=policy, condition=scenario.condition,
@@ -462,13 +399,8 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
                         duration=terminal, aborted=aborted)
 
 
-class _TeleopAbort(Exception):
-    def __init__(self, time: float):
-        self.time = time
-
-
 def _run_teleop(scenario, order, patients, outages, params, loc, delta,
-                twin, trial_index):
+                trial_index):
     """Teleoperated mission: paused by outages, aborted by a long one.
 
     The operator flies every leg by hand (one control action per leg),
@@ -476,8 +408,7 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
     to recovery whenever the link drops.
     """
     events: list[MissionEvent] = []
-    view = OperatorView()
-    log = _TaskLog(view, events)
+    view = OperatorView(events)
     policy = PolicyId.PI1_TELEOP
 
     legs, _, service = _planned_leg_times(
@@ -488,49 +419,53 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
 
     outage_idx = 0
 
-    def do_work(t: float, work: float, resume_label: str) -> float:
-        """Advance `work` active minutes from wall time t, pausing in outages."""
+    def do_work(t: float, work: float, resume_label: str) -> tuple[float, bool]:
+        """Advance `work` active minutes from wall time t, pausing in outages.
+
+        Returns the finish time and False, or the abort time and True once
+        an outage outlasts the link timeout.
+        """
         nonlocal outage_idx
         while True:
             if work <= 0.0:
-                return t
+                return t, False
             if outage_idx < len(outages) and outages[outage_idx][0] <= t + _EPS:
                 start, end = outages[outage_idx]
-                log.switch(TASK_RECOVER, max(t, start))
-                if check_abort(twin, end - start, 0.0, policy, params):
-                    raise _TeleopAbort(start + timeout)
+                view.switch(TASK_RECOVER, max(t, start))
+                if check_abort(end - start, 0.0, policy, params):
+                    return start + timeout, True
                 t = end
                 events.append(MissionEvent(t, OPERATOR_INTERVENTION))
-                log.switch(resume_label, t)
+                view.switch(resume_label, t)
                 outage_idx += 1
                 continue
             gap = (outages[outage_idx][0] - t) if outage_idx < len(outages) else math.inf
             if work <= gap:
-                return t + work
+                return t + work, False
             t += gap
             work -= gap
 
     t = 0.0
     aborted = False
-    abort_time = math.inf
-    try:
-        for pid, depart, arrive, _ in legs:
-            leg_work = arrive - depart
-            events.append(MissionEvent(t, OPERATOR_INTERVENTION))
-            log.switch(TASK_NAVIGATE, t)
-            events.append(MissionEvent(t, DEPART, pid))
-            t = do_work(t, leg_work, TASK_NAVIGATE)
-            events.append(MissionEvent(t, ARRIVE, pid))
-            log.switch(TASK_ASSESS, t)
-            t = do_work(t, assess_dur, TASK_ASSESS)
-            log.switch(TASK_INTERVENE, t)
-            t = do_work(t, intervene_dur, TASK_INTERVENE)
-            events.append(MissionEvent(t, INTERVENE, pid))
-    except _TeleopAbort as signal:
-        aborted = True
-        abort_time = signal.time
+    for pid, depart, arrive, _ in legs:
+        events.append(MissionEvent(t, OPERATOR_INTERVENTION))
+        view.switch(TASK_NAVIGATE, t)
+        events.append(MissionEvent(t, DEPART, pid))
+        t, aborted = do_work(t, arrive - depart, TASK_NAVIGATE)
+        if aborted:
+            break
+        events.append(MissionEvent(t, ARRIVE, pid))
+        view.switch(TASK_ASSESS, t)
+        t, aborted = do_work(t, assess_dur, TASK_ASSESS)
+        if aborted:
+            break
+        view.switch(TASK_INTERVENE, t)
+        t, aborted = do_work(t, intervene_dur, TASK_INTERVENE)
+        if aborted:
+            break
+        events.append(MissionEvent(t, INTERVENE, pid))
 
-    terminal = abort_time if aborted else t
+    terminal = t
     if terminal > params.horizon:
         terminal = params.horizon
         aborted = True

@@ -105,10 +105,23 @@ class SweepConfig:
         if not 0.0 < _real(self.platform.teleop_speed_factor,
                            "platform.teleop_speed_factor") <= 1.0:
             raise ValueError("platform.teleop_speed_factor: outside (0, 1]")
-        for name in ("sigma_gps", "sigma_auto"):
-            key = f"localization.{name}"
-            if not 0.0 < _real(getattr(self.localization, name), key) < math.inf:
+        for key, value in (("platform.horizon", self.platform.horizon),
+                           ("localization.sigma_gps", self.localization.sigma_gps),
+                           ("localization.sigma_auto", self.localization.sigma_auto),
+                           ("scenario.area_extent", self.scenario_params.area_extent)):
+            if not 0.0 < _real(value, key) < math.inf:
                 raise ValueError(f"{key}: must be positive and finite")
+        scenario = self.scenario_params
+        if not 0.0 < _real(scenario.accessibility_high, "scenario.accessibility_high") <= 1.0:
+            raise ValueError("scenario.accessibility_high: outside (0, 1]")
+        if not 0.0 < _real(scenario.accessibility_low,
+                           "scenario.accessibility_low") <= scenario.accessibility_high:
+            raise ValueError("scenario.accessibility_low: outside "
+                             "(0, scenario.accessibility_high]")
+        base = scenario.base_position
+        if (not isinstance(base, tuple) or len(base) != 2
+                or not all(math.isfinite(_real(v, "scenario.base_position")) for v in base)):
+            raise ValueError("scenario.base_position: must be a pair of finite numbers")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
@@ -317,28 +330,26 @@ def _run_cell(config: SweepConfig, condition: Condition,
     return records
 
 
-def _run_cell_star(args) -> list[TrialRecord]:
-    return _run_cell(*args)
-
-
 def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
               workers: int = 1) -> SweepResult:
     """Execute the full sweep and aggregate it.
 
     `workers` > 1 fans the (condition, policy) cells out to a process
-    pool; aggregation sorts everything back into deterministic index
-    order, so the result does not depend on the degree of parallelism.
+    pool of at most one worker per cell; aggregation sorts everything
+    back into deterministic index order, so the result does not depend
+    on the degree of parallelism.
     """
     config.validate()
-    tasks = [(config, condition, policy)
-             for condition in config.conditions()
-             for policy in config.policies]
+    conditions, policies = zip(*[(condition, policy)
+                                 for condition in config.conditions()
+                                 for policy in config.policies])
+    configs = [config] * len(policies)
 
     if workers <= 1:
-        chunks = [_run_cell_star(task) for task in tasks]
+        chunks = list(map(_run_cell, configs, conditions, policies))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_cell_star, tasks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(policies))) as pool:
+            chunks = list(pool.map(_run_cell, configs, conditions, policies))
 
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.condition_id, r.policy.index, r.trial))

@@ -96,6 +96,20 @@ class LocalizationParams:
 DEFAULT_LOCALIZATION_PARAMS = LocalizationParams()
 
 
+def merge_intervals(intervals) -> tuple[tuple[float, float], ...]:
+    """Union of [start, end) intervals as sorted, disjoint pairs.
+
+    Intervals that overlap or touch join into one.
+    """
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return tuple(merged)
+
+
 def _interval_process(rate: float, mean_duration: float, horizon: float,
                       stream: np.random.Generator) -> tuple[tuple[float, float], ...]:
     """Poisson onsets with exponential durations, merged into disjoint intervals."""
@@ -107,16 +121,7 @@ def _interval_process(rate: float, mean_duration: float, horizon: float,
         duration = float(stream.exponential(mean_duration))
         raw.append((t, min(t + duration, horizon)))
         t += float(stream.exponential(1.0 / rate))
-    if not raw:
-        return ()
-    merged = [raw[0]]
-    for start, end in raw[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return tuple(merged)
+    return merge_intervals(raw)
 
 
 def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,

@@ -171,13 +171,13 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
     )
 
 
-def metric_vector(trials: list[TrialMetrics] | tuple[TrialMetrics, ...],
-                  tau_c: float = DEFAULT_SERVICE_WINDOW) -> MetricVector:
+def metric_vector(trials: list[TrialMetrics] | tuple[TrialMetrics, ...]) -> MetricVector:
     """Aggregate one (policy, condition) cell into its metric vector.
 
     Delays are pooled across trials (censored included); the service rate
-    is the mean of per-trial rates computed under `tau_c`; the failure
-    rate covers the trial abort flags; workload is the per-trial mean.
+    is the mean of the per-trial rates, each already counted under the
+    service window `trial_metrics` was given; the failure rate covers the
+    trial abort flags; workload is the per-trial mean.
     """
     if len(trials) == 0:
         raise ValueError("metric vector undefined for an empty cell")

@@ -89,6 +89,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"localization": {"sigma_auto": float("nan")}}, "localization.sigma_auto"),
     ({"platform": {"cruise_speed": "fast"}}, "platform.cruise_speed"),
     ({"tau_c": "long"}, "tau_c"),
+    ({"platform": 5}, "platform"),
+    ({"scenario": {"base_position": 5}}, "scenario.base_position"),
+    ({"scenario": {"base_position": [1, 2, 3]}}, "scenario.base_position"),
+    ({"platform": {"horizon": 0}}, "platform.horizon"),
+    ({"platform": {"horizon": "x"}}, "platform.horizon"),
+    ({"scenario": {"area_extent": -5}}, "scenario.area_extent"),
+    ({"scenario": {"accessibility_low": 0}}, "scenario.accessibility_low"),
+    ({"scenario": {"accessibility_low": 0.9, "accessibility_high": 0.5}},
+     "scenario.accessibility_low"),
+    ({"scenario": {"accessibility_high": 1.5}}, "scenario.accessibility_high"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"

@@ -1,9 +1,12 @@
 """Mission execution: travel, pauses, aborts, events, and trace invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medmission.engine as engine
 from medmission import (
@@ -26,7 +29,6 @@ from medmission.engine import (
     INTERVENE,
     OPERATOR_INTERVENTION,
     TASK_SWITCH,
-    TwinState,
     crossing_intervals,
     nominal_trace,
 )
@@ -50,12 +52,6 @@ def make_scenario(positions, severities=None, access=None, delta=0.0):
                 severities[i] >= 0.7)
         for i in range(n))
     return Scenario(Condition(0, delta, n), patients, BASE, 4000.0)
-
-
-def make_twin(policy=PolicyId.PI2_AUTO):
-    scenario = make_scenario([(100.0, 0.0)])
-    return engine._make_twin(scenario, (0,), policy, 0.0,
-                             engine.DEFAULT_LOCALIZATION_PARAMS)
 
 
 def events_of(trace, kind):
@@ -117,27 +113,24 @@ def test_travel_time_rejects_zero_accessibility():
 
 def test_no_abort_with_zero_counters():
     for policy in PolicyId:
-        assert not check_abort(make_twin(policy), 0.0, 0.0, policy, PARAMS)
+        assert not check_abort(0.0, 0.0, policy, PARAMS)
 
 
 def test_teleop_aborts_just_past_the_comm_timeout():
-    twin = make_twin(PolicyId.PI1_TELEOP)
     t = PARAMS.comm_timeout_teleop
-    assert not check_abort(twin, t, 0.0, PolicyId.PI1_TELEOP, PARAMS)
-    assert check_abort(twin, t + 1e-6, 0.0, PolicyId.PI1_TELEOP, PARAMS)
+    assert not check_abort(t, 0.0, PolicyId.PI1_TELEOP, PARAMS)
+    assert check_abort(t + 1e-6, 0.0, PolicyId.PI1_TELEOP, PARAMS)
 
 
 def test_supervised_policies_abort_after_the_grace_period():
     for policy in (PolicyId.PI2_AUTO, PolicyId.PI3_GEODT):
-        twin = make_twin(policy)
         g = PARAMS.abort_grace
-        assert not check_abort(twin, 0.0, g, policy, PARAMS)
-        assert check_abort(twin, 0.0, g + 1e-6, policy, PARAMS)
+        assert not check_abort(0.0, g, policy, PARAMS)
+        assert check_abort(0.0, g + 1e-6, policy, PARAMS)
 
 
 def test_teleop_ignores_the_uncertainty_counter():
-    twin = make_twin(PolicyId.PI1_TELEOP)
-    assert not check_abort(twin, 0.0, 1e9, PolicyId.PI1_TELEOP, PARAMS)
+    assert not check_abort(0.0, 1e9, PolicyId.PI1_TELEOP, PARAMS)
 
 
 def test_comm_timeouts_are_graded_by_policy():
@@ -148,24 +141,17 @@ def test_comm_timeouts_are_graded_by_policy():
 
 def test_negative_counters_are_rejected():
     with pytest.raises(ValueError):
-        check_abort(make_twin(), -1.0, 0.0, PolicyId.PI2_AUTO, PARAMS)
+        check_abort(-1.0, 0.0, PolicyId.PI2_AUTO, PARAMS)
 
 
 def test_operator_view_rejects_labels_outside_the_alphabet():
-    view = engine.OperatorView()
-    assert view.switch_task(engine.TASK_MONITOR)
-    assert not view.switch_task(engine.TASK_MONITOR)   # no-op repeat
+    events = []
+    view = engine.OperatorView(events)
+    view.switch(engine.TASK_MONITOR, 1.0)
+    view.switch(engine.TASK_MONITOR, 2.0)   # no-op repeat
+    assert events == [engine.MissionEvent(1.0, TASK_SWITCH, None, engine.TASK_MONITOR)]
     with pytest.raises(ValueError):
-        view.switch_task("daydream")
-
-
-def test_twin_state_snapshot_covers_the_remaining_plan():
-    scenario = make_scenario([(100.0, 0.0), (200.0, 0.0)])
-    twin = engine._make_twin(scenario, (0, 1), PolicyId.PI3_GEODT, 0.5,
-                             engine.DEFAULT_LOCALIZATION_PARAMS)
-    assert set(twin.remaining_plan) <= set(twin.patient_snapshot)
-    assert twin.platform_healthy
-    assert twin.fused_pose.valid
+        view.switch("daydream", 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +277,47 @@ def test_teleop_aborts_when_an_outage_outlasts_the_timeout(monkeypatch):
     assert trace.duration == pytest.approx(2.0 + PARAMS.comm_timeout_teleop, abs=1e-12)
     assert events_of(trace, INTERVENE) == []
     assert_well_formed(trace, scenario)
+
+
+_TIMEOUT = PARAMS.comm_timeout_teleop
+
+
+@settings(max_examples=150, deadline=None)
+@given(positions=st.lists(st.tuples(st.floats(0.0, 4000.0), st.floats(0.0, 4000.0)),
+                          min_size=1, max_size=4),
+       gaps=st.lists(st.floats(0.05, 40.0), max_size=6),
+       lengths=st.lists(st.floats(0.05, 12.0).filter(
+           lambda d: abs(d - _TIMEOUT) > 1e-6), min_size=6, max_size=6),
+       horizon=st.sampled_from([25.0, 600.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_teleop_abort_cuts_the_no_timeout_run_at_the_first_long_outage(
+        positions, gaps, lengths, horizon, seed):
+    outages = []
+    t = 0.0
+    for gap, length in zip(gaps, lengths):
+        outages.append((t + gap, t + gap + length))
+        t = outages[-1][1]
+    scenario = make_scenario(positions, delta=0.5)
+    params = replace(PARAMS, horizon=horizon)
+
+    def run(platform):
+        return run_mission(scenario, PolicyId.PI1_TELEOP, platform,
+                           stream=np.random.default_rng(seed), loc=QUIET_LOC)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
+        mp.setattr(engine, "integrity_schedule", _no_episodes)
+        trace = run(params)
+        unbounded = run(replace(params, comm_timeout_teleop=math.inf))
+
+    if not trace.aborted:
+        assert trace == unbounded
+        return
+    long_starts = [start for start, end in outages if end - start > _TIMEOUT]
+    terminal = min(long_starts[0] + _TIMEOUT if long_starts else math.inf, horizon)
+    kept = tuple(e for e in unbounded.events[:-1] if e.time <= terminal + engine._EPS)
+    assert trace == replace(unbounded, events=kept + (engine.MissionEvent(terminal, ABORT),),
+                            duration=terminal, aborted=True)
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import medmission.experiment as experiment
 from medmission import (
     PolicyId,
     SweepConfig,
@@ -59,6 +60,33 @@ def test_parallel_and_serial_sweeps_are_identical():
     assert serial.summaries == parallel.summaries
     assert serial.rollups == parallel.rollups
     assert serial.front_pooled == parallel.front_pooled
+
+
+def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    pooled = run_sweep(SMALL, workers=100_000)
+    serial = run_sweep(SMALL, workers=1)
+    assert asked == [len(SMALL.conditions()) * len(SMALL.policies)]
+    assert pooled.records == serial.records
+    assert pooled.summaries == serial.summaries
+    assert pooled.rollups == serial.rollups
 
 
 def test_sweep_is_reproducible():
