@@ -31,6 +31,6 @@ for p in scenario.patients:
           f"{triage_score(p):>7.3f}")
 
 teleop = order_teleop(scenario, derive_stream(42, 0, 0, 0, StreamPurpose.MISSION))
-print("\nteleoperation (noisy nearest-neighbor):", teleop.order)
-print("heuristic autonomy (nearest-neighbor):  ", order_heuristic(scenario).order)
-print("triage-aware planning (by score):       ", order_triage(scenario).order)
+print("\nteleoperation (noisy nearest-neighbor):", teleop)
+print("heuristic autonomy (nearest-neighbor):  ", order_heuristic(scenario))
+print("triage-aware planning (by score):       ", order_triage(scenario))

@@ -19,7 +19,6 @@ from .engine import (
     PlatformParams,
     check_abort,
     run_mission,
-    travel_time,
 )
 from .experiment import (
     DEFAULT_SWEEP_CONFIG,
@@ -39,11 +38,6 @@ from .localization import (
     DEFAULT_LOCALIZATION_PARAMS,
     DegradationProfile,
     LocalizationParams,
-    PoseEstimate,
-    TotalLocalizationLossError,
-    auto_estimate,
-    dt_fused_estimate,
-    gps_estimate,
     integrity_schedule,
     outage_schedule,
 )
@@ -66,7 +60,6 @@ from .policy import (
     DEFAULT_TRIAGE_WEIGHTS,
     PolicyId,
     TriageWeights,
-    VisitPlan,
     order_heuristic,
     order_teleop,
     order_triage,

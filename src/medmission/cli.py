@@ -104,12 +104,17 @@ def _list_value(values, key: str, convert) -> tuple:
     """Convert the items of a list-valued key, naming the key on failure.
 
     A bare string is rejected: iterating it would split it into characters.
+    A bool, or a fractional number where an int is wanted, is rejected
+    rather than converted to 1 or truncated.
     """
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key}: must be a list, got {type(values).__name__}")
     out = []
     for i, value in enumerate(values):
         try:
+            if isinstance(value, bool) or (
+                    convert is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError
             out.append(convert(value))
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: {value!r} at {key}[{i}] is not a valid "

@@ -130,19 +130,6 @@ class OperatorView:
             self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
 
 
-def travel_time(origin: tuple[float, float], target: tuple[float, float],
-                pose_variance: float, accessibility: float,
-                params: PlatformParams = DEFAULT_PLATFORM_PARAMS) -> float:
-    """Leg duration in minutes.
-
-    Base time distance/speed, inflated by pose uncertainty (sqrt of the
-    covariance trace against a reference distance) and divided by the
-    patient's accessibility.
-    """
-    return _leg_time(origin, target, _uncertainty_penalty(pose_variance, params),
-                     accessibility, params.cruise_speed)
-
-
 def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
     """Travel inflation factor for a pose-covariance trace."""
     return 1.0 + params.uncertainty_penalty * math.sqrt(pose_variance) / params.reference_distance
@@ -150,6 +137,7 @@ def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
 
 def _leg_time(origin: tuple[float, float], target: tuple[float, float],
               penalty: float, accessibility: float, cruise_speed: float) -> float:
+    """Leg duration in minutes: distance/speed times `penalty`, over accessibility."""
     if accessibility <= 0.0:
         raise ValueError("accessibility must be positive")
     distance = math.hypot(target[0] - origin[0], target[1] - origin[1])
@@ -290,7 +278,7 @@ def run_mission(scenario: Scenario, policy: PolicyId,
         stream = np.random.default_rng(0)
     delta = scenario.condition.delta
 
-    plan = plan_for_policy(scenario, policy, weights, stream, error_rate)
+    order = plan_for_policy(scenario, policy, weights, stream, error_rate)
     profile = outage_schedule(delta, params.horizon, stream, loc)
     episodes = integrity_schedule(params.horizon, stream, loc).episodes
     crossings = crossing_intervals(policy, delta, profile.outages, episodes,
@@ -299,9 +287,9 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     patients = {p.id: p for p in scenario.patients}
 
     if policy is PolicyId.PI1_TELEOP:
-        return _run_teleop(scenario, plan.order, patients, profile.outages,
+        return _run_teleop(scenario, order, patients, profile.outages,
                            params, loc, delta, trial_index)
-    return _run_supervised(scenario, policy, plan.order, patients,
+    return _run_supervised(scenario, policy, order, patients,
                            profile.outages, crossings, params, loc, delta,
                            stream, trial_index)
 

@@ -6,8 +6,8 @@
 * Triage-aware planning: patients ranked by a priority score combining
   severity, urgency, and accessibility.
 
-Every ordering returns a full permutation of the patient ids; ties always
-break toward the lower id so results are reproducible.
+Every ordering returns a full permutation of the patient ids as a plain
+tuple; ties always break toward the lower id so results are reproducible.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class PolicyId(Enum):
 
 
 _POLICY_ORDER = [PolicyId.PI1_TELEOP, PolicyId.PI2_AUTO, PolicyId.PI3_GEODT]
-
-
-@dataclass(frozen=True)
-class VisitPlan:
-    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -103,21 +98,22 @@ def _nearest_neighbour_order(scenario: Scenario, stream: np.random.Generator | N
 
 
 def order_teleop(scenario: Scenario, stream: np.random.Generator,
-                 error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> VisitPlan:
+                 error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> tuple[int, ...]:
     """Noisy nearest-neighbor order chosen by a simulated operator.
 
     At each step the operator flies to the nearest unvisited patient with
     probability 1 - error_rate, otherwise to a uniformly random unvisited
-    one. One uniform draw decides the mode of every step, then a second
-    draw picks the random target when needed, so the stream consumption
-    pattern is fixed.
+    one. While two or more patients remain and error_rate is positive, one
+    uniform draw decides the mode of the step, then a second draw picks
+    the random target when needed. The last patient, and every step when
+    error_rate is 0, draws nothing.
     """
-    return VisitPlan(order=_nearest_neighbour_order(scenario, stream, error_rate))
+    return _nearest_neighbour_order(scenario, stream, error_rate)
 
 
-def order_heuristic(scenario: Scenario) -> VisitPlan:
+def order_heuristic(scenario: Scenario) -> tuple[int, ...]:
     """Deterministic nearest-neighbor from the base, ties to the lower id."""
-    return VisitPlan(order=_nearest_neighbour_order(scenario, None, 0.0))
+    return _nearest_neighbour_order(scenario, None, 0.0)
 
 
 def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> float:
@@ -129,17 +125,17 @@ def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGH
 
 
 def order_triage(scenario: Scenario,
-                 weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> VisitPlan:
+                 weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> tuple[int, ...]:
     """Patients sorted by priority score, highest first, ties to the lower id."""
     ranked = sorted(scenario.patients,
                     key=lambda p: (-triage_score(p, weights), p.id))
-    return VisitPlan(order=tuple(p.id for p in ranked))
+    return tuple(p.id for p in ranked)
 
 
 def plan_for_policy(scenario: Scenario, policy: PolicyId,
                     weights: TriageWeights, stream: np.random.Generator,
-                    error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> VisitPlan:
-    """Dispatch to the ordering that belongs to `policy`."""
+                    error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> tuple[int, ...]:
+    """Visit order of patient ids from the ordering that belongs to `policy`."""
     if policy is PolicyId.PI1_TELEOP:
         return order_teleop(scenario, stream, error_rate)
     if policy is PolicyId.PI2_AUTO:

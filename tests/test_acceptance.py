@@ -373,8 +373,8 @@ def test_c8_policy_ordering_oracles():
 
     for _ in range(200):
         scenario = _random_small_scenario(rng)
-        assert order_heuristic(scenario).order == nn_oracle(scenario)
-        assert order_triage(scenario, weights).order == triage_oracle(scenario)
+        assert order_heuristic(scenario) == nn_oracle(scenario)
+        assert order_triage(scenario, weights) == triage_oracle(scenario)
 
     for _ in range(1000):
         scenario = _random_small_scenario(rng)

@@ -99,6 +99,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"scenario": {"accessibility_low": 0.9, "accessibility_high": 0.5}},
      "scenario.accessibility_low"),
     ({"scenario": {"accessibility_high": 1.5}}, "scenario.accessibility_high"),
+    ({"patient_loads": [2.5]}, "patient_loads"),
+    ({"patient_loads": [True]}, "patient_loads"),
+    ({"degradation_levels": [True]}, "degradation_levels"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
@@ -108,6 +111,20 @@ def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     err = capsys.readouterr().err
     assert f"{key}:" in err
     assert "policies[0]" not in err
+
+
+def test_list_items_are_checked_not_converted(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"patient_loads": [5, 2.5]}))
+    assert run_cli("validate", "--config", str(cfg)) == 2
+    assert "patient_loads[1]" in capsys.readouterr().err
+
+    assert run_cli("validate", "--loads", "5") == 0
+    expected = capsys.readouterr().out
+    for loads in ([5], [5.0], ["5"]):
+        cfg.write_text(json.dumps({"patient_loads": loads}))
+        assert run_cli("validate", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_trials_per_condition_must_fit_one_uint32_word(capsys):

@@ -19,7 +19,6 @@ from medmission import (
     TriageWeights,
     check_abort,
     run_mission,
-    travel_time,
 )
 from medmission.engine import (
     ABORT,
@@ -80,32 +79,39 @@ def assert_well_formed(trace, scenario):
 
 
 # ---------------------------------------------------------------------------
-# travel_time
+# Leg time: the ARRIVE time of a one-patient autonomous mission.
+
+def first_arrival(position, access=1.0, params=PARAMS, loc=QUIET_LOC):
+    scenario = make_scenario([position], access=[access])
+    trace = run_mission(scenario, PolicyId.PI2_AUTO, params,
+                        stream=np.random.default_rng(0), loc=loc)
+    return events_of(trace, ARRIVE)[0].time
+
 
 def test_travel_time_zero_distance():
-    assert travel_time((5.0, 5.0), (5.0, 5.0), 100.0, 0.5) == 0.0
+    assert first_arrival(BASE, access=0.5) == 0.0
 
 
 def test_travel_time_without_penalties_is_distance_over_speed():
-    t = travel_time(BASE, (1000.0, 0.0), 0.0, 1.0, PARAMS)
+    t = first_arrival((1000.0, 0.0), params=replace(PARAMS, uncertainty_penalty=0.0))
     assert t == pytest.approx(1000.0 / PARAMS.cruise_speed, abs=1e-15)
 
 
 def test_travel_time_monotone_in_pose_variance():
-    lo = travel_time(BASE, (1000.0, 0.0), 10.0, 1.0, PARAMS)
-    hi = travel_time(BASE, (1000.0, 0.0), 40.0, 1.0, PARAMS)
+    lo = first_arrival((1000.0, 0.0), loc=replace(QUIET_LOC, sigma_auto=4.0))
+    hi = first_arrival((1000.0, 0.0), loc=replace(QUIET_LOC, sigma_auto=12.0))
     assert hi > lo
 
 
 def test_travel_time_decreasing_in_accessibility():
-    hard = travel_time(BASE, (1000.0, 0.0), 10.0, 0.25, PARAMS)
-    easy = travel_time(BASE, (1000.0, 0.0), 10.0, 1.0, PARAMS)
+    hard = first_arrival((1000.0, 0.0), access=0.25)
+    easy = first_arrival((1000.0, 0.0), access=1.0)
     assert hard > easy
 
 
 def test_travel_time_rejects_zero_accessibility():
     with pytest.raises(ValueError):
-        travel_time(BASE, (1.0, 0.0), 0.0, 0.0)
+        first_arrival((1.0, 0.0), access=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,7 @@ def test_autonomous_visits_follow_the_heuristic_order():
         trace = run_mission(scenario, PolicyId.PI2_AUTO, PARAMS,
                             stream=np.random.default_rng(1), loc=QUIET_LOC)
         got = tuple(e.patient_id for e in events_of(trace, INTERVENE))
-        assert got == order_heuristic(scenario).order
+        assert got == order_heuristic(scenario)
 
 
 def test_empty_plan_completes_immediately():

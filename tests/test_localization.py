@@ -1,29 +1,22 @@
-"""Estimator noise models, outage process, and fusion arithmetic."""
+"""Estimator variances, outage process, and the fusion rule."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from medmission import (
     DEFAULT_LOCALIZATION_PARAMS,
-    DegradationProfile,
-    PoseEstimate,
-    TotalLocalizationLossError,
-    auto_estimate,
-    dt_fused_estimate,
-    gps_estimate,
+    LocalizationParams,
+    PolicyId,
     outage_schedule,
 )
+from medmission.engine import monitored_trace
 
 LOC = DEFAULT_LOCALIZATION_PARAMS
-HEALTHY = DegradationProfile(delta=0.0, outages=())
-
-
-def _pose(vx, vy=None, valid=True, pos=(0.0, 0.0), source="gps"):
-    vy = vx if vy is None else vy
-    cov = np.diag([vx, vy]).astype(float)
-    return PoseEstimate(position=pos, covariance=cov, source=source, valid=valid)
+DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,129 +69,85 @@ def test_outage_intervals_are_disjoint_ordered_and_clipped():
 
 
 # ---------------------------------------------------------------------------
-# GPS estimator.
-
-def test_gps_invalid_inside_an_outage():
-    profile = DegradationProfile(delta=0.3, outages=((10.0, 20.0),))
-    est = gps_estimate((0.0, 0.0), profile, 15.0, np.random.default_rng(0))
-    assert not est.valid
-    est2 = gps_estimate((0.0, 0.0), profile, 25.0, np.random.default_rng(0))
-    assert est2.valid
-
+# GPS and onboard variances.
 
 def test_gps_error_variance_matches_nominal_at_zero_degradation():
-    rng = np.random.default_rng(5)
-    errors = []
-    for _ in range(10_000):
-        est = gps_estimate((100.0, 200.0), HEALTHY, 1.0, rng)
-        errors.extend([est.position[0] - 100.0, est.position[1] - 200.0])
-    sample_var = float(np.var(errors))
-    assert abs(sample_var - LOC.sigma_gps ** 2) / LOC.sigma_gps ** 2 < 0.05
+    assert LOC.gps_variance(0.0) == LOC.sigma_gps ** 2
+    assert LocalizationParams(sigma_gps=2.0).gps_variance(0.0) == 4.0
 
 
 def test_gps_reported_covariance_grows_with_degradation():
-    degraded = DegradationProfile(delta=1.0, outages=())
-    a = gps_estimate((0.0, 0.0), HEALTHY, 0.0, np.random.default_rng(0))
-    b = gps_estimate((0.0, 0.0), degraded, 0.0, np.random.default_rng(0))
-    assert b.variance_trace > a.variance_trace
+    # Teleoperation watches the GPS covariance trace, so it grows with delta.
+    traces = [monitored_trace(PolicyId.PI1_TELEOP, d, True, False) for d in DELTAS]
+    assert traces[0] == 2 * LOC.sigma_gps ** 2
+    assert all(hi > lo for lo, hi in zip(traces, traces[1:]))
 
 
 def test_gps_variance_formula_monotone_in_delta():
-    grid = [LOC.gps_variance(d) for d in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    grid = [LOC.gps_variance(d) for d in DELTAS]
     assert all(hi > lo for lo, hi in zip(grid, grid[1:]))
 
 
-# ---------------------------------------------------------------------------
-# Onboard estimator.
-
-def test_auto_estimate_is_always_valid():
-    for t in (0.0, 50.0, 599.0):
-        assert auto_estimate((0.0, 0.0), t, np.random.default_rng(1)).valid
-
-
 def test_auto_error_variance_matches_nominal():
-    rng = np.random.default_rng(6)
-    errors = []
-    for _ in range(10_000):
-        est = auto_estimate((-50.0, 30.0), 10.0, rng)
-        errors.extend([est.position[0] + 50.0, est.position[1] - 30.0])
-    sample_var = float(np.var(errors))
-    assert abs(sample_var - LOC.sigma_auto ** 2) / LOC.sigma_auto ** 2 < 0.05
+    assert LOC.auto_variance() == LOC.sigma_auto ** 2
+    assert LocalizationParams(sigma_auto=5.0).auto_variance() == 25.0
 
 
 def test_auto_reported_variance_has_no_degradation_term():
-    # The estimator does not even take delta; reported covariance is fixed.
-    a = auto_estimate((0.0, 0.0), 0.0, np.random.default_rng(0))
-    b = auto_estimate((0.0, 0.0), 400.0, np.random.default_rng(1))
-    assert a.variance_trace == b.variance_trace == 2 * LOC.sigma_auto ** 2
+    # Autonomy watches the onboard covariance trace: neither delta nor a
+    # GNSS outage moves it, only an integrity episode does.
+    for delta in DELTAS:
+        for gps_valid in (True, False):
+            assert (monitored_trace(PolicyId.PI2_AUTO, delta, gps_valid, False)
+                    == 2 * LOC.sigma_auto ** 2)
+            assert (monitored_trace(PolicyId.PI2_AUTO, delta, gps_valid, True)
+                    == 2 * LOC.sigma_auto ** 2 * LOC.integrity_inflation)
 
 
 # ---------------------------------------------------------------------------
 # Fusion.
 
 def test_fusion_falls_back_to_the_valid_input():
-    invalid = PoseEstimate((math.nan, math.nan), np.full((2, 2), np.nan), "gps", False)
-    auto = _pose(4.0, pos=(12.0, -3.0), source="auto")
-    fused = dt_fused_estimate(invalid, auto)
-    assert fused.valid
-    assert fused.source == "dt_fused"
-    assert fused.position == auto.position
-    assert np.array_equal(fused.covariance, auto.covariance)
+    # GPS out: the fused variance is the onboard one, inflation included.
+    for delta in DELTAS:
+        assert LOC.fused_variance(delta, gps_valid=False) == LOC.auto_variance()
+        assert (LOC.fused_variance(delta, gps_valid=False, auto_inflation=4.0)
+                == LOC.auto_variance() * 4.0)
 
 
 def test_fusion_symmetric_case():
-    fused = dt_fused_estimate(_pose(2.0), _pose(2.0, source="auto"))
-    assert fused.covariance[0, 0] == pytest.approx(1.0)
-    assert fused.covariance[1, 1] == pytest.approx(1.0)
+    # Equal inputs halve the variance.
+    loc = LocalizationParams(sigma_gps=2.0, sigma_auto=2.0)
+    assert loc.fused_variance(0.0) == pytest.approx(2.0)
 
 
 def test_fusion_inverse_variance_value():
     # (1/1 + 1/3)^-1 = 0.75
-    fused = dt_fused_estimate(_pose(1.0), _pose(3.0, source="auto"))
-    assert fused.covariance[0, 0] == pytest.approx(0.75)
+    loc = LocalizationParams(sigma_gps=1.0, sigma_auto=math.sqrt(3.0))
+    assert loc.fused_variance(0.0) == pytest.approx(0.75)
 
 
-def test_fusion_with_both_invalid_raises():
-    invalid = PoseEstimate((math.nan, math.nan), np.full((2, 2), np.nan), "gps", False)
-    invalid_auto = PoseEstimate((math.nan, math.nan), np.full((2, 2), np.nan), "auto", False)
-    with pytest.raises(TotalLocalizationLossError):
-        dt_fused_estimate(invalid, invalid_auto)
+_POSITIVE = st.floats(min_value=0.1, max_value=30.0)
 
 
-def test_fusion_never_exceeds_either_input_variance():
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        vg = float(rng.uniform(0.1, 500.0))
-        va = float(rng.uniform(0.1, 500.0))
-        fused = dt_fused_estimate(_pose(vg), _pose(va, source="auto"))
-        fv = fused.covariance[0, 0]
-        assert fv < min(vg, va)
-
-
-def test_fused_position_is_the_inverse_variance_weighted_mean():
-    gps = _pose(1.0, pos=(10.0, 0.0))
-    auto = _pose(3.0, pos=(20.0, 4.0), source="auto")
-    fused = dt_fused_estimate(gps, auto)
-    # weights 1/1 and 1/3 -> (10*3 + 20*1)/4 = 12.5 on x, (0*3 + 4*1)/4 = 1 on y
-    assert fused.position[0] == pytest.approx(12.5)
-    assert fused.position[1] == pytest.approx(1.0)
+@given(sigma_gps=_POSITIVE, sigma_auto=_POSITIVE,
+       kappa_gps=st.floats(min_value=0.0, max_value=100.0),
+       delta=st.floats(min_value=0.0, max_value=1.0),
+       auto_inflation=st.floats(min_value=1.0, max_value=10.0))
+def test_fusion_never_exceeds_either_input_variance(sigma_gps, sigma_auto, kappa_gps,
+                                                    delta, auto_inflation):
+    loc = LocalizationParams(sigma_gps=sigma_gps, sigma_auto=sigma_auto,
+                             kappa_gps=kappa_gps)
+    fused = loc.fused_variance(delta, auto_inflation=auto_inflation)
+    assert fused < loc.gps_variance(delta)
+    assert fused < loc.auto_variance() * auto_inflation
 
 
 def test_expected_variance_ordering_fused_auto_gps():
-    # For every degradation level the mean reported variance orders
-    # fused <= auto <= fully degraded GPS; estimated with 1000 samples/point.
-    horizon = 600.0
+    # At every degradation level, with GPS up or out:
+    # fused <= auto <= fully degraded GPS.
     gps_floor = LOC.gps_variance(1.0)
-    for delta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rng = np.random.default_rng(13)
-        fused_vals, auto_vals = [], []
-        for _ in range(1000):
-            seed = int(rng.integers(1 << 32))
-            stream = np.random.default_rng(seed)
-            profile = outage_schedule(delta, horizon, stream)
-            t = float(stream.uniform(0.0, horizon))
-            gps = gps_estimate((0.0, 0.0), profile, t, stream)
-            auto = auto_estimate((0.0, 0.0), t, stream)
-            fused_vals.append(dt_fused_estimate(gps, auto).variance_trace)
-            auto_vals.append(auto.variance_trace)
-        assert np.mean(fused_vals) <= np.mean(auto_vals) <= 2 * gps_floor
+    for delta in DELTAS:
+        for gps_valid in (True, False):
+            fused = LOC.fused_variance(delta, gps_valid=gps_valid)
+            assert fused <= LOC.auto_variance() <= gps_floor

@@ -78,13 +78,13 @@ def triage_oracle(scenario, weights):
 def test_teleop_single_patient():
     scenario = make_scenario([(100.0, 0.0)])
     plan = order_teleop(scenario, np.random.default_rng(0))
-    assert plan.order == (0,)
+    assert plan == (0,)
 
 
 def test_teleop_without_errors_is_nearest_neighbor():
     scenario = make_scenario([(3000.0, 0.0), (1000.0, 0.0), (2000.0, 0.0)])
     plan = order_teleop(scenario, np.random.default_rng(0), error_rate=0.0)
-    assert plan.order == (1, 2, 0)
+    assert plan == (1, 2, 0)
 
 
 def test_teleop_always_yields_a_permutation():
@@ -92,7 +92,7 @@ def test_teleop_always_yields_a_permutation():
     for _ in range(10_000):
         scenario = random_scenario(rng, max_load=9)
         plan = order_teleop(scenario, np.random.default_rng(int(rng.integers(1 << 32))))
-        assert sorted(plan.order) == [p.id for p in scenario.patients]
+        assert sorted(plan) == [p.id for p in scenario.patients]
 
 
 def test_teleop_is_deterministic_given_its_stream():
@@ -107,25 +107,25 @@ def test_teleop_is_deterministic_given_its_stream():
 # Heuristic ordering.
 
 def test_heuristic_single_patient():
-    assert order_heuristic(make_scenario([(5.0, 5.0)])).order == (0,)
+    assert order_heuristic(make_scenario([(5.0, 5.0)])) == (0,)
 
 
 def test_heuristic_tie_breaks_to_lower_id():
     scenario = make_scenario([(100.0, 0.0), (0.0, 100.0)])
-    assert order_heuristic(scenario).order == (0, 1)
+    assert order_heuristic(scenario) == (0, 1)
 
 
 def test_heuristic_matches_oracle_on_a_five_patient_case():
     scenario = make_scenario([(900.0, 100.0), (200.0, 50.0), (400.0, 700.0),
                               (2500.0, 2500.0), (300.0, 60.0)])
-    assert order_heuristic(scenario).order == nn_oracle(scenario)
+    assert order_heuristic(scenario) == nn_oracle(scenario)
 
 
 def test_heuristic_matches_oracle_on_200_random_small_cases():
     rng = np.random.default_rng(41)
     for _ in range(200):
         scenario = random_scenario(rng)
-        assert order_heuristic(scenario).order == nn_oracle(scenario)
+        assert order_heuristic(scenario) == nn_oracle(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def shuffled_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenario=shuffled_scenarios())
 def test_heuristic_matches_the_original_walk(scenario):
-    assert order_heuristic(scenario).order == nearest_walk_oracle(scenario)
+    assert order_heuristic(scenario) == nearest_walk_oracle(scenario)
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,7 +177,7 @@ def test_heuristic_matches_the_original_walk(scenario):
 def test_teleop_matches_the_original_walk_and_its_draws(scenario, error_rate, seed):
     stream = np.random.default_rng(seed)
     reference = np.random.default_rng(seed)
-    got = order_teleop(scenario, stream, error_rate).order
+    got = order_teleop(scenario, stream, error_rate)
     assert got == nearest_walk_oracle(scenario, reference, error_rate)
     assert stream.random() == reference.random()   # same number of draws
 
@@ -185,7 +185,7 @@ def test_teleop_matches_the_original_walk_and_its_draws(scenario, error_rate, se
 def test_planners_on_a_single_patient_draw_nothing():
     scenario = make_scenario([(7.0, 7.0)])
     stream = np.random.default_rng(5)
-    assert order_teleop(scenario, stream, 1.0).order == (0,)
+    assert order_teleop(scenario, stream, 1.0) == (0,)
     assert stream.random() == np.random.default_rng(5).random()
 
 
@@ -215,7 +215,7 @@ def test_score_decreases_with_time_to_criticality():
 
 def test_triage_identical_patients_order_by_id():
     scenario = make_scenario([(10.0, 10.0)] * 4)
-    assert order_triage(scenario).order == (0, 1, 2, 3)
+    assert order_triage(scenario) == (0, 1, 2, 3)
 
 
 def test_triage_matches_oracle_on_a_six_patient_case():
@@ -224,7 +224,7 @@ def test_triage_matches_oracle_on_a_six_patient_case():
         severities=[0.9, 0.1, 0.7, 0.7, 0.3, 0.99],
         access=[0.5, 1.0, 0.3, 0.9, 0.8, 0.2])
     weights = TriageWeights()
-    assert order_triage(scenario, weights).order == triage_oracle(scenario, weights)
+    assert order_triage(scenario, weights) == triage_oracle(scenario, weights)
 
 
 def test_triage_matches_oracle_on_200_random_small_cases():
@@ -232,7 +232,7 @@ def test_triage_matches_oracle_on_200_random_small_cases():
     weights = TriageWeights()
     for _ in range(200):
         scenario = random_scenario(rng)
-        assert order_triage(scenario, weights).order == triage_oracle(scenario, weights)
+        assert order_triage(scenario, weights) == triage_oracle(scenario, weights)
 
 
 def test_triage_ordering_invariant_under_weight_scaling():
@@ -251,8 +251,8 @@ def test_orderings_always_yield_permutations():
     for _ in range(10_000):
         scenario = random_scenario(rng, max_load=8)
         ids = [p.id for p in scenario.patients]
-        assert sorted(order_heuristic(scenario).order) == ids
-        assert sorted(order_triage(scenario).order) == ids
+        assert sorted(order_heuristic(scenario)) == ids
+        assert sorted(order_triage(scenario)) == ids
 
 
 def test_weight_validation():
