@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import __version__
 from .experiment import (
-    DEFAULT_SWEEP_CONFIG,
     ParetoPoint,
     SweepConfig,
     SweepResult,
@@ -38,7 +37,7 @@ from .experiment import (
 )
 from .metrics import DelayRecord, TrialMetrics
 from .policy import PolicyId
-from .scenario import ScenarioParams
+from .schema import json_key
 
 log = logging.getLogger("medmission")
 
@@ -66,12 +65,9 @@ class ConfigError(ValueError):
 # Config serialization: one JSON key per SweepConfig field, one object per
 # parameter section.
 
-_JSON_KEYS = {"scenario_params": "scenario"}   # field name -> JSON key, where they differ
-
-
 def _json_value(value):
     if is_dataclass(value):
-        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+        return {json_key(f): _json_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     if isinstance(value, PolicyId):
@@ -80,91 +76,66 @@ def _json_value(value):
 
 
 def config_to_dict(config: SweepConfig) -> dict:
-    return {_JSON_KEYS.get(f.name, f.name): _json_value(getattr(config, f.name))
-            for f in fields(SweepConfig)}
+    return _json_value(config)
 
 
-def _build_section(cls, data, key: str):
+def _from_json(cls, data, key: str):
+    """An instance of config dataclass `cls` from its JSON object under `key`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{key}: must be an object, got {type(data).__name__}")
+    prefix = f"{key}." if key else ""
     known = dict(data)
-    valid = {f.name for f in fields(cls)}
-    for name in known:
-        if name not in valid:
-            raise ConfigError(f"{key}.{name}: unknown key")
-    if cls is ScenarioParams and isinstance(known.get("base_position"), list):
-        known["base_position"] = tuple(known["base_position"])
-    try:
-        return cls(**known)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    kwargs = {}
+    for f in fields(cls):
+        if json_key(f) not in known:
+            continue
+        value = known.pop(json_key(f))
+        if is_dataclass(f.default):
+            value = _from_json(type(f.default), value, prefix + json_key(f))
+        elif isinstance(f.default, tuple):
+            # A top-level list may come from a comma-separated flag and takes its
+            # items' type; a section's pair (scenario.base_position) stays as written.
+            kind = type(f.default[0]) if cls is SweepConfig else None
+            value = _list_value(value, prefix + json_key(f), kind)
+        kwargs[f.name] = value
+    if known:
+        raise ConfigError(f"{prefix}{sorted(known)[0]}: unknown key")
+    return cls(**kwargs)
 
 
-def _list_value(values, key: str, convert) -> tuple:
-    """Convert the items of a list-valued key, naming the key on failure.
+def _list_value(values, key: str, kind: type | None) -> tuple:
+    """The items of a list-valued key, each converted to the item type `kind`.
 
     A bare string is rejected: iterating it would split it into characters.
-    A bool, or a fractional number where an int is wanted, is rejected
-    rather than converted to 1 or truncated.
+    A bool item is rejected rather than read as 1. A string item (a flag
+    token) is parsed; a number is converted only if that keeps its value, so
+    2.5 reaches the int bound unconverted. With no `kind` the items are kept.
     """
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key}: must be a list, got {type(values).__name__}")
+    if kind is None:
+        return tuple(values)
     out = []
     for i, value in enumerate(values):
         try:
-            if isinstance(value, bool) or (
-                    convert is int and isinstance(value, float) and not value.is_integer()):
+            if isinstance(value, bool):
                 raise ValueError
-            out.append(convert(value))
-        except (TypeError, ValueError):
+            item = kind(value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key}: {value!r} at {key}[{i}] is not a valid "
-                              f"{convert.__name__}") from None
+                              f"{kind.__name__}") from None
+        out.append(item if isinstance(value, str) or item == value else value)
     return tuple(out)
 
 
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON form, naming any bad key."""
-    known = dict(data)
-    kwargs = {}
-    for f in fields(SweepConfig):
-        key = _JSON_KEYS.get(f.name, f.name)
-        if key not in known:
-            continue
-        value = known.pop(key)
-        default = getattr(DEFAULT_SWEEP_CONFIG, f.name)
-        if is_dataclass(default):
-            value = _build_section(type(default), value, key)
-        elif isinstance(default, tuple):
-            value = _list_value(value, key, type(default[0]))
-        kwargs[f.name] = value
-    if known:
-        raise ConfigError(f"{sorted(known)[0]}: unknown key")
     try:
-        config = SweepConfig(**kwargs)
+        config = _from_json(SweepConfig, data, "")
         config.validate()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
-
-
-# Flag dest -> config key; a "section.name" key sets one field of a section.
-_FLAG_KEYS = {
-    "seed": "master_seed",
-    "trials": "trials_per_condition",
-    "deltas": "degradation_levels",
-    "loads": "patient_loads",
-    "policies": "policies",
-    "tau_c": "tau_c",
-    "alpha": "alpha",
-    "beta": "beta",
-    "error_rate": "operator_error_rate",
-    "w_severity": "triage_weights.w_severity",
-    "w_urgency": "triage_weights.w_urgency",
-    "w_access": "triage_weights.w_access",
-    "urgency_timescale": "triage_weights.urgency_timescale",
-}
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
@@ -175,18 +146,19 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # also an integer past the digit limit
                 raise ConfigError(f"config file: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file: top level must be an object")
 
-    for dest, key in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    # A config flag's dest is the key it sets; "section.name" sets one field of a section.
+    keys = {json_key(f) for f in fields(SweepConfig)}
+    for dest, value in vars(args).items():
+        section, _, name = dest.rpartition(".")
+        if value is None or (section or name) not in keys:
             continue
         if isinstance(value, str):   # comma-separated list flag
             value = [tok.strip() for tok in value.split(",") if tok.strip()]
-        section, _, name = key.rpartition(".")
         target = data.setdefault(section, {}) if section else data
         if isinstance(target, dict):   # else config_from_dict names the section
             target[name] = value
@@ -393,21 +365,24 @@ def _trial_record(row: dict) -> TrialRecord:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="trials per condition")
-    parser.add_argument("--deltas", help="comma-separated degradation levels")
-    parser.add_argument("--loads", help="comma-separated patient loads")
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    parser.add_argument("--trials", dest="trials_per_condition", type=int,
+                        help="trials per condition")
+    parser.add_argument("--deltas", dest="degradation_levels",
+                        help="comma-separated degradation levels")
+    parser.add_argument("--loads", dest="patient_loads", help="comma-separated patient loads")
     parser.add_argument("--policies", help="comma-separated policy names")
     parser.add_argument("--tau-c", dest="tau_c", type=float,
                         help="acceptable service window, minutes")
     parser.add_argument("--alpha", type=float, help="workload weight on switching")
     parser.add_argument("--beta", type=float, help="workload weight on interventions")
-    parser.add_argument("--error-rate", dest="error_rate", type=float,
+    parser.add_argument("--error-rate", dest="operator_error_rate", type=float,
                         help="teleoperator mis-pick probability")
-    parser.add_argument("--w-severity", dest="w_severity", type=float)
-    parser.add_argument("--w-urgency", dest="w_urgency", type=float)
-    parser.add_argument("--w-access", dest="w_access", type=float)
-    parser.add_argument("--urgency-timescale", dest="urgency_timescale", type=float)
+    parser.add_argument("--w-severity", dest="triage_weights.w_severity", type=float)
+    parser.add_argument("--w-urgency", dest="triage_weights.w_urgency", type=float)
+    parser.add_argument("--w-access", dest="triage_weights.w_access", type=float)
+    parser.add_argument("--urgency-timescale", dest="triage_weights.urgency_timescale",
+                        type=float)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

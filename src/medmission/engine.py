@@ -47,6 +47,7 @@ from .policy import (
     plan_for_policy,
 )
 from .scenario import Condition, Scenario
+from .schema import bounded
 
 # Mission event kinds.
 DEPART = "depart"
@@ -89,20 +90,20 @@ class MissionTrace:
 class PlatformParams:
     """Kinematics, service, and abort-rule constants."""
 
-    cruise_speed: float = 500.0          # m/min
-    service_time: float = 1.5            # minutes per intervention
-    teleop_speed_factor: float = 0.35    # teleop runs this fraction of autonomous pace
-    uncertainty_threshold: float = 400.0  # m^2 on the monitored covariance trace
-    abort_grace: float = 2.0             # minutes over threshold before abort
-    comm_timeout_teleop: float = 3.0     # minutes of continuous outage
-    comm_timeout_auto: float = 6.0
-    comm_timeout_dt: float = 12.0
-    uncertainty_penalty: float = 0.5     # travel inflation per unit sqrt(variance)/ref
-    reference_distance: float = 100.0    # meters
-    alert_suppression: float = 0.5       # fraction of alerts the twin resolves itself
-    horizon: float = 600.0               # hard mission cap, minutes
-    assess_fraction: float = 0.4         # share of teleop service spent assessing
-    alert_handling_time: float = 1.0     # minutes an alert keeps the operator engaged
+    cruise_speed: float = bounded(500.0, "(0, inf]")            # m/min
+    service_time: float = bounded(1.5, "[0, inf]")              # minutes per intervention
+    teleop_speed_factor: float = bounded(0.35, "(0, 1]")        # fraction of autonomous pace
+    uncertainty_threshold: float = bounded(400.0, "[0, inf]")   # m^2 on the monitored trace
+    abort_grace: float = bounded(2.0, "[0, inf]")       # minutes over threshold before abort
+    comm_timeout_teleop: float = bounded(3.0, "[0, inf]")   # minutes of continuous outage
+    comm_timeout_auto: float = bounded(6.0, "[0, inf]")
+    comm_timeout_dt: float = bounded(12.0, "[0, inf]")
+    uncertainty_penalty: float = bounded(0.5, "[0, inf)")  # travel inflation per sqrt(variance)/ref
+    reference_distance: float = bounded(100.0, "(0, inf]")      # meters
+    alert_suppression: float = bounded(0.5, "[0, 1]")  # share of alerts the twin resolves itself
+    horizon: float = bounded(600.0, "(0, inf)")         # hard mission cap, minutes
+    assess_fraction: float = bounded(0.4, "[0, 1]")     # share of teleop service spent assessing
+    alert_handling_time: float = bounded(1.0, "[0, inf]")  # minutes an alert engages the operator
 
     def comm_timeout_for(self, policy: PolicyId) -> float:
         if policy is PolicyId.PI1_TELEOP:
@@ -414,6 +415,8 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
         an outage outlasts the link timeout.
         """
         nonlocal outage_idx
+        if work != work:   # NaN: an infinite planned time less another
+            work = math.inf
         while True:
             if work <= 0.0:
                 return t, False

@@ -9,9 +9,8 @@ output, and adding or removing trials never perturbs the others.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -42,97 +41,67 @@ from .scenario import (
     generate_scenario,
     seeded_stream,
 )
+from .schema import bounded, check_fields
 
 DEFAULT_DEGRADATION_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_PATIENT_LOADS = (5, 10, 20, 40)
 DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
+MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
+_NAN_BOX = (math.nan,) * 5   # the five-number summary of no samples
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    master_seed: int = DEFAULT_MASTER_SEED
-    degradation_levels: tuple[float, ...] = DEFAULT_DEGRADATION_LEVELS
-    patient_loads: tuple[int, ...] = DEFAULT_PATIENT_LOADS
+    master_seed: int = bounded(DEFAULT_MASTER_SEED, "[0, inf)", int)
+    degradation_levels: tuple[float, ...] = bounded(DEFAULT_DEGRADATION_LEVELS, "[0, 1]")
+    patient_loads: tuple[int, ...] = bounded(DEFAULT_PATIENT_LOADS, "[1, inf)", int)
     policies: tuple[PolicyId, ...] = (PolicyId.PI1_TELEOP, PolicyId.PI2_AUTO,
                                       PolicyId.PI3_GEODT)
-    trials_per_condition: int = DEFAULT_TRIALS_PER_CONDITION
-    tau_c: float = DEFAULT_SERVICE_WINDOW
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    operator_error_rate: float = DEFAULT_OPERATOR_ERROR_RATE
+    trials_per_condition: int = bounded(DEFAULT_TRIALS_PER_CONDITION,
+                                        f"[1, {MAX_TRIALS_PER_CELL}]", int)
+    tau_c: float = bounded(DEFAULT_SERVICE_WINDOW, "(0, inf]")
+    alpha: float = bounded(DEFAULT_ALPHA, "[0, inf]")
+    beta: float = bounded(DEFAULT_BETA, "[0, inf]")
+    operator_error_rate: float = bounded(DEFAULT_OPERATOR_ERROR_RATE, "[0, 1]")
     triage_weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS
     platform: PlatformParams = DEFAULT_PLATFORM_PARAMS
     localization: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS
-    scenario_params: ScenarioParams = DEFAULT_SCENARIO_PARAMS
+    scenario_params: ScenarioParams = field(default=DEFAULT_SCENARIO_PARAMS,
+                                            metadata={"key": "scenario"})
 
     def validate(self) -> None:
         """Raise ValueError naming the offending key for any bad field.
 
-        Comparisons are written so that NaN fails them.
+        Each field declares its own bound; only rules across fields are here.
         """
-        if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ValueError("master_seed: must be a nonnegative integer")
-        if (not _is_int(self.trials_per_condition)
-                or not 1 <= self.trials_per_condition <= MAX_TRIALS_PER_CELL):
-            raise ValueError("trials_per_condition: must be an integer in "
-                             f"[1, {MAX_TRIALS_PER_CELL}]")
-        if not self.degradation_levels:
-            raise ValueError("degradation_levels: must be nonempty")
-        for i, delta in enumerate(self.degradation_levels):
-            key = f"degradation_levels[{i}]"
-            if not 0.0 <= _real(delta, key) <= 1.0:
-                raise ValueError(f"{key}: {delta} outside [0, 1]")
-        if not self.patient_loads:
-            raise ValueError("patient_loads: must be nonempty")
-        for i, load in enumerate(self.patient_loads):
-            if int(load) != load or load < 1:
-                raise ValueError(f"patient_loads[{i}]: {load} is not a positive integer")
-        if not self.policies:
-            raise ValueError("policies: must be nonempty")
-        if len(set(self.policies)) != len(self.policies):
-            raise ValueError("policies: duplicate entries")
-        if not _real(self.tau_c, "tau_c") > 0.0:
-            raise ValueError("tau_c: must be positive")
-        if not _real(self.alpha, "alpha") >= 0.0:
-            raise ValueError("alpha: must be nonnegative")
-        if not _real(self.beta, "beta") >= 0.0:
-            raise ValueError("beta: must be nonnegative")
-        if not 0.0 <= _real(self.operator_error_rate, "operator_error_rate") <= 1.0:
-            raise ValueError("operator_error_rate: outside [0, 1]")
-        if not _real(self.platform.cruise_speed, "platform.cruise_speed") > 0.0:
-            raise ValueError("platform.cruise_speed: must be positive")
-        if not 0.0 < _real(self.platform.teleop_speed_factor,
-                           "platform.teleop_speed_factor") <= 1.0:
-            raise ValueError("platform.teleop_speed_factor: outside (0, 1]")
-        for key, value in (("platform.horizon", self.platform.horizon),
-                           ("localization.sigma_gps", self.localization.sigma_gps),
-                           ("localization.sigma_auto", self.localization.sigma_auto),
-                           ("scenario.area_extent", self.scenario_params.area_extent)):
-            if not 0.0 < _real(value, key) < math.inf:
-                raise ValueError(f"{key}: must be positive and finite")
+        check_fields(self)
+        for key in ("policies", "degradation_levels", "patient_loads"):
+            values = getattr(self, key)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{key}: must be nonempty, without duplicates")
         scenario = self.scenario_params
-        if not 0.0 < _real(scenario.accessibility_high, "scenario.accessibility_high") <= 1.0:
-            raise ValueError("scenario.accessibility_high: outside (0, 1]")
-        if not 0.0 < _real(scenario.accessibility_low,
-                           "scenario.accessibility_low") <= scenario.accessibility_high:
-            raise ValueError("scenario.accessibility_low: outside "
-                             "(0, scenario.accessibility_high]")
-        base = scenario.base_position
-        if (not isinstance(base, tuple) or len(base) != 2
-                or not all(math.isfinite(_real(v, "scenario.base_position")) for v in base)):
-            raise ValueError("scenario.base_position: must be a pair of finite numbers")
+        if len(scenario.base_position) != 2:
+            raise ValueError("scenario.base_position: must be a pair of numbers")
+        if not scenario.accessibility_low <= scenario.accessibility_high:
+            raise ValueError(f"scenario.accessibility_low: {scenario.accessibility_low!r} must be "
+                             f"<= scenario.accessibility_high: {scenario.accessibility_high!r}")
+        # Each outage or integrity interval costs the mission loop a step.
+        loc, horizon = self.localization, self.platform.horizon
+        intervals = ((loc.outage_rate_coeff * max(self.degradation_levels)
+                      + loc.integrity_rate) * horizon)
+        if not intervals <= MAX_INTERVALS_PER_MISSION:
+            raise ValueError(f"localization.outage_rate_coeff: {loc.outage_rate_coeff!r}, "
+                             f"localization.integrity_rate: {loc.integrity_rate!r} and "
+                             f"platform.horizon: {horizon!r} expect {intervals:.3g} "
+                             f"intervals per mission, over the cap of {MAX_INTERVALS_PER_MISSION}")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
-        cells = []
-        index = 0
-        for delta in self.degradation_levels:
-            for load in self.patient_loads:
-                cells.append(Condition(condition_id=index, delta=float(delta),
-                                       patient_load=int(load)))
-                index += 1
-        return tuple(cells)
+        cells = [(delta, load) for delta in self.degradation_levels
+                 for load in self.patient_loads]
+        return tuple(Condition(condition_id=index, delta=float(delta), patient_load=int(load))
+                     for index, (delta, load) in enumerate(cells))
 
     @property
     def total_missions(self) -> int:
@@ -141,17 +110,6 @@ class SweepConfig:
 
 
 DEFAULT_SWEEP_CONFIG = SweepConfig()
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _real(value, key: str):
-    """`value` if it is a real number, else ValueError naming `key`."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{key}: must be a number, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -269,8 +227,7 @@ def boxplot_stats(samples) -> tuple[float, float, float, float, float]:
     """Five-number summary (min, Q1, median, Q3, max)."""
     if len(samples) == 0:
         raise ValueError("boxplot stats undefined for an empty sample set")
-    q = quantiles(samples, (0.0, 0.25, 0.5, 0.75, 1.0))
-    return q
+    return quantiles(samples, (0.0, 0.25, 0.5, 0.75, 1.0))
 
 
 def pareto_front(points) -> list:
@@ -368,10 +325,6 @@ def _stats(samples: list[float]) -> Stats:
     return Stats(mean, float(arr.std(ddof=1)), lo, hi)
 
 
-def _nan_box() -> tuple[float, float, float, float, float]:
-    return (math.nan,) * 5
-
-
 def _summarize_cell(policy: PolicyId, delta: float, load: int,
                     cell: list[TrialRecord]) -> ConditionSummary:
     delays = [rec.delay for r in cell for rec in r.metrics.high_severity_delays]
@@ -381,7 +334,7 @@ def _summarize_cell(policy: PolicyId, delta: float, load: int,
         delay_box = boxplot_stats(delays)
     else:
         delay_med = delay_p90 = delay_p95 = math.nan
-        delay_box = _nan_box()
+        delay_box = _NAN_BOX
     return ConditionSummary(
         policy=policy, delta=delta, load=load, n_trials=len(cell),
         delay=_stats(delays),
@@ -390,7 +343,7 @@ def _summarize_cell(policy: PolicyId, delta: float, load: int,
         workload=_stats(workloads),
         delay_median=delay_med, delay_p90=delay_p90, delay_p95=delay_p95,
         delay_box=delay_box,
-        workload_box=boxplot_stats(workloads) if workloads else _nan_box(),
+        workload_box=boxplot_stats(workloads) if workloads else _NAN_BOX,
         mean_duration=float(np.mean([r.metrics.duration for r in cell])),
     )
 

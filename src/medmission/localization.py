@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import bounded
+
 
 @dataclass(frozen=True)
 class DegradationProfile:
     """Outage pattern for one mission: disjoint, ordered [start, end) intervals."""
 
-    delta: float
     outages: tuple[tuple[float, float], ...]
 
     def total_outage(self) -> float:
@@ -42,14 +43,16 @@ class IntegrityProfile:
 
 @dataclass(frozen=True)
 class LocalizationParams:
-    sigma_gps: float = 3.0            # per-axis std of healthy GPS, meters
-    kappa_gps: float = 50.0           # degradation inflation of GPS variance
-    sigma_auto: float = 8.0           # per-axis std of the onboard estimator
-    outage_rate_coeff: float = 0.005  # outage onsets per minute at delta = 1
-    outage_mean_duration: float = 5.0     # minutes
-    integrity_rate: float = 0.0008        # episode onsets per minute
-    integrity_mean_duration: float = 3.0  # minutes
-    integrity_inflation: float = 4.0      # variance multiplier during an episode
+    # The std and integrity-inflation bounds keep each variance nonzero and finite:
+    # squaring past 1e154 overflows, and `fused_variance` divides by each variance.
+    sigma_gps: float = bounded(3.0, "[1e-150, 1e150]")   # per-axis std of healthy GPS, meters
+    kappa_gps: float = bounded(50.0, "[0, inf)")         # degradation inflation of GPS variance
+    sigma_auto: float = bounded(8.0, "[1e-150, 1e150]")  # per-axis std of the onboard estimator
+    outage_rate_coeff: float = bounded(0.005, "[0, inf)")  # outage onsets per minute at delta = 1
+    outage_mean_duration: float = bounded(5.0, "(0, inf)")     # minutes
+    integrity_rate: float = bounded(0.0008, "[0, inf)")        # episode onsets per minute
+    integrity_mean_duration: float = bounded(3.0, "(0, inf)")  # minutes
+    integrity_inflation: float = bounded(4.0, "[1e-8, 1e8]")  # variance multiplier in an episode
 
     def gps_variance(self, delta: float) -> float:
         """Per-axis GPS noise variance at a given degradation level."""
@@ -115,7 +118,7 @@ def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,
         raise ValueError("horizon must be positive")
     intervals = _interval_process(params.outage_rate_coeff * delta,
                                   params.outage_mean_duration, horizon, stream)
-    return DegradationProfile(delta=delta, outages=intervals)
+    return DegradationProfile(outages=intervals)
 
 
 def integrity_schedule(horizon: float, stream: np.random.Generator,

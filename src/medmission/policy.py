@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .scenario import Patient, Scenario
+from .schema import bounded, check_fields
 
 DEFAULT_OPERATOR_ERROR_RATE = 0.15
 
@@ -44,18 +45,15 @@ class TriageWeights:
     `urgency_timescale`, so patients near criticality rank sharply higher.
     """
 
-    w_severity: float = 1.0
-    w_urgency: float = 1.0
-    w_access: float = 0.5
-    urgency_timescale: float = 60.0   # minutes
+    w_severity: float = bounded(1.0, "[0, inf)")
+    w_urgency: float = bounded(1.0, "[0, inf)")
+    w_access: float = bounded(0.5, "[0, inf)")
+    urgency_timescale: float = bounded(60.0, "(0, inf]")   # minutes
 
     def __post_init__(self) -> None:
-        if min(self.w_severity, self.w_urgency, self.w_access) < 0:
-            raise ValueError("triage weights must be nonnegative")
-        if self.w_severity + self.w_urgency + self.w_access <= 0:
-            raise ValueError("at least one triage weight must be positive")
-        if self.urgency_timescale <= 0:
-            raise ValueError("urgency_timescale must be positive")
+        check_fields(self, "triage_weights.")
+        if not self.w_severity + self.w_urgency + self.w_access > 0:
+            raise ValueError("triage_weights: at least one weight must be positive")
 
 
 DEFAULT_TRIAGE_WEIGHTS = TriageWeights()

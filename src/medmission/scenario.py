@@ -14,6 +14,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .schema import bounded
+
 DEFAULT_HIGH_SEVERITY_THRESHOLD = 0.7
 
 
@@ -67,15 +69,15 @@ class ScenarioParams:
     from zero so every patient is reachable.
     """
 
-    area_extent: float = 4000.0
-    base_position: tuple[float, float] = (0.0, 0.0)
-    severity_alpha: float = 2.0
-    severity_beta: float = 2.0
-    high_severity_threshold: float = DEFAULT_HIGH_SEVERITY_THRESHOLD
-    criticality_max: float = 240.0   # minutes at severity 0
-    criticality_floor: float = 10.0  # minutes added for every patient
-    accessibility_low: float = 0.2
-    accessibility_high: float = 1.0
+    area_extent: float = bounded(4000.0, "(0, inf)")
+    base_position: tuple[float, float] = bounded((0.0, 0.0), "(-inf, inf)")
+    severity_alpha: float = bounded(2.0, "(0, inf)")
+    severity_beta: float = bounded(2.0, "(0, inf)")
+    high_severity_threshold: float = bounded(DEFAULT_HIGH_SEVERITY_THRESHOLD, "[0, 1]")
+    criticality_max: float = bounded(240.0, "[0, inf)")   # minutes at severity 0
+    criticality_floor: float = bounded(10.0, "[0, inf)")  # minutes added for every patient
+    accessibility_low: float = bounded(0.2, "(0, 1]")
+    accessibility_high: float = bounded(1.0, "(0, 1]")
 
 
 DEFAULT_SCENARIO_PARAMS = ScenarioParams()

@@ -1,12 +1,27 @@
 """Command-line interface: config precedence, emission, and round trips."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import fields
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medmission import SweepConfig
+from medmission import (
+    LocalizationParams,
+    PlatformParams,
+    ScenarioParams,
+    SweepConfig,
+    TriageWeights,
+)
 from medmission.cli import config_from_dict, config_to_dict, main
+from medmission.schema import Bound
 
 FAST_FLAGS = ["--deltas", "0,1", "--loads", "3,5", "--trials", "2", "--seed", "7"]
 
@@ -102,15 +117,94 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"patient_loads": [2.5]}, "patient_loads"),
     ({"patient_loads": [True]}, "patient_loads"),
     ({"degradation_levels": [True]}, "degradation_levels"),
+    ({"scenario": {"severity_alpha": 0}}, "scenario.severity_alpha"),
+    ({"localization": {"outage_mean_duration": -1}}, "localization.outage_mean_duration"),
+    ({"localization": {"kappa_gps": -1}}, "localization.kappa_gps"),
+    ({"scenario": {"criticality_max": -1e308}}, "scenario.criticality_max"),
+    ({"scenario": {"high_severity_threshold": "x"}}, "scenario.high_severity_threshold"),
+    ({"localization": {"outage_rate_coeff": 1e6}}, "localization.outage_rate_coeff"),
+    ({"localization": {"integrity_rate": 1e9}}, "localization.integrity_rate"),
+    ({"platform": {"service_time": -3}}, "platform.service_time"),
+    ({"platform": {"uncertainty_penalty": -5}}, "platform.uncertainty_penalty"),
+    ({"platform": {"abort_grace": float("nan")}}, "platform.abort_grace"),
+    ({"triage_weights": {"w_access": float("nan")}}, "triage_weights.w_access"),
+    ({"triage_weights": {"w_access": -1}}, "triage_weights.w_access"),
+    ({"platform": {"horizon": 1e300}}, "platform.horizon"),
+    ({"localization": {"integrity_rate": 10**400}}, "localization.integrity_rate"),
+    ({"triage_weights": {"w_access": 10**400}}, "triage_weights.w_access"),
+    ({"scenario": {"base_position": [0, 10**400]}}, "scenario.base_position"),
+    ({"localization": {"sigma_gps": 1e200}}, "localization.sigma_gps"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(data))   # NaN is written as the JSON token NaN
-    code = run_cli("validate", "--config", str(cfg))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{key}:" in err
-    assert "policies[0]" not in err
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        code = run_cli(*command, "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key}:" in err
+        assert "policies[0]" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# One key of a one-mission-per-policy config set to an arbitrary JSON value.
+_SHAPE = {"trials_per_condition": 1, "patient_loads": [2], "degradation_levels": [1.0]}
+_KEYS = ["tau_c", "alpha", "beta", "operator_error_rate", "master_seed", "policies"] + [
+    f"{section}.{name}" for section, value in config_to_dict(SweepConfig()).items()
+    if isinstance(value, dict) for name in value]
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**64, -2**64, 10**30, 10**400, 0, 1, -1]),
+    st.floats(),   # NaN, the infinities and subnormals included
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.text(max_size=4))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(key=st.sampled_from(_KEYS), value=_JSON_VALUES)
+def test_one_arbitrary_key_validates_and_runs_or_exits_2_naming_it(key, value):
+    section, _, name = key.rpartition(".")
+    data = {**_SHAPE, **({section: {name: value}} if section else {key: value})}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("validate", "--config", str(cfg))
+            if code == 0:
+                code = run_cli("run", "--config", str(cfg), "--out", str(Path(tmp) / "out"))
+                assert code == 0, err.getvalue()
+        assert code in (0, 2)
+        if code == 2:
+            assert f"{key}:" in err.getvalue()
+
+
+def test_every_config_field_declares_a_bound():
+    for cls in (SweepConfig, PlatformParams, LocalizationParams, ScenarioParams,
+                TriageWeights):
+        for f in fields(cls):
+            items = f.default if isinstance(f.default, tuple) else (f.default,)
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+                assert isinstance(f.metadata.get("bound"), Bound), f"{cls.__name__}.{f.name}"
+
+
+def test_bool_policy_item_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"policies": [True]}))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert run_cli(*command, "--config", str(cfg)) == 2
+        assert "policies[0]" in capsys.readouterr().err
+
+
+def test_section_pair_items_are_echoed_as_written(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"scenario": {"base_position": [100, 200.5]}}))
+    assert run_cli("validate", "--config", str(cfg)) == 0
+    echoed = json.loads(capsys.readouterr().out)
+    assert echoed["scenario"]["base_position"] == [100, 200.5]
+    assert isinstance(echoed["scenario"]["base_position"][0], int)
 
 
 def test_list_items_are_checked_not_converted(tmp_path, capsys):

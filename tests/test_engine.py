@@ -240,7 +240,7 @@ def test_empty_plan_completes_immediately():
 
 def _fixed_outages(intervals):
     def fake(delta, horizon, stream, params=None):
-        return DegradationProfile(delta=delta, outages=tuple(intervals))
+        return DegradationProfile(outages=tuple(intervals))
     return fake
 
 
@@ -283,6 +283,22 @@ def test_teleop_aborts_when_an_outage_outlasts_the_timeout(monkeypatch):
     assert trace.duration == pytest.approx(2.0 + PARAMS.comm_timeout_teleop, abs=1e-12)
     assert events_of(trace, INTERVENE) == []
     assert_well_formed(trace, scenario)
+
+
+def test_teleop_mission_with_infinite_legs_ends_at_the_horizon(monkeypatch):
+    # A subnormal cruise speed makes every leg infinite, so the second leg's
+    # planned work is inf - inf = NaN; the mission must still end, by abort.
+    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([(1.0, 2.0)]))
+    monkeypatch.setattr(engine, "integrity_schedule", _no_episodes)
+    scenario = make_scenario([(1000.0, 0.0), (2000.0, 0.0)], delta=0.5)
+    params = replace(PARAMS, cruise_speed=5e-324)
+    trace = run_mission(scenario, PolicyId.PI1_TELEOP, params,
+                        stream=np.random.default_rng(0), loc=QUIET_LOC,
+                        error_rate=0.0)
+    assert trace.aborted
+    assert trace.duration == params.horizon
+    assert events_of(trace, ARRIVE) == []
+    assert trace.events[-1].kind == ABORT
 
 
 _TIMEOUT = PARAMS.comm_timeout_teleop
