@@ -22,12 +22,21 @@ For the twin-managed policy the monitored covariance is the fused one, so
 an integrity episode of the onboard estimator only crosses the threshold
 while GPS is also out; that makes threshold crossings structurally rarer
 than under pure autonomy.
+
+Each mission loop fills a `MissionOutcome` as it runs: the duration, the
+abort flag, each patient's first intervention time and the counts of
+operator task switches and control actions, which is all `metrics` reads
+off a mission. It logs `MissionEvent`s only when its caller passes a list
+to log into: `run_mission` does, for replay, tests and demos, and
+`metrics.trial_metrics` reads that log as the oracle of the outcome. The
+sweep passes none, so it builds no event log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +95,19 @@ class MissionTrace:
     aborted: bool
 
 
+class MissionOutcome(NamedTuple):
+    """What the metrics read off one mission, counted while it runs.
+
+    The counts are of the events the mission's log holds, or would hold.
+    """
+
+    duration: float
+    aborted: bool
+    intervene_times: dict[int, float]   # first INTERVENE time per patient
+    task_switches: int                  # TASK_SWITCH events
+    operator_interventions: int         # OPERATOR_INTERVENTION events
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     """Kinematics, service, and abort-rule constants."""
@@ -118,17 +140,31 @@ DEFAULT_PLATFORM_PARAMS = PlatformParams()
 
 @dataclass
 class OperatorView:
-    """The operator's active task; each change is logged as a task_switch event."""
+    """The operator's active task and control actions.
 
-    events: list[MissionEvent]
+    Each task change and each control action is timed; when `events` is a
+    list it is also logged there, as a task_switch or an
+    operator_intervention event.
+    """
+
+    events: list[MissionEvent] | None
     task_label: str | None = None
+    switch_times: list[float] = field(default_factory=list)
+    action_times: list[float] = field(default_factory=list)
 
     def switch(self, label: str, time: float) -> None:
         if label not in TASK_ALPHABET:
             raise ValueError(f"unknown task label {label!r}")
         if label != self.task_label:
             self.task_label = label
-            self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
+            self.switch_times.append(time)
+            if self.events is not None:
+                self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
+
+    def act(self, time: float) -> None:
+        self.action_times.append(time)
+        if self.events is not None:
+            self.events.append(MissionEvent(time, OPERATOR_INTERVENTION))
 
 
 def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
@@ -277,6 +313,24 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     """
     if stream is None:
         stream = np.random.default_rng(0)
+    events: list[MissionEvent] = []
+    outcome = _simulate(scenario, policy, params, weights, stream, loc,
+                        error_rate, events)
+    return MissionTrace(policy=policy, condition=scenario.condition,
+                        trial_index=trial_index, events=tuple(events),
+                        duration=outcome.duration, aborted=outcome.aborted)
+
+
+def _simulate(scenario: Scenario, policy: PolicyId, params: PlatformParams,
+              weights: TriageWeights, stream: np.random.Generator,
+              loc: LocalizationParams, error_rate: float,
+              events: list[MissionEvent] | None) -> MissionOutcome:
+    """Execute one mission and return what the metrics read off it.
+
+    Its events are logged into `events` when that is a list; the sweep
+    passes None and builds no log. The stream is drawn from in the same
+    order either way, so both give the same mission.
+    """
     delta = scenario.condition.delta
 
     order = plan_for_policy(scenario, policy, weights, stream, error_rate)
@@ -289,10 +343,10 @@ def run_mission(scenario: Scenario, policy: PolicyId,
 
     if policy is PolicyId.PI1_TELEOP:
         return _run_teleop(scenario, order, patients, profile.outages,
-                           params, loc, delta, trial_index)
+                           params, loc, delta, events)
     return _run_supervised(scenario, policy, order, patients,
                            profile.outages, crossings, params, loc, delta,
-                           stream, trial_index)
+                           stream, events)
 
 
 def _planned_leg_times(order, patients, base, policy, delta, params, loc):
@@ -321,7 +375,7 @@ def _planned_leg_times(order, patients, base, policy, delta, params, loc):
 
 
 def _run_supervised(scenario, policy, order, patients, outages, crossings,
-                    params, loc, delta, stream, trial_index):
+                    params, loc, delta, stream, events):
     """Autonomous and twin-managed missions: no pauses, supervisory operator."""
     legs, natural_end, _ = _planned_leg_times(
         order, patients, scenario.base_position, policy, delta, params, loc)
@@ -337,19 +391,24 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
     aborted = bool(candidates)
     terminal = min(candidates) if aborted else natural_end
 
+    logged = events is not None
     activity: list[MissionEvent] = []
+    served: dict[int, float] = {}
     for pid, depart, arrive, intervene in legs:
         if depart > terminal:
             break
-        activity.append(MissionEvent(depart, DEPART, pid))
-        if arrive <= terminal:
-            activity.append(MissionEvent(arrive, ARRIVE, pid))
         if intervene <= terminal:
-            activity.append(MissionEvent(intervene, INTERVENE, pid))
+            served.setdefault(pid, intervene)
+        if logged:
+            activity.append(MissionEvent(depart, DEPART, pid))
+            if arrive <= terminal:
+                activity.append(MissionEvent(arrive, ARRIVE, pid))
+            if intervene <= terminal:
+                activity.append(MissionEvent(intervene, INTERVENE, pid))
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
     # alerts; the twin autonomously resolves a share of them.
-    ops: list[MissionEvent] = []
+    ops: list[MissionEvent] | None = [] if logged else None
     view = OperatorView(ops)
     view.switch(TASK_MONITOR, 0.0)
 
@@ -368,36 +427,35 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
         if release is not None and release <= when:
             view.switch(TASK_MONITOR, release)
         view.switch(TASK_ASSESS, when)
-        ops.append(MissionEvent(when, OPERATOR_INTERVENTION))
+        view.act(when)
         release = when + params.alert_handling_time
     if release is not None and release < terminal:
         view.switch(TASK_MONITOR, release)
 
     if aborted:
         # Every other operator event precedes `terminal` and no activity
-        # event follows it, so the stable sort puts this switch last.
+        # event follows it, so the stable sort puts these two last.
         view.switch(TASK_ASSESS, terminal)
-        tail = [MissionEvent(terminal, OPERATOR_INTERVENTION),
-                MissionEvent(terminal, ABORT)]
-    else:
-        tail = [MissionEvent(terminal, COMPLETE)]
-
-    events = sorted(activity + ops, key=lambda e: e.time) + tail
-    return MissionTrace(policy=policy, condition=scenario.condition,
-                        trial_index=trial_index, events=tuple(events),
-                        duration=terminal, aborted=aborted)
+        view.act(terminal)
+    if logged:
+        events += sorted(activity + ops, key=lambda e: e.time)
+        events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
+    return MissionOutcome(terminal, aborted, served, len(view.switch_times),
+                          len(view.action_times))
 
 
-def _run_teleop(scenario, order, patients, outages, params, loc, delta,
-                trial_index):
+def _run_teleop(scenario, order, patients, outages, params, loc, delta, events):
     """Teleoperated mission: paused by outages, aborted by a long one.
 
     The operator flies every leg by hand (one control action per leg),
     walks through navigate/assess/intervene phases per visit, and switches
-    to recovery whenever the link drops.
+    to recovery whenever the link drops. Event times never decrease, so
+    the events kept at the terminal time are a prefix of those produced,
+    and the outcome counts that prefix.
     """
-    events: list[MissionEvent] = []
+    logged = events is not None
     view = OperatorView(events)
+    served: dict[int, float] = {}
     policy = PolicyId.PI1_TELEOP
 
     legs, _, service = _planned_leg_times(
@@ -426,7 +484,7 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
                 if check_abort(end - start, 0.0, policy, params):
                     return start + timeout, True
                 t = end
-                events.append(MissionEvent(t, OPERATOR_INTERVENTION))
+                view.act(t)
                 view.switch(resume_label, t)
                 outage_idx += 1
                 continue
@@ -439,13 +497,15 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
     t = 0.0
     aborted = False
     for pid, depart, arrive, _ in legs:
-        events.append(MissionEvent(t, OPERATOR_INTERVENTION))
+        view.act(t)
         view.switch(TASK_NAVIGATE, t)
-        events.append(MissionEvent(t, DEPART, pid))
+        if logged:
+            events.append(MissionEvent(t, DEPART, pid))
         t, aborted = do_work(t, arrive - depart, TASK_NAVIGATE)
         if aborted:
             break
-        events.append(MissionEvent(t, ARRIVE, pid))
+        if logged:
+            events.append(MissionEvent(t, ARRIVE, pid))
         view.switch(TASK_ASSESS, t)
         t, aborted = do_work(t, assess_dur, TASK_ASSESS)
         if aborted:
@@ -454,18 +514,20 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta,
         t, aborted = do_work(t, intervene_dur, TASK_INTERVENE)
         if aborted:
             break
-        events.append(MissionEvent(t, INTERVENE, pid))
+        served.setdefault(pid, t)
+        if logged:
+            events.append(MissionEvent(t, INTERVENE, pid))
 
     terminal = t
     if terminal > params.horizon:
         terminal = params.horizon
         aborted = True
 
-    kept = [e for e in events if e.time <= terminal + _EPS]
-    if aborted:
-        kept.append(MissionEvent(terminal, ABORT))
-    else:
-        kept.append(MissionEvent(terminal, COMPLETE))
-    return MissionTrace(policy=policy, condition=scenario.condition,
-                        trial_index=trial_index, events=tuple(kept),
-                        duration=terminal, aborted=aborted)
+    cut = terminal + _EPS
+    if logged:
+        events[:] = [e for e in events if e.time <= cut]
+        events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
+    return MissionOutcome(terminal, aborted,
+                          {pid: time for pid, time in served.items() if time <= cut},
+                          bisect_right(view.switch_times, cut),
+                          bisect_right(view.action_times, cut))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, run_mission
+from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, _simulate
 from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
 from .metrics import (
     DEFAULT_ALPHA,
@@ -23,7 +23,7 @@ from .metrics import (
     DEFAULT_SERVICE_WINDOW,
     TrialMetrics,
     failure_rate,
-    trial_metrics,
+    outcome_metrics,
 )
 from .policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
@@ -45,6 +45,7 @@ from .schema import bounded, check_fields
 
 DEFAULT_DEGRADATION_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_PATIENT_LOADS = (5, 10, 20, 40)
+MAX_PATIENT_LOAD = 1000   # nearest-neighbour planning is quadratic in the load
 DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
@@ -55,7 +56,8 @@ _NAN_BOX = (math.nan,) * 5   # the five-number summary of no samples
 class SweepConfig:
     master_seed: int = bounded(DEFAULT_MASTER_SEED, "[0, inf)", int)
     degradation_levels: tuple[float, ...] = bounded(DEFAULT_DEGRADATION_LEVELS, "[0, 1]")
-    patient_loads: tuple[int, ...] = bounded(DEFAULT_PATIENT_LOADS, "[1, inf)", int)
+    patient_loads: tuple[int, ...] = bounded(DEFAULT_PATIENT_LOADS,
+                                             f"[1, {MAX_PATIENT_LOAD}]", int)
     policies: tuple[PolicyId, ...] = (PolicyId.PI1_TELEOP, PolicyId.PI2_AUTO,
                                       PolicyId.PI3_GEODT)
     trials_per_condition: int = bounded(DEFAULT_TRIALS_PER_CONDITION,
@@ -274,12 +276,13 @@ def _run_cell(config: SweepConfig, condition: Condition,
         scenario = generate_scenario(condition, scenario_stream,
                                      config.scenario_params)
         mission_stream = seeded_stream(seeds[2 * trial + StreamPurpose.MISSION])
-        trace = run_mission(scenario, policy, config.platform,
+        # No event log: the mission loop counts what the metrics read.
+        outcome = _simulate(scenario, policy, config.platform,
                             config.triage_weights, mission_stream,
                             config.localization, config.operator_error_rate,
-                            trial_index=trial)
-        bundle = trial_metrics(trace, scenario, config.tau_c,
-                               config.alpha, config.beta)
+                            events=None)
+        bundle = outcome_metrics(outcome, scenario, config.tau_c,
+                                 config.alpha, config.beta)
         records.append(TrialRecord(policy=policy, delta=condition.delta,
                                    load=condition.patient_load,
                                    condition_id=condition.condition_id,

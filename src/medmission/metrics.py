@@ -1,9 +1,12 @@
 """Mission metrics: delays, service rate, failure rate, workload, dominance.
 
-Per-trace extraction works purely off the event log. High-severity
-patients never reached before the mission ends contribute a censored
-delay equal to the mission duration; dropping them instead would reward
-aborting early.
+A mission's metric bundle comes from one of two sources with the same
+arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
+`run_mission` returns it; it is the oracle. `outcome_metrics` reads the
+`MissionOutcome` the mission loop counted as it ran, which is what the
+sweep uses, so the sweep builds no event log. High-severity patients never
+reached before the mission ends contribute a censored delay equal to the
+mission duration; dropping them instead would reward aborting early.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
+from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionOutcome, MissionTrace
 from .scenario import Scenario
 
 DEFAULT_SERVICE_WINDOW = 60.0   # minutes; clinically acceptable delay
@@ -68,10 +71,10 @@ def intervention_delays(trace: MissionTrace, scenario: Scenario) -> tuple[DelayR
     Patients not reached before the terminal event get the mission-end
     delay, flagged censored.
     """
-    return _delays(_intervention_times(trace), trace, scenario)
+    return _delays(_intervention_times(trace), trace.duration, scenario)
 
 
-def _delays(times: dict[int, float], trace: MissionTrace,
+def _delays(times: dict[int, float], duration: float,
             scenario: Scenario) -> tuple[DelayRecord, ...]:
     records = []
     for patient in scenario.patients:
@@ -82,7 +85,7 @@ def _delays(times: dict[int, float], trace: MissionTrace,
                                        times[patient.id] - patient.detect_time, False))
         else:
             records.append(DelayRecord(patient.id,
-                                       trace.duration - patient.detect_time, True))
+                                       duration - patient.detect_time, True))
     return tuple(records)
 
 
@@ -156,18 +159,38 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
                   alpha: float = DEFAULT_ALPHA,
                   beta: float = DEFAULT_BETA) -> TrialMetrics:
     """Extract the full per-mission metric bundle from one trace."""
-    lam_sw = task_switch_rate(trace)
-    lam_int = intervention_frequency(trace)
-    times = _intervention_times(trace)
+    return _bundle(_intervention_times(trace), task_switch_rate(trace),
+                   intervention_frequency(trace), trace.duration, trace.aborted,
+                   scenario, tau_c, alpha, beta)
+
+
+def outcome_metrics(outcome: MissionOutcome, scenario: Scenario,
+                    tau_c: float = DEFAULT_SERVICE_WINDOW,
+                    alpha: float = DEFAULT_ALPHA,
+                    beta: float = DEFAULT_BETA) -> TrialMetrics:
+    """The bundle `trial_metrics` extracts from the same mission's trace."""
+    lam_sw = lam_int = 0.0
+    if outcome.duration > 0.0:
+        # The operator view logs a switch only when the label changes, so
+        # every switch after the first is a change.
+        lam_sw = max(outcome.task_switches - 1, 0) / outcome.duration
+        lam_int = outcome.operator_interventions / outcome.duration
+    return _bundle(outcome.intervene_times, lam_sw, lam_int, outcome.duration,
+                   outcome.aborted, scenario, tau_c, alpha, beta)
+
+
+def _bundle(times: dict[int, float], lam_sw: float, lam_int: float,
+            duration: float, aborted: bool, scenario: Scenario,
+            tau_c: float, alpha: float, beta: float) -> TrialMetrics:
     return TrialMetrics(
-        high_severity_delays=_delays(times, trace, scenario),
+        high_severity_delays=_delays(times, duration, scenario),
         served_count=_served_count(times, scenario, tau_c),
         total_patients=len(scenario.patients),
-        aborted=trace.aborted,
+        aborted=aborted,
         lambda_sw=lam_sw,
         lambda_int=lam_int,
         workload=workload(lam_sw, lam_int, alpha, beta),
-        duration=trace.duration,
+        duration=duration,
     )
 
 

@@ -99,9 +99,11 @@ def derive_stream(master_seed: int, condition_index: int, trial_index: int,
 
 
 # The pool hash of NumPy's SeedSequence (numpy/random/bit_generator.pyx),
-# restated over uint32 arrays so that one call hashes every stream of a cell.
-# Its multipliers advance once per hash, independently of the data, so the
-# words shared by a cell are hashed once and broadcast against the rest.
+# restated so that one call hashes every stream of a cell. Its multipliers
+# advance once per hash, independently of the data, so the master-seed and
+# condition words, which every stream of a cell shares, are hashed once as
+# Python ints reduced modulo 2**32; from the trial index on, the words and the
+# pool are uint32 arrays, which wrap by themselves.
 _POOL_SIZE = 4
 _PCG64_WORDS = 4   # generate_state(4, np.uint64): what PCG64 seeds from
 _INIT_A = 0x43B0D7E5
@@ -117,14 +119,14 @@ MAX_TRIALS_PER_CELL = 2 ** 32
 """Trials a cell may hold: each trial index must fit one uint32 spawn-key word."""
 
 
-def _uint32_words(value: int) -> list[np.ndarray]:
+def _uint32_words(value: int) -> list[int]:
     """SeedSequence's little-endian uint32 words of a nonnegative integer."""
     if value < 0:
         raise ValueError(f"seed coordinates must be nonnegative, got {value}")
-    words = [np.array([value & _MASK32], dtype=np.uint32)]
+    words = [value & _MASK32]
     value >>= 32
     while value:
-        words.append(np.array([value & _MASK32], dtype=np.uint32))
+        words.append(value & _MASK32)
         value >>= 32
     return words
 
@@ -136,15 +138,19 @@ class _Hashmix:
         self.const = init
         self.mult = mult
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
+    def __call__(self, value: int | np.ndarray) -> int | np.ndarray:
         value = value ^ self.const
         self.const = (self.const * self.mult) & _MASK32
         value = value * self.const
+        if type(value) is int:
+            value &= _MASK32
         return value ^ (value >> _XSHIFT)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    if type(result) is int:
+        result &= _MASK32
     return result ^ (result >> _XSHIFT)
 
 
@@ -163,21 +169,25 @@ def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
         raise ValueError(f"n_trials must be in [0, {MAX_TRIALS_PER_CELL}], "
                          f"got {n_trials}")
     master = _uint32_words(master_seed)
-    zero = np.zeros(1, dtype=np.uint32)
     # A spawn key makes SeedSequence pad the master words to the pool size.
-    entropy = (master + [zero] * (_POOL_SIZE - len(master))
-               + _uint32_words(condition_index)
-               + [np.arange(n_trials).astype(np.uint32)[:, None]]
-               + _uint32_words(policy_index)
-               + [np.array([int(p) for p in StreamPurpose], dtype=np.uint32)])
+    shared = master + [0] * (_POOL_SIZE - len(master)) + _uint32_words(condition_index)
+    # From the trial index on, each word and the pool are uint32 columns.
+    per_trial = ([np.arange(n_trials).astype(np.uint32)[:, None]]
+                 + [np.full(1, word, dtype=np.uint32)
+                    for word in _uint32_words(policy_index)]
+                 + [np.array([int(p) for p in StreamPurpose], dtype=np.uint32)])
 
     hashmix = _Hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in shared[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in shared[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    pool = [np.full(1, word, dtype=np.uint32) for word in pool]
+    for word in per_trial:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
 

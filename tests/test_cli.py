@@ -134,6 +134,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"triage_weights": {"w_access": 10**400}}, "triage_weights.w_access"),
     ({"scenario": {"base_position": [0, 10**400]}}, "scenario.base_position"),
     ({"localization": {"sigma_gps": 1e200}}, "localization.sigma_gps"),
+    ({"patient_loads": [20000]}, "patient_loads"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"

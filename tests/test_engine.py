@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import medmission.engine as engine
@@ -18,7 +18,9 @@ from medmission import (
     Scenario,
     TriageWeights,
     check_abort,
+    generate_scenario,
     run_mission,
+    trial_metrics,
 )
 from medmission.engine import (
     ABORT,
@@ -31,8 +33,17 @@ from medmission.engine import (
     crossing_intervals,
     nominal_trace,
 )
-from medmission.localization import IntegrityProfile, LocalizationParams
-from medmission.policy import order_heuristic
+from medmission.localization import (
+    DEFAULT_LOCALIZATION_PARAMS,
+    IntegrityProfile,
+    LocalizationParams,
+)
+from medmission.metrics import outcome_metrics
+from medmission.policy import (
+    DEFAULT_OPERATOR_ERROR_RATE,
+    DEFAULT_TRIAGE_WEIGHTS,
+    order_heuristic,
+)
 
 PARAMS = PlatformParams()
 BASE = (0.0, 0.0)
@@ -340,6 +351,79 @@ def test_teleop_abort_cuts_the_no_timeout_run_at_the_first_long_outage(
     kept = tuple(e for e in unbounded.events[:-1] if e.time <= terminal + engine._EPS)
     assert trace == replace(unbounded, events=kept + (engine.MissionEvent(terminal, ABORT),),
                             duration=terminal, aborted=True)
+
+
+# ---------------------------------------------------------------------------
+# The sweep's metrics, counted in the mission loop, against the logged trace.
+
+_TIMEOUTS = sorted({PARAMS.comm_timeout_for(policy) for policy in PolicyId})
+_LENGTHS = st.one_of(st.sampled_from(_TIMEOUTS),
+                     st.sampled_from(_TIMEOUTS).map(lambda d: d + 1e-6),
+                     st.floats(0.05, 15.0))
+
+
+@st.composite
+def _horizon_and_outages(draw):
+    """A horizon, and None (outages sampled) or outages on rule boundaries.
+
+    Either outages lasting about a link timeout (a length equal to a timeout
+    does not abort, as the rule is strict, and one just past it does), or one
+    outage near the horizon: it opens where an abort lands on the horizon,
+    or it opens or closes just past the horizon, inside the teleop cut, where
+    the log keeps the switch or the control action it brings.
+    """
+    horizon = draw(st.sampled_from([25.0, 600.0]))
+    kind = draw(st.sampled_from(["sampled", "timeouts", "horizon"]))
+    if kind == "sampled":
+        return horizon, None
+    if kind == "timeouts":
+        outages = []
+        t = 0.0
+        for gap, length in draw(st.lists(st.tuples(st.floats(0.05, 40.0), _LENGTHS),
+                                         max_size=6)):
+            outages.append((t + gap, t + gap + length))
+            t = outages[-1][1]
+        return horizon, outages
+    length = draw(_LENGTHS)
+    start = draw(st.sampled_from([horizon - d for d in _TIMEOUTS] + [
+        horizon + engine._EPS / 2, horizon + engine._EPS,
+        horizon + engine._EPS / 2 - length, horizon + engine._EPS - length]))
+    return horizon, [(start, start + length)]
+
+
+_CUT = 25.0 + engine._EPS / 2   # inside the teleop cut of a horizon-25 mission
+
+
+@settings(max_examples=400, deadline=None)
+@given(policy=st.sampled_from(list(PolicyId)),
+       load=st.integers(1, 40),
+       delta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+       horizon_and_outages=_horizon_and_outages(),
+       seed=st.integers(0, 2**32 - 1),
+       tau_c=st.one_of(st.floats(1e-3, 300.0), st.just(math.inf)),
+       alpha=st.floats(0.0, 10.0),
+       beta=st.floats(0.0, 10.0))
+@example(policy=PolicyId.PI1_TELEOP, load=10, delta=0.5,
+         horizon_and_outages=(25.0, [(_CUT, 26.0)]),
+         seed=1, tau_c=60.0, alpha=1.0, beta=1.0)
+@example(policy=PolicyId.PI1_TELEOP, load=10, delta=0.5,
+         horizon_and_outages=(25.0, [(_CUT - 2.0, _CUT)]),
+         seed=1, tau_c=60.0, alpha=1.0, beta=1.0)
+def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
+        policy, load, delta, horizon_and_outages, seed, tau_c, alpha, beta):
+    horizon, outages = horizon_and_outages
+    scenario = generate_scenario(Condition(0, delta, load), np.random.default_rng(seed))
+    params = replace(PARAMS, horizon=horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        if outages is not None:
+            mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
+        trace = run_mission(scenario, policy, params, stream=np.random.default_rng(seed))
+        outcome = engine._simulate(scenario, policy, params, DEFAULT_TRIAGE_WEIGHTS,
+                                   np.random.default_rng(seed),
+                                   DEFAULT_LOCALIZATION_PARAMS,
+                                   DEFAULT_OPERATOR_ERROR_RATE, events=None)
+    assert (outcome_metrics(outcome, scenario, tau_c, alpha, beta)
+            == trial_metrics(trace, scenario, tau_c, alpha, beta))
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

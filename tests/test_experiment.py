@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import medmission.engine as engine
 import medmission.experiment as experiment
 from medmission import (
     PolicyId,
@@ -93,6 +94,17 @@ def test_sweep_is_reproducible():
     a = run_sweep(SMALL)
     b = run_sweep(SMALL)
     assert a.records == b.records
+
+
+def test_the_sweep_builds_no_mission_events(monkeypatch):
+    config = SweepConfig(master_seed=7, trials_per_condition=2)
+    expected = run_sweep(config).records
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a MissionEvent")
+
+    monkeypatch.setattr(engine, "MissionEvent", refuse)
+    assert run_sweep(config).records == expected
 
 
 def test_config_validation_names_the_offending_key():
