@@ -338,17 +338,28 @@ def _jsonl_row(line: str) -> dict:
     return {c: _fmt(v) for c, v in record.items()}
 
 
+def _flag(column: str, text: str) -> bool:
+    """A 0/1 flag as the writer renders it; any other text is an error."""
+    if text not in ("0", "1"):
+        raise ValueError(f"{column}: must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _trial_record(row: dict) -> TrialRecord:
     ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
     delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
-    censored = [x == "1" for x in row["high_sev_censored"].split(";") if x != ""]
+    censored = [_flag("high_sev_censored", x)
+                for x in row["high_sev_censored"].split(";") if x != ""]
+    if not len(ids) == len(delays) == len(censored):
+        raise ValueError(f"high_sev_ids, high_sev_delays and high_sev_censored hold "
+                         f"{len(ids)}, {len(delays)} and {len(censored)} entries")
     load = int(row["load"])
     metrics = TrialMetrics(
         high_severity_delays=tuple(
             DelayRecord(i, d, c) for i, d, c in zip(ids, delays, censored)),
         served_count=int(row["served"]),
         total_patients=load,
-        aborted=row["aborted"] == "1",
+        aborted=_flag("aborted", row["aborted"]),
         lambda_sw=float(row["lambda_sw"]),
         lambda_int=float(row["lambda_int"]),
         workload=float(row["workload"]),

@@ -313,27 +313,28 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     """
     if stream is None:
         stream = np.random.default_rng(0)
+    order = plan_for_policy(scenario, policy, weights, stream, error_rate)
     events: list[MissionEvent] = []
-    outcome = _simulate(scenario, policy, params, weights, stream, loc,
-                        error_rate, events)
+    outcome = _simulate(scenario, policy, order, params, stream, loc, events)
     return MissionTrace(policy=policy, condition=scenario.condition,
                         trial_index=trial_index, events=tuple(events),
                         duration=outcome.duration, aborted=outcome.aborted)
 
 
-def _simulate(scenario: Scenario, policy: PolicyId, params: PlatformParams,
-              weights: TriageWeights, stream: np.random.Generator,
-              loc: LocalizationParams, error_rate: float,
+def _simulate(scenario: Scenario, policy: PolicyId, order: tuple[int, ...],
+              params: PlatformParams, stream: np.random.Generator,
+              loc: LocalizationParams,
               events: list[MissionEvent] | None) -> MissionOutcome:
-    """Execute one mission and return what the metrics read off it.
+    """Execute one mission along the planned `order` and return what the
+    metrics read off it.
 
-    Its events are logged into `events` when that is a list; the sweep
-    passes None and builds no log. The stream is drawn from in the same
-    order either way, so both give the same mission.
+    `stream` is the mission stream after the plan's draws. Its events are
+    logged into `events` when that is a list; the sweep passes None and
+    builds no log. The stream is drawn from in the same order either way,
+    so both give the same mission.
     """
     delta = scenario.condition.delta
 
-    order = plan_for_policy(scenario, policy, weights, stream, error_rate)
     profile = outage_schedule(delta, params.horizon, stream, loc)
     episodes = integrity_schedule(params.horizon, stream, loc).episodes
     crossings = crossing_intervals(policy, delta, profile.outages, episodes,

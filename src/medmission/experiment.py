@@ -30,6 +30,9 @@ from .policy import (
     DEFAULT_TRIAGE_WEIGHTS,
     PolicyId,
     TriageWeights,
+    nearest_walks,
+    operator_picks,
+    order_triage,
 )
 from .scenario import (
     DEFAULT_SCENARIO_PARAMS,
@@ -37,8 +40,9 @@ from .scenario import (
     Condition,
     ScenarioParams,
     StreamPurpose,
+    build_scenario,
     cell_seed_words,
-    generate_scenario,
+    draw_field,
     seeded_stream,
 )
 from .schema import bounded, check_fields
@@ -267,25 +271,43 @@ def pareto_front(points) -> list:
 
 def _run_cell(config: SweepConfig, condition: Condition,
               policy: PolicyId) -> list[TrialRecord]:
-    records = []
+    n_trials, load = config.trials_per_condition, condition.patient_load
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
-                            policy.index, config.trials_per_condition)
-    for trial in range(config.trials_per_condition):
+                            policy.index, n_trials)
+    # Pass 1: every trial's field as arrays, and the operator's picks, which
+    # are the first draws of the mission stream; then the cell's walks at once.
+    positions = np.empty((n_trials, load, 2))
+    severities = np.empty((n_trials, load))
+    access = np.empty((n_trials, load))
+    picks = np.full((n_trials, load), -1)   # -1: fly to the nearest patient
+    streams = []
+    for trial in range(n_trials):
         scenario_stream = seeded_stream(seeds[2 * trial + StreamPurpose.SCENARIO])
-        scenario = generate_scenario(condition, scenario_stream,
-                                     config.scenario_params)
-        mission_stream = seeded_stream(seeds[2 * trial + StreamPurpose.MISSION])
+        positions[trial], severities[trial], access[trial] = draw_field(
+            load, scenario_stream, config.scenario_params)
+        streams.append(seeded_stream(seeds[2 * trial + StreamPurpose.MISSION]))
+        if policy is PolicyId.PI1_TELEOP:
+            picks[trial] = operator_picks(streams[-1], load, config.operator_error_rate)
+    walks = None
+    if policy is not PolicyId.PI3_GEODT:
+        walks = nearest_walks(positions[:, :, 0], positions[:, :, 1],
+                              config.scenario_params.base_position, picks)
+
+    # Pass 2: each trial's Scenario lives only while its mission runs.
+    records = []
+    for trial, stream in enumerate(streams):
+        scenario = build_scenario(condition, positions[trial], severities[trial],
+                                  access[trial], config.scenario_params)
+        order = (tuple(walks[trial].tolist()) if walks is not None
+                 else order_triage(scenario, config.triage_weights))
         # No event log: the mission loop counts what the metrics read.
-        outcome = _simulate(scenario, policy, config.platform,
-                            config.triage_weights, mission_stream,
-                            config.localization, config.operator_error_rate,
-                            events=None)
+        outcome = _simulate(scenario, policy, order, config.platform, stream,
+                            config.localization, events=None)
         bundle = outcome_metrics(outcome, scenario, config.tau_c,
                                  config.alpha, config.beta)
         records.append(TrialRecord(policy=policy, delta=condition.delta,
-                                   load=condition.patient_load,
-                                   condition_id=condition.condition_id,
+                                   load=load, condition_id=condition.condition_id,
                                    trial=trial, metrics=bundle))
     return records
 

@@ -8,6 +8,11 @@
 
 Every ordering returns a full permutation of the patient ids as a plain
 tuple; ties always break toward the lower id so results are reproducible.
+
+Both nearest-neighbour orderings run one kernel, `nearest_walks`, which
+advances a batch of equally loaded fields in lock step. The sweep plans a
+whole (condition, policy) cell with it; `order_teleop` and
+`order_heuristic` run it as a batch of one.
 """
 
 from __future__ import annotations
@@ -59,40 +64,99 @@ class TriageWeights:
 DEFAULT_TRIAGE_WEIGHTS = TriageWeights()
 
 
-def _nearest_neighbour_order(scenario: Scenario, stream: np.random.Generator | None,
-                             error_rate: float) -> tuple[int, ...]:
-    """Nearest-neighbour walk from the base, ties to the lower id.
+# The batch ranks by squared distance. A row's remaining patients whose
+# squared distance lies within this relative band of the row minimum, or
+# within the smallest normal float of it, are ranked again with math.hypot.
+# A squared distance is within 3 ulp of the true square, apart from squares
+# that underflow below the smallest normal float, and math.hypot is within
+# 1 ulp of the true distance. So the math.hypot nearest, and every patient
+# tied with it, lies within about 1e-15 relative of the minimum: in the band.
+_BAND = 1e-12
+_BAND_FLOOR = np.finfo(float).tiny   # the smallest normal float
 
-    With probability `error_rate` a step instead picks a uniformly random
-    remaining patient. The remaining patients are kept as an index list in
-    scenario order over precomputed coordinate lists, so a random pick
-    indexes the same list the operator sees and a nearest pick is one pass
-    of `math.hypot` over it.
+
+def operator_picks(stream: np.random.Generator, n: int, error_rate: float) -> list[int]:
+    """The simulated operator's draws over an `n`-patient walk.
+
+    Entry `step` is -1 when the operator flies to the nearest patient and
+    `k` when it instead picks the k-th remaining patient in scenario order.
+    While two or more patients remain and `error_rate` is positive, one
+    uniform draw decides the mode of the step, then a second draw picks
+    the random target when needed. The walk's geometry never enters, so
+    these are all the draws a teleop plan takes.
     """
+    picks = [-1] * n
+    if error_rate > 0.0:
+        random, integers = stream.random, stream.integers
+        for step in range(n - 1):
+            if random() < error_rate:
+                picks[step] = int(integers(n - step))
+    return picks
+
+
+def nearest_walks(xs: np.ndarray, ys: np.ndarray, base: tuple[float, float],
+                  picks: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-neighbour walks of a batch of fields, advanced in lock step.
+
+    `xs` and `ys` are ``(walks, load)`` patient coordinates in scenario
+    order, and every walk starts at `base`. Returns the ``(walks, load)``
+    column indices in visit order. A step is the nearest remaining patient
+    by `math.hypot`, ties to the lower id (`ids`, by default the column
+    index), unless the walk's row of `picks` (from `operator_picks`, or all
+    -1 for a walk without mis-picks) names a mis-pick for that step.
+
+    Each step takes the squared distances over the whole batch and an
+    argmin per row. A row whose runner-up lies in the band of its minimum
+    (see `_BAND`), which includes every row whose minimum is infinite, is
+    ranked again with `math.hypot` over the remaining patients in the band.
+    """
+    walks, load = xs.shape
+    if ids is None:
+        ids = np.broadcast_to(np.arange(load), (walks, load))
+    rows = np.arange(walks)
+    visited = np.zeros((walks, load))   # added to a distance: 0, or inf once visited
+    order = np.empty((walks, load), dtype=np.intp)
+    cx = np.full(walks, float(base[0]))
+    cy = np.full(walks, float(base[1]))
+    with np.errstate(over="ignore"):
+        for step in range(load):
+            dx = cx[:, None] - xs
+            dy = cy[:, None] - ys
+            dist = dx * dx
+            dist += dy * dy
+            dist += visited
+            k = dist.argmin(axis=1)
+            best = dist[rows, k]
+            edge = best + np.maximum(best * _BAND, _BAND_FLOOR)
+            dist[rows, k] = np.inf
+            runner_up = dist[rows, dist.argmin(axis=1)]
+            for r in np.flatnonzero(runner_up <= edge).tolist():
+                dist[r, k[r]] = best[r]
+                band = np.flatnonzero((dist[r] <= edge[r]) & (visited[r] == 0.0)).tolist()
+                x, y, row_x, row_y = float(cx[r]), float(cy[r]), xs[r].tolist(), ys[r].tolist()
+                row_ids = ids[r].tolist()
+                k[r] = min(band, key=lambda j: (math.hypot(x - row_x[j], y - row_y[j]),
+                                                row_ids[j]))
+            wrong = np.flatnonzero(picks[:, step] >= 0)
+            if wrong.size:
+                # The k-th remaining patient: k remaining columns precede it.
+                remaining_before = np.cumsum(visited[wrong] == 0.0, axis=1)
+                k[wrong] = (remaining_before <= picks[wrong, step, None]).sum(axis=1)
+            order[:, step] = k
+            visited[rows, k] = np.inf
+            cx, cy = xs[rows, k], ys[rows, k]
+    return order
+
+
+def _walk(scenario: Scenario, picks: list[int]) -> tuple[int, ...]:
+    """One scenario's walk: `nearest_walks` over a batch of one."""
     patients = scenario.patients
     ids = [p.id for p in patients]
-    xs = [p.position[0] for p in patients]
-    ys = [p.position[1] for p in patients]
-    remaining = list(range(len(patients)))
-    cx, cy = scenario.base_position
-    hypot = math.hypot
-    order: list[int] = []
-    while remaining:
-        if len(remaining) == 1:
-            k = 0
-        elif error_rate > 0.0 and stream.random() < error_rate:
-            k = int(stream.integers(len(remaining)))
-        else:
-            dists = [hypot(cx - xs[i], cy - ys[i]) for i in remaining]
-            best = min(dists)
-            k = dists.index(best)
-            if dists.count(best) > 1:   # exact tie: the lower id wins
-                k = min((j for j, d in enumerate(dists) if d == best),
-                        key=lambda j: ids[remaining[j]])
-        i = remaining.pop(k)
-        order.append(ids[i])
-        cx, cy = xs[i], ys[i]
-    return tuple(order)
+    xs = np.array([[p.position[0] for p in patients]], dtype=float)
+    ys = np.array([[p.position[1] for p in patients]], dtype=float)
+    cols = nearest_walks(xs, ys, scenario.base_position, np.array([picks]),
+                         np.array([ids]))[0]
+    return tuple(ids[j] for j in cols.tolist())
 
 
 def order_teleop(scenario: Scenario, stream: np.random.Generator,
@@ -106,12 +170,12 @@ def order_teleop(scenario: Scenario, stream: np.random.Generator,
     the random target when needed. The last patient, and every step when
     error_rate is 0, draws nothing.
     """
-    return _nearest_neighbour_order(scenario, stream, error_rate)
+    return _walk(scenario, operator_picks(stream, len(scenario.patients), error_rate))
 
 
 def order_heuristic(scenario: Scenario) -> tuple[int, ...]:
     """Deterministic nearest-neighbor from the base, ties to the lower id."""
-    return _nearest_neighbour_order(scenario, None, 0.0)
+    return _walk(scenario, [-1] * len(scenario.patients))
 
 
 def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> float:

@@ -223,19 +223,24 @@ def classify_high_severity(patient: Patient,
     return patient.severity >= threshold
 
 
-def generate_scenario(condition: Condition, stream: np.random.Generator,
-                      params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
-    """Sample a patient field for one condition.
+def draw_field(n: int, stream: np.random.Generator,
+               params: ScenarioParams = DEFAULT_SCENARIO_PARAMS
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random draws of an `n`-patient field, in their fixed order.
 
-    Draw order is fixed (positions, severities, accessibilities) so the
-    result is bit-identical for a given stream state. All patients are
-    detected at t = 0.
+    Returns the ``(n, 2)`` positions, then the severities and the
+    accessibilities; `build_scenario` turns them into the `Scenario`.
     """
-    n = condition.patient_load
     positions = stream.uniform(0.0, params.area_extent, size=(n, 2))
     severities = stream.beta(params.severity_alpha, params.severity_beta, size=n)
     access = stream.uniform(params.accessibility_low, params.accessibility_high, size=n)
+    return positions, severities, access
 
+
+def build_scenario(condition: Condition, positions: np.ndarray,
+                   severities: np.ndarray, access: np.ndarray,
+                   params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
+    """The `Scenario` of drawn field arrays; patient ids are the row indices."""
     criticality_max = params.criticality_max
     criticality_floor = params.criticality_floor
     threshold = params.high_severity_threshold
@@ -252,3 +257,15 @@ def generate_scenario(condition: Condition, stream: np.random.Generator,
         base_position=params.base_position,
         area_extent=params.area_extent,
     )
+
+
+def generate_scenario(condition: Condition, stream: np.random.Generator,
+                      params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
+    """Sample a patient field for one condition.
+
+    Draw order is fixed (positions, severities, accessibilities) so the
+    result is bit-identical for a given stream state. All patients are
+    detected at t = 0.
+    """
+    return build_scenario(condition, *draw_field(condition.patient_load, stream, params),
+                          params)

@@ -1,6 +1,7 @@
 """Command-line interface: config precedence, emission, and round trips."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -365,3 +366,57 @@ def test_report_names_a_row_that_does_not_parse(tmp_path, capsys):
     code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
     assert code == 2
     assert "trials.jsonl: row 24:" in capsys.readouterr().err
+
+
+def _edit_trial_row(table, fmt, edit):
+    """Apply `edit` to the first trial row with two or more high-severity
+    patients, given as a dict of column -> value; return the row number."""
+    if fmt == "csv":
+        with open(table, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames, list(reader)
+    else:
+        rows = [json.loads(line) for line in table.read_text().splitlines()]
+    index = next(i for i, row in enumerate(rows) if ";" in row["high_sev_ids"])
+    edit(rows[index])
+    if fmt == "csv":
+        with open(table, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        table.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return index + 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_report_names_a_row_whose_high_severity_lists_differ_in_length(
+        tmp_path, capsys, fmt):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+
+    def cut_one_delay(row):
+        row["high_sev_delays"] = row["high_sev_delays"].rsplit(";", 1)[0]
+
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt, cut_one_delay)
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"trials.{fmt}: row {row_no}: high_sev_ids, high_sev_delays" in err
+    assert not (tmp_path / "redo").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("column, value", [
+    ("aborted", "yes"), ("aborted", "True"), ("aborted", ""), ("aborted", "2"),
+    ("high_sev_censored", "yes;0"), ("high_sev_censored", "1;true"),
+])
+def test_report_accepts_only_0_or_1_in_flag_columns(tmp_path, capsys, fmt, column, value):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt,
+                             lambda row: row.update({column: value}))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"trials.{fmt}: row {row_no}: {column}: must be 0 or 1" in err

@@ -43,6 +43,7 @@ from medmission.policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
     DEFAULT_TRIAGE_WEIGHTS,
     order_heuristic,
+    plan_for_policy,
 )
 
 PARAMS = PlatformParams()
@@ -418,10 +419,11 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         if outages is not None:
             mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
         trace = run_mission(scenario, policy, params, stream=np.random.default_rng(seed))
-        outcome = engine._simulate(scenario, policy, params, DEFAULT_TRIAGE_WEIGHTS,
-                                   np.random.default_rng(seed),
-                                   DEFAULT_LOCALIZATION_PARAMS,
-                                   DEFAULT_OPERATOR_ERROR_RATE, events=None)
+        stream = np.random.default_rng(seed)
+        order = plan_for_policy(scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream,
+                                DEFAULT_OPERATOR_ERROR_RATE)
+        outcome = engine._simulate(scenario, policy, order, params, stream,
+                                   DEFAULT_LOCALIZATION_PARAMS, events=None)
     assert (outcome_metrics(outcome, scenario, tau_c, alpha, beta)
             == trial_metrics(trace, scenario, tau_c, alpha, beta))
 

@@ -5,17 +5,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medmission.engine as engine
 import medmission.experiment as experiment
 from medmission import (
     PolicyId,
+    ScenarioParams,
+    StreamPurpose,
     SweepConfig,
     boxplot_stats,
     confidence_interval,
+    derive_stream,
+    generate_scenario,
     pareto_front,
     quantiles,
+    run_mission,
     run_sweep,
+    trial_metrics,
 )
 
 SMALL = SweepConfig(degradation_levels=(0.0, 0.5), patient_loads=(3, 6),
@@ -105,6 +113,55 @@ def test_the_sweep_builds_no_mission_events(monkeypatch):
 
     monkeypatch.setattr(engine, "MissionEvent", refuse)
     assert run_sweep(config).records == expected
+
+
+def replayed_records(config):
+    """Every trial rebuilt on its own through the public replay path."""
+    records = []
+    for condition in config.conditions():
+        for policy in sorted(config.policies, key=lambda p: p.index):
+            for trial in range(config.trials_per_condition):
+                coords = (config.master_seed, condition.condition_id, trial, policy.index)
+                scenario = generate_scenario(
+                    condition, derive_stream(*coords, StreamPurpose.SCENARIO),
+                    config.scenario_params)
+                trace = run_mission(scenario, policy, config.platform,
+                                    config.triage_weights,
+                                    derive_stream(*coords, StreamPurpose.MISSION),
+                                    config.localization, config.operator_error_rate,
+                                    trial_index=trial)
+                records.append(experiment.TrialRecord(
+                    policy=policy, delta=condition.delta, load=condition.patient_load,
+                    condition_id=condition.condition_id, trial=trial,
+                    metrics=trial_metrics(trace, scenario, config.tau_c,
+                                          config.alpha, config.beta)))
+    return tuple(records)
+
+
+@st.composite
+def small_configs(draw):
+    # A far-off base or a field near the largest float makes distances
+    # overflow to inf, so walks rank infinite distances and break their ties.
+    scenario = ScenarioParams(
+        area_extent=draw(st.sampled_from([4000.0, 1.7e308])),
+        base_position=draw(st.sampled_from([(0.0, 0.0), (4.0, 3.0),
+                                            (-1.7e308, -1.7e308), (1e308, -1e308)])))
+    return SweepConfig(
+        master_seed=draw(st.integers(0, 2**64)),
+        trials_per_condition=draw(st.integers(1, 4)),
+        patient_loads=tuple(draw(st.lists(st.sampled_from([1, 2, 7, 40]),
+                                          min_size=1, max_size=2, unique=True))),
+        degradation_levels=tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                               min_size=1, max_size=2, unique=True))),
+        policies=tuple(draw(st.permutations(list(PolicyId)))),
+        operator_error_rate=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        scenario_params=scenario)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_configs())
+def test_sweep_records_equal_the_trial_by_trial_replay(config):
+    assert run_sweep(config).records == replayed_records(config)
 
 
 def test_config_validation_names_the_offending_key():

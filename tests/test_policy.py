@@ -17,6 +17,7 @@ from medmission import (
     order_triage,
     triage_score,
 )
+from medmission.policy import nearest_walks, operator_picks
 
 BASE = (0.0, 0.0)
 
@@ -156,12 +157,14 @@ COORDS = st.sampled_from([0.0, 3.0, 4.0, 5.0, 100.0, 2500.0]) | st.floats(0.0, 4
 
 
 @st.composite
-def shuffled_scenarios(draw):
-    positions = draw(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=12))
+def shuffled_scenarios(draw, load=None, base=None):
+    positions = draw(st.lists(st.tuples(COORDS, COORDS),
+                              min_size=load or 1, max_size=load or 12))
     ids = draw(st.permutations(range(len(positions))))
     patients = tuple(Patient(pid, pos, 0.5, 0.0, 130.0, 1.0, False)
                      for pid, pos in zip(ids, positions))
-    base = draw(st.sampled_from([BASE, (4.0, 3.0)]))
+    if base is None:
+        base = draw(st.sampled_from([BASE, (4.0, 3.0)]))
     return Scenario(Condition(0, 0.0, len(patients)), patients, base, 4000.0)
 
 
@@ -180,6 +183,83 @@ def test_teleop_matches_the_original_walk_and_its_draws(scenario, error_rate, se
     got = order_teleop(scenario, stream, error_rate)
     assert got == nearest_walk_oracle(scenario, reference, error_rate)
     assert stream.random() == reference.random()   # same number of draws
+
+
+def batch_arrays(batch):
+    """Coordinates and ids of equally loaded scenarios as (walks, load) arrays."""
+    return tuple(np.array([[f(p) for p in scenario.patients] for scenario in batch])
+                 for f in (lambda p: p.position[0], lambda p: p.position[1],
+                           lambda p: p.id))
+
+
+@st.composite
+def scenario_batches(draw):
+    load = draw(st.integers(1, 12))
+    # From the far-off base every first distance overflows to inf.
+    base = draw(st.sampled_from([BASE, (4.0, 3.0), (-1.7e308, -1.7e308)]))
+    return draw(st.lists(shuffled_scenarios(load, base), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=scenario_batches(), error_rate=st.sampled_from([0.0, 0.15, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_batch_of_walks_equals_each_walk_alone_and_its_draws(batch, error_rate, seed):
+    xs, ys, ids = batch_arrays(batch)
+    base = batch[0].base_position
+    streams = [np.random.default_rng([seed, row]) for row in range(len(batch))]
+    picks = np.array([operator_picks(stream, len(ids[0]), error_rate) for stream in streams])
+    walks = nearest_walks(xs, ys, base, picks, ids)
+    plain = nearest_walks(xs, ys, base, np.full(ids.shape, -1), ids)
+    for row, (scenario, stream) in enumerate(zip(batch, streams)):
+        reference = np.random.default_rng([seed, row])
+        assert (tuple(ids[row, walks[row]].tolist())
+                == nearest_walk_oracle(scenario, reference, error_rate))
+        assert stream.random() == reference.random()   # same number of draws
+        assert tuple(ids[row, plain[row]].tolist()) == nearest_walk_oracle(scenario)
+
+
+def near_tie(rng):
+    """Two patients nearly equally far from the base, from a seeded search:
+    both the batch's first ranking (squared distance) and np.hypot order
+    them the other way round from math.hypot."""
+    while True:
+        x0, y0 = rng.uniform(0.0, 4000.0, 2).tolist()
+        radius = math.hypot(x0, y0)
+        x1 = float(rng.uniform(0.0, radius))
+        y1 = math.sqrt(radius * radius - x1 * x1)
+        exact = math.hypot(x1, y1) < math.hypot(x0, y0)
+        if (exact != (x1 * x1 + y1 * y1 < x0 * x0 + y0 * y0)
+                and exact != (np.hypot(x1, y1) < np.hypot(x0, y0))):
+            return [(x0, y0), (x1, y1)]
+
+
+def test_walks_rank_a_near_tie_by_math_hypot():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        scenario = make_scenario(near_tie(rng) + [(4000.0, 4000.0)])
+        expected = nearest_walk_oracle(scenario)
+        assert order_heuristic(scenario) == expected
+        assert order_teleop(scenario, np.random.default_rng(0), 0.0) == expected
+        xs, ys, ids = batch_arrays([scenario, scenario])
+        assert nearest_walks(xs, ys, BASE, np.full(xs.shape, -1)).tolist() == [list(expected)] * 2
+
+
+def underflowing_pair(rng):
+    """Two patients within 1e-161 of the base, from a seeded search, whose
+    squared distances underflow into an order unlike math.hypot's."""
+    while True:
+        x0, y0, x1, y1 = (rng.uniform(0.0, 4.0, 4) * 1e-162).tolist()
+        squared = (x0 * x0 + y0 * y0, x1 * x1 + y1 * y1)
+        if (squared[0] != squared[1]
+                and (math.hypot(x1, y1) < math.hypot(x0, y0)) != (squared[1] < squared[0])):
+            return [(x0, y0), (x1, y1)]
+
+
+def test_walks_rank_underflowing_distances_by_math_hypot():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        scenario = make_scenario(underflowing_pair(rng) + [(1.0, 1.0)])
+        assert order_heuristic(scenario) == nearest_walk_oracle(scenario)
 
 
 def test_planners_on_a_single_patient_draw_nothing():
