@@ -37,6 +37,7 @@ from .experiment import (
 )
 from .metrics import DelayRecord, TrialMetrics
 from .policy import PolicyId
+from .scenario import Condition
 from .schema import json_key
 
 log = logging.getLogger("medmission")
@@ -303,10 +304,13 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 def load_trials(trials_path: str | Path, config: SweepConfig) -> tuple[TrialRecord, ...]:
     """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines.
 
-    A table missing a column or holding a value that does not parse raises
-    ConfigError naming the file, the row and the column or value.
+    A table missing a column, holding a value that does not parse or a row
+    that is no trial of `config` raises ConfigError naming the file, the
+    row and the column or value.
     """
     path = Path(trials_path)
+    conditions = {c.condition_id: c for c in config.conditions()}
+    seen: set[tuple[int, PolicyId, int]] = set()
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         if path.suffix == ".jsonl":
@@ -319,7 +323,9 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> tuple[TrialReco
         row_no = 1
         try:
             for row in rows:
-                records.append(_trial_record(row))
+                record = _trial_record(row)
+                _check_trial(record, config, conditions, seen)
+                records.append(record)
                 row_no += 1
         except KeyError as exc:
             raise ConfigError(f"{path.name}: row {row_no} has no "
@@ -345,6 +351,33 @@ def _flag(column: str, text: str) -> bool:
     return text == "1"
 
 
+def _check_trial(record: TrialRecord, config: SweepConfig,
+                 conditions: dict[int, Condition],
+                 seen: set[tuple[int, PolicyId, int]]) -> None:
+    """Raise ValueError naming the column unless `record` is a trial of
+    `config` that no earlier row (in `seen`) holds."""
+    if record.policy not in config.policies:
+        raise ValueError(f"policy: {record.policy.value!r} is not a policy of the run")
+    condition = conditions.get(record.condition_id)
+    if condition is None:
+        raise ValueError(f"condition: {record.condition_id} is not a condition id "
+                         f"of the run, 0 to {len(conditions) - 1}")
+    if record.delta != condition.delta:
+        raise ValueError(f"delta: {record.delta!r} is not condition "
+                         f"{condition.condition_id}'s delta {condition.delta!r}")
+    if record.load != condition.patient_load:
+        raise ValueError(f"load: {record.load} is not condition "
+                         f"{condition.condition_id}'s load {condition.patient_load}")
+    if not 0 <= record.trial < config.trials_per_condition:
+        raise ValueError(f"trial: {record.trial} is outside "
+                         f"[0, {config.trials_per_condition})")
+    key = (record.condition_id, record.policy, record.trial)
+    if key in seen:
+        raise ValueError(f"trial: {record.trial} of condition {record.condition_id} "
+                         f"under {record.policy.value} appears twice")
+    seen.add(key)
+
+
 def _trial_record(row: dict) -> TrialRecord:
     ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
     delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
@@ -365,8 +398,12 @@ def _trial_record(row: dict) -> TrialRecord:
         workload=float(row["workload"]),
         duration=float(row["duration"]),
     )
+    try:
+        policy = PolicyId(row["policy"])
+    except ValueError:
+        raise ValueError(f"policy: {row['policy']!r} is not a policy") from None
     return TrialRecord(
-        policy=PolicyId(row["policy"]), delta=float(row["delta"]),
+        policy=policy, delta=float(row["delta"]),
         load=load, condition_id=int(row["condition"]),
         trial=int(row["trial"]), metrics=metrics)
 

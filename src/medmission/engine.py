@@ -23,6 +23,11 @@ an integrity episode of the onboard estimator only crosses the threshold
 while GPS is also out; that makes threshold crossings structurally rarer
 than under pure autonomy.
 
+The planned, pause-free visit times come from `leg_timelines`, which the
+sweep calls once per (condition, policy) cell over `(trials, load)` arrays
+and `run_mission` over a batch of one; each mission loop then applies its
+outages and abort rules to its own rows.
+
 Each mission loop fills a `MissionOutcome` as it runs: the duration, the
 abort flag, each patient's first intervention time and the counts of
 operator task switches and control actions, which is all `metrics` reads
@@ -172,17 +177,6 @@ def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
     return 1.0 + params.uncertainty_penalty * math.sqrt(pose_variance) / params.reference_distance
 
 
-def _leg_time(origin: tuple[float, float], target: tuple[float, float],
-              penalty: float, accessibility: float, cruise_speed: float) -> float:
-    """Leg duration in minutes: distance/speed times `penalty`, over accessibility."""
-    if accessibility <= 0.0:
-        raise ValueError("accessibility must be positive")
-    distance = math.hypot(target[0] - origin[0], target[1] - origin[1])
-    if distance == 0.0:
-        return 0.0
-    return (distance / cruise_speed) * penalty / accessibility
-
-
 def check_abort(elapsed_outage: float, elapsed_over_threshold: float,
                 policy: PolicyId, params: PlatformParams = DEFAULT_PLATFORM_PARAMS) -> bool:
     """Abort rule: strict exceedance of the policy's timeout or grace period."""
@@ -315,71 +309,116 @@ def run_mission(scenario: Scenario, policy: PolicyId,
         stream = np.random.default_rng(0)
     order = plan_for_policy(scenario, policy, weights, stream, error_rate)
     events: list[MissionEvent] = []
-    outcome = _simulate(scenario, policy, order, params, stream, loc, events)
+    outcome = _simulate(policy, scenario.condition.delta,
+                        *_scenario_timeline(scenario, policy, order, params, loc),
+                        params, stream, loc, events)
     return MissionTrace(policy=policy, condition=scenario.condition,
                         trial_index=trial_index, events=tuple(events),
                         duration=outcome.duration, aborted=outcome.aborted)
 
 
-def _simulate(scenario: Scenario, policy: PolicyId, order: tuple[int, ...],
-              params: PlatformParams, stream: np.random.Generator,
-              loc: LocalizationParams,
-              events: list[MissionEvent] | None) -> MissionOutcome:
-    """Execute one mission along the planned `order` and return what the
-    metrics read off it.
+def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
+                  order: np.ndarray, base: tuple[float, float], policy: PolicyId,
+                  delta: float, params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
+                  loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Planned visit times of a batch of missions, ignoring pauses.
 
-    `stream` is the mission stream after the plan's draws. Its events are
-    logged into `events` when that is a list; the sweep passes None and
-    builds no log. The stream is drawn from in the same order either way,
-    so both give the same mission.
+    `xs`, `ys` and `access` are ``(missions, load)`` patient columns and
+    `order` the ``(missions, load)`` column indices in visit order; each
+    mission starts at `base` at time 0. Returns the ``(missions, load)``
+    depart, arrive and intervene times in visit order, and the service time.
+
+    A leg from the base or the previous patient takes distance over cruise
+    speed, times the travel penalty, over the target's accessibility (a zero
+    distance takes no time, even with an infinite penalty), and teleop flies
+    it and serves slower. Distances are `math.hypot` mapped over the batch,
+    since `np.hypot` rounds differently; the rest takes the IEEE operations
+    of one scalar leg in its order, and the times are a cumulative sum along
+    each row, which adds left to right like the scalar loop.
     """
-    delta = scenario.condition.delta
-
-    profile = outage_schedule(delta, params.horizon, stream, loc)
-    episodes = integrity_schedule(params.horizon, stream, loc).episodes
-    crossings = crossing_intervals(policy, delta, profile.outages, episodes,
-                                   params.horizon, params, loc)
-
-    patients = {p.id: p for p in scenario.patients}
-
-    if policy is PolicyId.PI1_TELEOP:
-        return _run_teleop(scenario, order, patients, profile.outages,
-                           params, loc, delta, events)
-    return _run_supervised(scenario, policy, order, patients,
-                           profile.outages, crossings, params, loc, delta,
-                           stream, events)
-
-
-def _planned_leg_times(order, patients, base, policy, delta, params, loc):
-    """(depart, arrive, intervene) times per planned visit, ignoring pauses."""
+    if (access <= 0.0).any():
+        raise ValueError("accessibility must be positive")
     penalty = _uncertainty_penalty(nominal_trace(policy, delta, loc), params)
-    cruise_speed = params.cruise_speed
     speed_scale = 1.0
     service = params.service_time
     if policy is PolicyId.PI1_TELEOP:
         speed_scale = 1.0 / params.teleop_speed_factor
         service = params.service_time / params.teleop_speed_factor
-    t = 0.0
-    pos = base
-    legs = []
-    for pid in order:
-        patient = patients[pid]
-        leg = _leg_time(pos, patient.position, penalty, patient.accessibility,
-                        cruise_speed) * speed_scale
-        depart = t
-        arrive = depart + leg
-        intervene = arrive + service
-        legs.append((pid, depart, arrive, intervene))
-        t = intervene
-        pos = patient.position
-    return legs, t, service
+    rows = np.arange(order.shape[0])[:, None]
+    tx, ty = xs[rows, order], ys[rows, order]
+    ox, oy = np.empty_like(tx), np.empty_like(ty)   # each leg's origin
+    ox[:, :1], oy[:, :1] = base
+    ox[:, 1:], oy[:, 1:] = tx[:, :-1], ty[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.array(list(map(math.hypot, (tx - ox).ravel().tolist(),
+                                 (ty - oy).ravel().tolist()))).reshape(tx.shape)
+        legs = np.where(dist == 0.0, 0.0,
+                        dist / params.cruise_speed * penalty / access[rows, order])
+        legs *= speed_scale
+    steps = np.empty((len(legs), 2 * legs.shape[1]))
+    steps[:, 0::2] = legs
+    steps[:, 1::2] = service
+    times = np.cumsum(steps, axis=1)
+    arrive, intervene = times[:, 0::2], times[:, 1::2]
+    depart = np.zeros_like(arrive)
+    depart[:, 1:] = intervene[:, :-1]
+    return depart, arrive, intervene, service
 
 
-def _run_supervised(scenario, policy, order, patients, outages, crossings,
-                    params, loc, delta, stream, events):
+def _scenario_timeline(scenario: Scenario, policy: PolicyId, order: tuple[int, ...],
+                      params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
+                      loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                      ) -> tuple[list[int], list[float], list[float], list[float], float]:
+    """The planned rows of one mission along `order`: `leg_timelines` over a
+    batch of one. Returns the visited ids, their depart, arrive and
+    intervene times, and the service time."""
+    patients = scenario.patients
+    xs = np.array([[p.position[0] for p in patients]], dtype=float)
+    ys = np.array([[p.position[1] for p in patients]], dtype=float)
+    access = np.array([[p.accessibility for p in patients]], dtype=float)
+    column = {p.id: j for j, p in enumerate(patients)}
+    columns = np.array([[column[pid] for pid in order]], dtype=np.intp)
+    depart, arrive, intervene, service = leg_timelines(
+        xs, ys, access, columns, scenario.base_position, policy,
+        scenario.condition.delta, params, loc)
+    return list(order), depart[0].tolist(), arrive[0].tolist(), intervene[0].tolist(), service
+
+
+def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float],
+              arrive: list[float], intervene: list[float], service: float,
+              params: PlatformParams, stream: np.random.Generator,
+              loc: LocalizationParams,
+              events: list[MissionEvent] | None) -> MissionOutcome:
+    """Execute one mission along its planned rows and return what the
+    metrics read off it.
+
+    The rows are one mission's `leg_timelines`: the visited ids, and their
+    depart, arrive and intervene times. `stream` is the mission stream
+    after the plan's draws. Its events are logged into `events` when that
+    is a list; the sweep passes None and builds no log. The stream is drawn
+    from in the same order either way, so both give the same mission.
+    """
+    profile = outage_schedule(delta, params.horizon, stream, loc)
+    episodes = integrity_schedule(params.horizon, stream, loc).episodes
+    crossings = crossing_intervals(policy, delta, profile.outages, episodes,
+                                   params.horizon, params, loc)
+
+    if policy is PolicyId.PI1_TELEOP:
+        return _run_teleop(ids, depart, arrive, service, profile.outages,
+                           params, events)
+    return _run_supervised(policy, ids, depart, arrive, intervene,
+                           profile.outages, crossings, params, stream, events)
+
+
+def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
+                    params, stream, events):
     """Autonomous and twin-managed missions: no pauses, supervisory operator."""
-    legs, natural_end, _ = _planned_leg_times(
-        order, patients, scenario.base_position, policy, delta, params, loc)
+    natural_end = intervene[-1] if intervene else 0.0
+    if natural_end != natural_end:
+        # NaN: a leg of infinite distance at infinite speed. As in teleop, it
+        # never ends, so the mission runs to an abort.
+        natural_end = math.inf
 
     comm_abort = _first_abort_from_intervals(
         outages, params.comm_timeout_for(policy), policy, params, as_outage=True)
@@ -395,17 +434,17 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
     logged = events is not None
     activity: list[MissionEvent] = []
     served: dict[int, float] = {}
-    for pid, depart, arrive, intervene in legs:
-        if depart > terminal:
+    for pid, t_depart, t_arrive, t_intervene in zip(ids, depart, arrive, intervene):
+        if not t_depart <= terminal:   # a NaN departure follows a NaN leg
             break
-        if intervene <= terminal:
-            served.setdefault(pid, intervene)
+        if t_intervene <= terminal:
+            served.setdefault(pid, t_intervene)
         if logged:
-            activity.append(MissionEvent(depart, DEPART, pid))
-            if arrive <= terminal:
-                activity.append(MissionEvent(arrive, ARRIVE, pid))
-            if intervene <= terminal:
-                activity.append(MissionEvent(intervene, INTERVENE, pid))
+            activity.append(MissionEvent(t_depart, DEPART, pid))
+            if t_arrive <= terminal:
+                activity.append(MissionEvent(t_arrive, ARRIVE, pid))
+            if t_intervene <= terminal:
+                activity.append(MissionEvent(t_intervene, INTERVENE, pid))
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
     # alerts; the twin autonomously resolves a share of them.
@@ -445,7 +484,7 @@ def _run_supervised(scenario, policy, order, patients, outages, crossings,
                           len(view.action_times))
 
 
-def _run_teleop(scenario, order, patients, outages, params, loc, delta, events):
+def _run_teleop(ids, depart, arrive, service, outages, params, events):
     """Teleoperated mission: paused by outages, aborted by a long one.
 
     The operator flies every leg by hand (one control action per leg),
@@ -459,8 +498,6 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta, events):
     served: dict[int, float] = {}
     policy = PolicyId.PI1_TELEOP
 
-    legs, _, service = _planned_leg_times(
-        order, patients, scenario.base_position, policy, delta, params, loc)
     assess_dur = service * params.assess_fraction
     intervene_dur = service - assess_dur
     timeout = params.comm_timeout_teleop
@@ -497,12 +534,12 @@ def _run_teleop(scenario, order, patients, outages, params, loc, delta, events):
 
     t = 0.0
     aborted = False
-    for pid, depart, arrive, _ in legs:
+    for pid, t_depart, t_arrive in zip(ids, depart, arrive):
         view.act(t)
         view.switch(TASK_NAVIGATE, t)
         if logged:
             events.append(MissionEvent(t, DEPART, pid))
-        t, aborted = do_work(t, arrive - depart, TASK_NAVIGATE)
+        t, aborted = do_work(t, t_arrive - t_depart, TASK_NAVIGATE)
         if aborted:
             break
         if logged:

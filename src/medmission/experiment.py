@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, _simulate
+from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, _simulate, leg_timelines
 from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
 from .metrics import (
     DEFAULT_ALPHA,
@@ -32,17 +32,19 @@ from .policy import (
     TriageWeights,
     nearest_walks,
     operator_picks,
-    order_triage,
+    triage_orders,
 )
 from .scenario import (
     DEFAULT_SCENARIO_PARAMS,
+    DETECT_TIME,
     MAX_TRIALS_PER_CELL,
     Condition,
     ScenarioParams,
     StreamPurpose,
-    build_scenario,
     cell_seed_words,
+    criticality_times,
     draw_field,
+    high_severity_flags,
     seeded_stream,
 )
 from .schema import bounded, check_fields
@@ -276,7 +278,7 @@ def _run_cell(config: SweepConfig, condition: Condition,
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
                             policy.index, n_trials)
     # Pass 1: every trial's field as arrays, and the operator's picks, which
-    # are the first draws of the mission stream; then the cell's walks at once.
+    # are the first draws of the mission stream.
     positions = np.empty((n_trials, load, 2))
     severities = np.empty((n_trials, load))
     access = np.empty((n_trials, load))
@@ -289,23 +291,30 @@ def _run_cell(config: SweepConfig, condition: Condition,
         streams.append(seeded_stream(seeds[2 * trial + StreamPurpose.MISSION]))
         if policy is PolicyId.PI1_TELEOP:
             picks[trial] = operator_picks(streams[-1], load, config.operator_error_rate)
-    walks = None
-    if policy is not PolicyId.PI3_GEODT:
-        walks = nearest_walks(positions[:, :, 0], positions[:, :, 1],
-                              config.scenario_params.base_position, picks)
+    # Then the cell's orders and planned timelines, one call each.
+    field, base = config.scenario_params, config.scenario_params.base_position
+    xs, ys = positions[:, :, 0], positions[:, :, 1]
+    if policy is PolicyId.PI3_GEODT:
+        orders = triage_orders(severities, criticality_times(severities, field),
+                               access, config.triage_weights)
+    else:
+        orders = nearest_walks(xs, ys, base, picks)
+    depart, arrive, intervene, service = leg_timelines(
+        xs, ys, access, orders, base, policy, condition.delta,
+        config.platform, config.localization)
+    high = high_severity_flags(severities, field)
+    detect = [DETECT_TIME] * load   # by patient id, which is the column
 
-    # Pass 2: each trial's Scenario lives only while its mission runs.
+    # Last, each trial's rows are lists only while its mission runs.
     records = []
     for trial, stream in enumerate(streams):
-        scenario = build_scenario(condition, positions[trial], severities[trial],
-                                  access[trial], config.scenario_params)
-        order = (tuple(walks[trial].tolist()) if walks is not None
-                 else order_triage(scenario, config.triage_weights))
         # No event log: the mission loop counts what the metrics read.
-        outcome = _simulate(scenario, policy, order, config.platform, stream,
-                            config.localization, events=None)
-        bundle = outcome_metrics(outcome, scenario, config.tau_c,
-                                 config.alpha, config.beta)
+        outcome = _simulate(policy, condition.delta, orders[trial].tolist(),
+                            depart[trial].tolist(), arrive[trial].tolist(),
+                            intervene[trial].tolist(), service, config.platform,
+                            stream, config.localization, events=None)
+        bundle = outcome_metrics(outcome, high[trial].nonzero()[0].tolist(), detect,
+                                 load, config.tau_c, config.alpha, config.beta)
         records.append(TrialRecord(policy=policy, delta=condition.delta,
                                    load=load, condition_id=condition.condition_id,
                                    trial=trial, metrics=bundle))

@@ -3,8 +3,10 @@
 A mission's metric bundle comes from one of two sources with the same
 arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
 `run_mission` returns it; it is the oracle. `outcome_metrics` reads the
-`MissionOutcome` the mission loop counted as it ran, which is what the
-sweep uses, so the sweep builds no event log. High-severity patients never
+`MissionOutcome` the mission loop counted as it ran, and the field's
+high-severity ids and detect times instead of a `Scenario`; that is what
+the sweep uses, so it builds no event log and no patients. Both share
+`_delays` and `_served_count`. High-severity patients never
 reached before the mission ends contribute a censored delay equal to the
 mission duration; dropping them instead would reward aborting early.
 """
@@ -12,6 +14,7 @@ mission duration; dropping them instead would reward aborting early.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionOutcome, MissionTrace
@@ -71,22 +74,23 @@ def intervention_delays(trace: MissionTrace, scenario: Scenario) -> tuple[DelayR
     Patients not reached before the terminal event get the mission-end
     delay, flagged censored.
     """
-    return _delays(_intervention_times(trace), trace.duration, scenario)
+    high_ids, detect, _ = _columns(scenario)
+    return _delays(_intervention_times(trace), trace.duration, high_ids, detect)
 
 
-def _delays(times: dict[int, float], duration: float,
-            scenario: Scenario) -> tuple[DelayRecord, ...]:
-    records = []
-    for patient in scenario.patients:
-        if not patient.high_severity:
-            continue
-        if patient.id in times:
-            records.append(DelayRecord(patient.id,
-                                       times[patient.id] - patient.detect_time, False))
-        else:
-            records.append(DelayRecord(patient.id,
-                                       duration - patient.detect_time, True))
-    return tuple(records)
+def _columns(scenario: Scenario) -> tuple[list[int], dict[int, float], int]:
+    """A scenario's high-severity ids in scenario order, its detect time
+    per patient id, and its patient count: what the metrics read of it."""
+    patients = scenario.patients
+    return ([p.id for p in patients if p.high_severity],
+            {p.id: p.detect_time for p in patients}, len(patients))
+
+
+def _delays(times: dict[int, float], duration: float, high_ids: list[int],
+            detect: Mapping[int, float] | list[float]) -> tuple[DelayRecord, ...]:
+    return tuple([DelayRecord(pid, times[pid] - detect[pid], False) if pid in times
+                  else DelayRecord(pid, duration - detect[pid], True)
+                  for pid in high_ids])
 
 
 def served_within_window(trace: MissionTrace, scenario: Scenario,
@@ -95,17 +99,16 @@ def served_within_window(trace: MissionTrace, scenario: Scenario,
 
     The window boundary is inclusive; unserved patients contribute zero.
     """
-    count = _served_count(_intervention_times(trace), scenario, tau_c)
-    return count, count / len(scenario.patients) if scenario.patients else 0.0
+    _, detect, n_patients = _columns(scenario)
+    count = _served_count(_intervention_times(trace), detect, tau_c)
+    return count, count / n_patients if n_patients else 0.0
 
 
-def _served_count(times: dict[int, float], scenario: Scenario, tau_c: float) -> int:
+def _served_count(times: dict[int, float], detect: Mapping[int, float] | list[float],
+                  tau_c: float) -> int:
     if tau_c <= 0.0:
         raise ValueError("tau_c must be positive")
-    return sum(
-        1 for p in scenario.patients
-        if p.id in times and times[p.id] - p.detect_time <= tau_c
-    )
+    return sum(1 for pid, time in times.items() if time - detect[pid] <= tau_c)
 
 
 def failure_rate(aborted_flags: list[bool] | tuple[bool, ...]) -> float:
@@ -161,14 +164,20 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
     """Extract the full per-mission metric bundle from one trace."""
     return _bundle(_intervention_times(trace), task_switch_rate(trace),
                    intervention_frequency(trace), trace.duration, trace.aborted,
-                   scenario, tau_c, alpha, beta)
+                   *_columns(scenario), tau_c, alpha, beta)
 
 
-def outcome_metrics(outcome: MissionOutcome, scenario: Scenario,
+def outcome_metrics(outcome: MissionOutcome, high_ids: list[int],
+                    detect: Mapping[int, float] | list[float], n_patients: int,
                     tau_c: float = DEFAULT_SERVICE_WINDOW,
                     alpha: float = DEFAULT_ALPHA,
                     beta: float = DEFAULT_BETA) -> TrialMetrics:
-    """The bundle `trial_metrics` extracts from the same mission's trace."""
+    """The bundle `trial_metrics` extracts from the same mission's trace.
+
+    `high_ids` are the mission's high-severity patient ids in scenario
+    order, `detect` maps each patient id to its detect time (a list indexed
+    by id serves) and `n_patients` counts the field.
+    """
     lam_sw = lam_int = 0.0
     if outcome.duration > 0.0:
         # The operator view logs a switch only when the label changes, so
@@ -176,16 +185,17 @@ def outcome_metrics(outcome: MissionOutcome, scenario: Scenario,
         lam_sw = max(outcome.task_switches - 1, 0) / outcome.duration
         lam_int = outcome.operator_interventions / outcome.duration
     return _bundle(outcome.intervene_times, lam_sw, lam_int, outcome.duration,
-                   outcome.aborted, scenario, tau_c, alpha, beta)
+                   outcome.aborted, high_ids, detect, n_patients, tau_c, alpha, beta)
 
 
 def _bundle(times: dict[int, float], lam_sw: float, lam_int: float,
-            duration: float, aborted: bool, scenario: Scenario,
+            duration: float, aborted: bool, high_ids: list[int],
+            detect: Mapping[int, float] | list[float], n_patients: int,
             tau_c: float, alpha: float, beta: float) -> TrialMetrics:
     return TrialMetrics(
-        high_severity_delays=_delays(times, duration, scenario),
-        served_count=_served_count(times, scenario, tau_c),
-        total_patients=len(scenario.patients),
+        high_severity_delays=_delays(times, duration, high_ids, detect),
+        served_count=_served_count(times, detect, tau_c),
+        total_patients=n_patients,
         aborted=aborted,
         lambda_sw=lam_sw,
         lambda_int=lam_int,

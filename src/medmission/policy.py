@@ -10,9 +10,10 @@ Every ordering returns a full permutation of the patient ids as a plain
 tuple; ties always break toward the lower id so results are reproducible.
 
 Both nearest-neighbour orderings run one kernel, `nearest_walks`, which
-advances a batch of equally loaded fields in lock step. The sweep plans a
-whole (condition, policy) cell with it; `order_teleop` and
-`order_heuristic` run it as a batch of one.
+advances a batch of equally loaded fields in lock step, and the triage
+ordering runs `triage_orders`. The sweep plans a whole (condition, policy)
+cell with one call; `order_teleop`, `order_heuristic` and `order_triage`
+run the same kernels as a batch of one.
 """
 
 from __future__ import annotations
@@ -186,12 +187,39 @@ def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGH
             + weights.w_access * patient.accessibility)
 
 
+def triage_orders(severities: np.ndarray, criticality: np.ndarray, access: np.ndarray,
+                  weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS,
+                  ids: np.ndarray | None = None) -> np.ndarray:
+    """Triage orders of a batch of fields: `triage_score`, highest first.
+
+    The arrays are ``(fields, load)`` patient columns in scenario order;
+    returns the ``(fields, load)`` column indices in visit order, ties to the
+    lower id (`ids`, by default the column index). Urgency is `math.exp`
+    mapped over the batch, since `np.exp` rounds differently, and the score
+    takes the operations of `triage_score` in its order.
+    """
+    if ids is None:
+        ids = np.broadcast_to(np.arange(severities.shape[1]), severities.shape)
+    exponents = (-criticality / weights.urgency_timescale).ravel().tolist()
+    urgency = np.array(list(map(math.exp, exponents))).reshape(severities.shape)
+    scores = (weights.w_severity * severities + weights.w_urgency * urgency
+              + weights.w_access * access)
+    return np.lexsort((ids, -scores))
+
+
 def order_triage(scenario: Scenario,
                  weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> tuple[int, ...]:
-    """Patients sorted by priority score, highest first, ties to the lower id."""
-    ranked = sorted(scenario.patients,
-                    key=lambda p: (-triage_score(p, weights), p.id))
-    return tuple(p.id for p in ranked)
+    """Patients sorted by priority score, highest first, ties to the lower id.
+
+    `triage_orders` over a batch of one.
+    """
+    patients = scenario.patients
+    ids = [p.id for p in patients]
+    sev = np.array([[p.severity for p in patients]], dtype=float)
+    ttc = np.array([[p.time_to_criticality for p in patients]], dtype=float)
+    acc = np.array([[p.accessibility for p in patients]], dtype=float)
+    order = triage_orders(sev, ttc, acc, weights, np.array([ids]))[0]
+    return tuple(ids[j] for j in order.tolist())
 
 
 def plan_for_policy(scenario: Scenario, policy: PolicyId,

@@ -237,20 +237,31 @@ def draw_field(n: int, stream: np.random.Generator,
     return positions, severities, access
 
 
+DETECT_TIME = 0.0   # minutes; every patient is known at mission start
+
+
+def criticality_times(severities: np.ndarray,
+                      params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> np.ndarray:
+    """Minutes until each patient turns critical, shrinking linearly with severity."""
+    return params.criticality_max * (1.0 - severities) + params.criticality_floor
+
+
+def high_severity_flags(severities: np.ndarray,
+                        params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> np.ndarray:
+    """High-severity flags; the threshold boundary itself counts as high."""
+    return severities >= params.high_severity_threshold
+
+
 def build_scenario(condition: Condition, positions: np.ndarray,
                    severities: np.ndarray, access: np.ndarray,
                    params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
     """The `Scenario` of drawn field arrays; patient ids are the row indices."""
-    criticality_max = params.criticality_max
-    criticality_floor = params.criticality_floor
-    threshold = params.high_severity_threshold
     patients = tuple([
-        Patient(i, (x, y), sev, 0.0,
-                criticality_max * (1.0 - sev) + criticality_floor, acc,
-                sev >= threshold)
-        for i, ((x, y), sev, acc) in enumerate(zip(positions.tolist(),
-                                                    severities.tolist(),
-                                                    access.tolist()))])
+        Patient(i, (x, y), sev, DETECT_TIME, ttc, acc, high)
+        for i, ((x, y), sev, ttc, acc, high) in enumerate(zip(
+            positions.tolist(), severities.tolist(),
+            criticality_times(severities, params).tolist(), access.tolist(),
+            high_severity_flags(severities, params).tolist()))])
     return Scenario(
         condition=condition,
         patients=patients,

@@ -420,3 +420,40 @@ def test_report_accepts_only_0_or_1_in_flag_columns(tmp_path, capsys, fmt, colum
     assert code == 2
     err = capsys.readouterr().err
     assert f"trials.{fmt}: row {row_no}: {column}: must be 0 or 1" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("column, value", [
+    ("policy", "pi3_geodt"), ("policy", "pi9"), ("condition", "9"), ("condition", "-1"),
+    ("delta", "0.5"), ("load", "-3"), ("trial", "2"), ("trial", "-1"),
+])
+def test_report_rejects_a_row_that_is_no_trial_of_the_run(tmp_path, capsys, fmt,
+                                                          column, value):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--policies", "pi1_teleop,pi2_auto",
+                   "--format", fmt, "--out", str(out)) == 0
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt,
+                             lambda row: row.update({column: value}))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert f"trials.{fmt}: row {row_no}: {column}: " in capsys.readouterr().err
+    assert not (tmp_path / "redo").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_report_rejects_a_trial_that_appears_twice(tmp_path, capsys, fmt):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    trials = []
+
+    def swap_trial(row):
+        trials.append(int(row["trial"]))
+        row["trial"] = 1 - trials[0]   # the cell's other trial, of two
+
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt, swap_trial)
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    # Rows are in trial order within a cell, so the later copy is named.
+    later = row_no + 1 if trials[0] == 0 else row_no
+    assert (f"trials.{fmt}: row {later}: trial: {1 - trials[0]} of condition"
+            in capsys.readouterr().err)

@@ -127,6 +127,94 @@ def test_travel_time_rejects_zero_accessibility():
 
 
 # ---------------------------------------------------------------------------
+# Planned timelines: the batch kernel against the scalar loop it replaced.
+
+def planned_legs_oracle(order, patients, base, policy, delta, params, loc):
+    """(id, depart, arrive, intervene) per visit, one leg at a time."""
+    penalty = engine._uncertainty_penalty(nominal_trace(policy, delta, loc), params)
+    speed_scale = 1.0
+    service = params.service_time
+    if policy is PolicyId.PI1_TELEOP:
+        speed_scale = 1.0 / params.teleop_speed_factor
+        service = params.service_time / params.teleop_speed_factor
+    t = 0.0
+    pos = base
+    legs = []
+    for pid in order:
+        patient = patients[pid]
+        distance = math.hypot(patient.position[0] - pos[0], patient.position[1] - pos[1])
+        leg = 0.0
+        if distance != 0.0:
+            leg = (distance / params.cruise_speed) * penalty / patient.accessibility
+        leg *= speed_scale
+        depart = t
+        arrive = depart + leg
+        intervene = arrive + service
+        legs.append((pid, depart, arrive, intervene))
+        t = intervene
+        pos = patient.position
+    return legs, service
+
+
+def bits(values):
+    """Each float exactly, with -0.0 apart from 0.0 and every NaN alike."""
+    return [v.hex() if v == v else "nan" for v in values]
+
+
+# A coarse grid makes duplicate positions, and so zero legs, common.
+GRID = st.sampled_from([0.0, 3.0, 4.0, 2500.0]) | st.floats(0.0, 4000.0)
+
+
+@st.composite
+def timeline_batches(draw):
+    """Equally loaded scenarios whose ids are shuffled, each with a visit order."""
+    load = draw(st.integers(0, 8))
+    condition = Condition(0, draw(st.sampled_from([0.0, 0.5, 1.0])), max(load, 1))
+    # From the far-off base every first distance overflows to inf.
+    base = draw(st.sampled_from([BASE, (4.0, 3.0), (-1.7e308, -1.7e308)]))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.permutations(range(load)))
+        patients = tuple(
+            Patient(pid, (draw(GRID), draw(GRID)), 0.5, 0.0, 130.0,
+                    draw(st.sampled_from([1.0, 0.2]) | st.floats(1e-3, 1.0)), False)
+            for pid in ids)
+        batch.append((Scenario(condition, patients, base, 4000.0),
+                      tuple(draw(st.permutations(ids)))))
+    return batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=timeline_batches(), policy=st.sampled_from(list(PolicyId)),
+       cruise_speed=st.sampled_from([500.0, 5e-324, math.inf]),
+       penalty=st.sampled_from([0.5, 1e300]))
+def test_leg_timelines_equal_the_scalar_loop_bit_for_bit(batch, policy, cruise_speed,
+                                                         penalty):
+    params = replace(PARAMS, cruise_speed=cruise_speed, uncertainty_penalty=penalty)
+    base, delta = batch[0][0].base_position, batch[0][0].condition.delta
+    xs, ys, access = (np.array([[f(p) for p in scenario.patients] for scenario, _ in batch],
+                               dtype=float).reshape(len(batch), -1)
+                      for f in (lambda p: p.position[0], lambda p: p.position[1],
+                                lambda p: p.accessibility))
+    columns = np.array([[[p.id for p in scenario.patients].index(pid) for pid in order]
+                        for scenario, order in batch], dtype=np.intp).reshape(len(batch), -1)
+    depart, arrive, intervene, service = engine.leg_timelines(
+        xs, ys, access, columns, base, policy, delta, params, DEFAULT_LOCALIZATION_PARAMS)
+    for row, (scenario, order) in enumerate(batch):
+        patients = {p.id: p for p in scenario.patients}
+        legs, want_service = planned_legs_oracle(order, patients, base, policy, delta,
+                                                 params, DEFAULT_LOCALIZATION_PARAMS)
+        want = [list(column) for column in zip(*legs)] or [[], [], [], []]
+        got = [depart[row].tolist(), arrive[row].tolist(), intervene[row].tolist()]
+        assert [bits(times) for times in got] == [bits(times) for times in want[1:]]
+        assert bits([service]) == bits([want_service])
+        # The batch of one that run_mission plans, mapped by id.
+        rows = engine._scenario_timeline(scenario, policy, order, params)
+        assert rows[0] == want[0]
+        assert [bits(times) for times in rows[1:4]] == [bits(times) for times in want[1:]]
+
+
+# ---------------------------------------------------------------------------
 # check_abort
 
 def test_no_abort_with_zero_counters():
@@ -313,6 +401,21 @@ def test_teleop_mission_with_infinite_legs_ends_at_the_horizon(monkeypatch):
     assert trace.events[-1].kind == ABORT
 
 
+@pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
+def test_supervised_mission_with_nan_legs_ends_at_the_horizon(policy):
+    # From a far-off base the first leg is infinitely long, and at infinite
+    # cruise speed it takes inf / inf = NaN minutes: it never ends.
+    scenario = replace(make_scenario([(1000.0, 0.0), (1000.0, 0.0)]),
+                       base_position=(-1.7e308, -1.7e308))
+    params = replace(PARAMS, cruise_speed=math.inf)
+    trace = run_mission(scenario, policy, params, stream=np.random.default_rng(0),
+                        loc=QUIET_LOC)
+    assert trace.aborted
+    assert trace.duration == params.horizon
+    assert [e.kind for e in trace.events if e.patient_id is not None] == [DEPART]
+    assert_well_formed(trace, scenario)
+
+
 _TIMEOUT = PARAMS.comm_timeout_teleop
 
 
@@ -422,9 +525,12 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         stream = np.random.default_rng(seed)
         order = plan_for_policy(scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream,
                                 DEFAULT_OPERATOR_ERROR_RATE)
-        outcome = engine._simulate(scenario, policy, order, params, stream,
+        rows = engine._scenario_timeline(scenario, policy, order, params)
+        outcome = engine._simulate(policy, delta, *rows, params, stream,
                                    DEFAULT_LOCALIZATION_PARAMS, events=None)
-    assert (outcome_metrics(outcome, scenario, tau_c, alpha, beta)
+    high_ids = [p.id for p in scenario.patients if p.high_severity]
+    detect = [p.detect_time for p in scenario.patients]   # ids are the columns
+    assert (outcome_metrics(outcome, high_ids, detect, load, tau_c, alpha, beta)
             == trial_metrics(trace, scenario, tau_c, alpha, beta))
 
 

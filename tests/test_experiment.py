@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import medmission.engine as engine
 import medmission.experiment as experiment
+import medmission.scenario as scenario_module
 from medmission import (
+    PlatformParams,
     PolicyId,
     ScenarioParams,
     StreamPurpose,
@@ -115,6 +117,18 @@ def test_the_sweep_builds_no_mission_events(monkeypatch):
     assert run_sweep(config).records == expected
 
 
+def test_the_sweep_builds_no_patient_or_scenario(monkeypatch):
+    config = SweepConfig(master_seed=7, trials_per_condition=2)
+    expected = run_sweep(config).records
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a Patient or a Scenario")
+
+    monkeypatch.setattr(scenario_module, "Patient", refuse)
+    monkeypatch.setattr(scenario_module, "Scenario", refuse)
+    assert run_sweep(config).records == expected
+
+
 def replayed_records(config):
     """Every trial rebuilt on its own through the public replay path."""
     records = []
@@ -155,6 +169,9 @@ def small_configs(draw):
                                                min_size=1, max_size=2, unique=True))),
         policies=tuple(draw(st.permutations(list(PolicyId)))),
         operator_error_rate=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        # An infinite or tiny cruise speed makes infinite legs, and NaN ones
+        # where an infinite distance meets an infinite speed.
+        platform=PlatformParams(cruise_speed=draw(st.sampled_from([500.0, 5e-324, math.inf]))),
         scenario_params=scenario)
 
 

@@ -17,7 +17,7 @@ from medmission import (
     order_triage,
     triage_score,
 )
-from medmission.policy import nearest_walks, operator_picks
+from medmission.policy import nearest_walks, operator_picks, triage_orders
 
 BASE = (0.0, 0.0)
 
@@ -324,6 +324,61 @@ def test_triage_ordering_invariant_under_weight_scaling():
         c = float(rng.uniform(0.01, 100.0))
         scaled = TriageWeights(c * w.w_severity, c * w.w_urgency, c * w.w_access, 60.0)
         assert order_triage(scenario, w) == order_triage(scenario, scaled)
+
+
+@st.composite
+def triage_batches(draw):
+    """Scenario batches whose patients draw severity and accessibility from a
+    few values each, so that equal scores are common; `shuffled_scenarios`
+    ids are not the column index."""
+    batch = draw(scenario_batches())
+    return [Scenario(scenario.condition, tuple(
+        p._replace(severity=sev, time_to_criticality=240.0 * (1.0 - sev) + 10.0,
+                   accessibility=acc)
+        for p, sev, acc in zip(
+            scenario.patients,
+            draw(st.lists(st.sampled_from([0.5, 0.5, 0.9]), min_size=len(scenario.patients),
+                          max_size=len(scenario.patients))),
+            draw(st.lists(st.sampled_from([1.0, 0.2]), min_size=len(scenario.patients),
+                          max_size=len(scenario.patients))))),
+        scenario.base_position, scenario.area_extent) for scenario in batch]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=triage_batches(),
+       weights=st.sampled_from([TriageWeights(), TriageWeights(0.0, 1.0, 0.0, 60.0),
+                                TriageWeights(1.0, 1.0, 0.5, math.inf)]))
+def test_a_batch_of_triage_orders_equals_each_order_alone(batch, weights):
+    sev, ttc, acc, ids = (np.array([[f(p) for p in scenario.patients] for scenario in batch])
+                          for f in (lambda p: p.severity, lambda p: p.time_to_criticality,
+                                    lambda p: p.accessibility, lambda p: p.id))
+    orders = triage_orders(sev, ttc, acc, weights, ids)
+    for row, scenario in enumerate(batch):
+        got = tuple(ids[row, orders[row]].tolist())
+        assert got == triage_oracle(scenario, weights)
+        assert got == order_triage(scenario, weights)
+
+
+def exp_rounding_down(rng):
+    """A time-to-criticality whose urgency np.exp rounds below math.exp,
+    from a seeded search."""
+    while True:
+        ttc = float(rng.uniform(0.0, 600.0))
+        if np.exp(-ttc / 60.0) < math.exp(-ttc / 60.0):
+            return ttc
+
+
+def test_triage_scores_urgency_with_math_exp():
+    rng = np.random.default_rng(9)
+    weights = TriageWeights(1.0, 1.0, 0.0, 60.0)
+    for _ in range(20):
+        ttc = exp_rounding_down(rng)
+        # Patient 1 scores patient 0's urgency by math.exp: a tie, which patient 0 wins.
+        scenario = Scenario(Condition(0, 0.0, 2), (
+            Patient(0, (0.0, 0.0), 0.0, 0.0, ttc, 1.0, False),
+            Patient(1, (0.0, 0.0), math.exp(-ttc / 60.0), 0.0, math.inf, 1.0, False)),
+            BASE, 4000.0)
+        assert order_triage(scenario, weights) == triage_oracle(scenario, weights) == (0, 1)
 
 
 def test_orderings_always_yield_permutations():
