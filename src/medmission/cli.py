@@ -24,18 +24,21 @@ import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
+import numpy as np
+
 from .experiment import (
     ParetoPoint,
     SweepConfig,
     SweepResult,
-    TrialRecord,
+    TrialTable,
     aggregate,
     run_sweep,
 )
-from .metrics import DelayRecord, TrialMetrics
+from .metrics import MetricColumns
 from .policy import PolicyId
 from .scenario import Condition
 from .schema import json_key
@@ -190,34 +193,65 @@ def _json_safe(value):
     return value
 
 
-def _write_table(path: Path, columns: list[str], rows: list[list],
-                 fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+def _fmt_column(values: list) -> list[str]:
+    """`_fmt` of each value; a column of one plain type is formatted in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {str}:
+        return values
+    return list(map(_fmt, values))
+
+
+def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
+    """Write a table given as chunks of rows, each chunk a list of columns."""
+    with open(path, "w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
+        if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                record = {c: _json_safe(v) for c, v in zip(columns, row)}
-                fh.write(json.dumps(record, sort_keys=False) + "\n")
+            for chunk in chunks:
+                writer.writerows(zip(*map(_fmt_column, chunk)))
+        else:
+            for chunk in chunks:
+                for row in zip(*chunk):
+                    record = {c: _json_safe(v) for c, v in zip(columns, row)}
+                    fh.write(json.dumps(record, sort_keys=False) + "\n")
 
 
-def _trial_rows(result: SweepResult) -> list[list]:
-    rows = []
-    for rec in result.records:
-        m = rec.metrics
-        rows.append([
-            rec.policy.value, rec.delta, rec.load, rec.condition_id, rec.trial,
-            m.aborted, m.duration, m.served_count, m.rho, m.lambda_sw,
-            m.lambda_int, m.workload,
-            ";".join(str(d.patient_id) for d in m.high_severity_delays),
-            ";".join(repr(d.delay) for d in m.high_severity_delays),
-            ";".join("1" if d.censored else "0" for d in m.high_severity_delays),
-        ])
-    return rows
+def _transpose(rows: list[list]) -> list[list]:
+    return [list(column) for column in zip(*rows)]
+
+
+def _trial_chunks(trials: TrialTable):
+    """The trials table, one (condition, policy) cell at a time, as the
+    columns of TRIALS_COLUMNS."""
+    names = {policy.index: policy.value for policy in PolicyId}
+    metrics = trials.metrics
+    ends = np.cumsum(metrics.high_count).tolist()
+    for start, stop in trials.cells():
+        rows = slice(start, stop)
+        first = ends[start] - int(metrics.high_count[start])
+        flat = slice(first, ends[stop - 1])
+        bounds = [0, *(end - first for end in ends[rows])]
+        spans = list(zip(bounds, bounds[1:]))
+
+        def joined(texts: list[str]) -> list[str]:
+            return [";".join(texts[a:b]) for a, b in spans]
+
+        yield [
+            [names[int(trials.policy[start])]] * (stop - start),
+            trials.delta[rows].tolist(), trials.load[rows].tolist(),
+            trials.condition[rows].tolist(), trials.trial[rows].tolist(),
+            metrics.aborted[rows].tolist(), metrics.duration[rows].tolist(),
+            metrics.served[rows].tolist(), metrics.rho[rows].tolist(),
+            metrics.lambda_sw[rows].tolist(), metrics.lambda_int[rows].tolist(),
+            metrics.workload[rows].tolist(),
+            joined(list(map(str, metrics.high_ids[flat].tolist()))),
+            joined(list(map(repr, metrics.high_delays[flat].tolist()))),
+            joined(np.where(metrics.high_censored[flat], "1", "0").tolist()),
+        ]
 
 
 def _rollup_rows(result: SweepResult) -> list[list]:
@@ -274,8 +308,8 @@ def _write_summaries(result: SweepResult, fmt: str, out: Path) -> list[Path]:
     rollup_path = out / f"rollup.{fmt}"
     pareto_path = out / f"pareto.{fmt}"
     _write_json(summary_path, _summary_payload(result))
-    _write_table(rollup_path, ROLLUP_COLUMNS, _rollup_rows(result), fmt)
-    _write_table(pareto_path, PARETO_COLUMNS, _pareto_rows(result), fmt)
+    _write_table(rollup_path, ROLLUP_COLUMNS, [_transpose(_rollup_rows(result))], fmt)
+    _write_table(pareto_path, PARETO_COLUMNS, [_transpose(_pareto_rows(result))], fmt)
     return [summary_path, rollup_path, pareto_path]
 
 
@@ -286,14 +320,14 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     out = Path(outdir)
     summaries = _write_summaries(result, fmt, out)
     trials_path = out / f"trials.{fmt}"
-    _write_table(trials_path, TRIALS_COLUMNS, _trial_rows(result), fmt)
+    _write_table(trials_path, TRIALS_COLUMNS, _trial_chunks(result.trials), fmt)
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {
         "config": config_to_dict(result.config),
         "master_seed": result.config.master_seed,
         "version": __version__,
         "total_missions": result.config.total_missions,
-        "trial_rows": len(result.records),
+        "trial_rows": len(result.trials),
     })
     return [trials_path, *summaries, manifest_path]
 
@@ -301,39 +335,43 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 # ---------------------------------------------------------------------------
 # Reading a previous run back for the `report` subcommand.
 
-def load_trials(trials_path: str | Path, config: SweepConfig) -> tuple[TrialRecord, ...]:
+def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines.
 
-    A table missing a column, holding a value that does not parse or a row
-    that is no trial of `config` raises ConfigError naming the file, the
-    row and the column or value.
+    The rows may come in any order and hold any subset of the trials; the
+    table returned is in `(condition, policy.index, trial)` order. A table
+    missing a column, holding a value that does not parse or a row that is
+    no trial of `config` raises ConfigError naming the file, the first such
+    row in file order and the column or value.
     """
     path = Path(trials_path)
-    conditions = {c.condition_id: c for c in config.conditions()}
-    seen: set[tuple[int, PolicyId, int]] = set()
-    records = []
+    header = None
+    rows: list = []
+    fault = None   # a row that cannot be read, after `rows`
     with open(path, newline="", encoding="utf-8") as fh:
-        if path.suffix == ".jsonl":
-            rows = (_jsonl_row(line) for line in fh)
-        else:
-            rows = csv.DictReader(fh, restval="")
-            missing = [c for c in TRIALS_COLUMNS if c not in (rows.fieldnames or ())]
-            if missing:
-                raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-        row_no = 1
         try:
-            for row in rows:
-                record = _trial_record(row)
-                _check_trial(record, config, conditions, seen)
-                records.append(record)
-                row_no += 1
-        except KeyError as exc:
-            raise ConfigError(f"{path.name}: row {row_no} has no "
-                              f"{exc.args[0]} column") from None
+            if path.suffix == ".jsonl":
+                rows.extend(map(_jsonl_row, fh))
+            else:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                rows.extend(filter(None, reader))   # blank lines hold no row
         except (ValueError, csv.Error) as exc:
-            raise ConfigError(f"{path.name}: row {row_no}: {exc}") from None
-    records.sort(key=lambda r: (r.condition_id, r.policy.index, r.trial))
-    return tuple(records)
+            fault = exc
+    if header is not None:
+        missing = [c for c in TRIALS_COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
+        rows = [row + [""] * (len(header) - len(row)) for row in rows]
+    table = _trial_table(_string_columns(header, rows), config)
+    if table is None:
+        if header is not None:
+            rows = [dict(zip(header, row)) for row in rows]
+        _check_rows(path.name, rows, config)
+        raise AssertionError("the column checks and the row checks disagree")
+    if fault is not None:
+        raise ConfigError(f"{path.name}: row {len(rows) + 1}: {fault}")
+    return table
 
 
 def _jsonl_row(line: str) -> dict:
@@ -344,6 +382,106 @@ def _jsonl_row(line: str) -> dict:
     return {c: _fmt(v) for c, v in record.items()}
 
 
+def _string_columns(header: list[str] | None, rows: list) -> dict[str, list[str]] | None:
+    """Each trials column as text: `rows` are lists under `header`, padded
+    to its width, or (without a header) dicts. None if a dict lacks a column."""
+    if header is None:
+        try:
+            return {c: [row[c] for row in rows] for c in TRIALS_COLUMNS}
+        except KeyError:
+            return None
+    index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    return {c: columns[index[c]] for c in TRIALS_COLUMNS}
+
+
+def _trial_table(columns: dict[str, list[str]] | None,
+                 config: SweepConfig) -> TrialTable | None:
+    """The trials `columns` hold, in canonical order; None unless every row
+    passes the checks `_check_row` makes, which names the first that fails.
+
+    Values are parsed with `int` and `float`, as `_check_row` parses them,
+    and checked as arrays.
+    """
+    if columns is None:
+        return None
+    conditions = config.conditions()
+    policy_index = {policy.value: policy.index for policy in config.policies}
+    try:
+        ids, delays, flags = (_split_lists(columns[c]) for c in (
+            "high_sev_ids", "high_sev_delays", "high_sev_censored"))
+        if not (ids[0] == delays[0] == flags[0] and _flags_only(flags[1])
+                and _flags_only(columns["aborted"])):
+            return None
+        ints = {c: np.array(list(map(int, columns[c])), dtype=np.int64)
+                for c in ("load", "served", "condition", "trial")}
+        floats = {c: np.array(list(map(float, columns[c])), dtype=float)
+                  for c in ("delta", "duration", "rho", "lambda_sw", "lambda_int", "workload")}
+        policy = np.array([policy_index[v] for v in columns["policy"]], dtype=np.int64)
+        high_ids = np.array(list(map(int, ids[1])), dtype=np.int64)
+        high_delays = np.array(list(map(float, delays[1])), dtype=float)
+    except (ValueError, OverflowError, KeyError):
+        return None
+    condition, load, served = ints["condition"], ints["load"], ints["served"]
+    if not ((condition >= 0) & (condition < len(conditions))).all():
+        return None
+    delta = np.array([c.delta for c in conditions])[condition]
+    high_count = np.array(ids[0], dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        bad = ((floats["delta"] != delta)
+               | (load != np.array([c.patient_load for c in conditions])[condition])
+               | (ints["trial"] < 0) | (ints["trial"] >= config.trials_per_condition)
+               | (served < 0) | (served > load))
+        if bad.any() or (floats["rho"].view(np.int64)
+                         != (served / load).view(np.int64)).any():
+            return None
+    row_load = np.repeat(load, high_count)
+    if ((high_ids < 0) | (high_ids >= row_load)).any():
+        return None
+    table = TrialTable(
+        policy=policy, condition=condition, delta=floats["delta"], load=load,
+        trial=ints["trial"],
+        metrics=MetricColumns(
+            aborted=np.array(list(map("1".__eq__, columns["aborted"])), dtype=bool),
+            duration=floats["duration"], served=served, rho=floats["rho"],
+            lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
+            workload=floats["workload"], high_count=high_count, high_ids=high_ids,
+            high_delays=high_delays,
+            high_censored=np.array(list(map("1".__eq__, flags[1])), dtype=bool))).sorted()
+    repeated = ((np.diff(table.condition) == 0) & (np.diff(table.policy) == 0)
+                & (np.diff(table.trial) == 0))
+    return None if repeated.any() else table
+
+
+def _split_lists(texts: list[str]) -> tuple[list[int], list[str]]:
+    """Each row's `;`-separated entries, empty ones dropped: their counts,
+    and the entries of every row in turn."""
+    parts = [text.split(";") if text else [] for text in texts]
+    flat = list(chain.from_iterable(parts))
+    if "" in flat:
+        parts = [[x for x in part if x != ""] for part in parts]
+        flat = list(chain.from_iterable(parts))
+    return list(map(len, parts)), flat
+
+
+def _flags_only(texts) -> bool:
+    return set(texts) <= {"0", "1"}
+
+
+def _check_rows(name: str, rows: list[dict], config: SweepConfig) -> None:
+    """Raise ConfigError naming the file, the row and the column or value
+    of the first row of `rows` that is not a new trial of `config`."""
+    conditions = {c.condition_id: c for c in config.conditions()}
+    seen: set[tuple[int, PolicyId, int]] = set()
+    for row_no, row in enumerate(rows, 1):
+        try:
+            _check_row(row, config, conditions, seen)
+        except KeyError as exc:
+            raise ConfigError(f"{name}: row {row_no} has no {exc.args[0]} column") from None
+        except ValueError as exc:
+            raise ConfigError(f"{name}: row {row_no}: {exc}") from None
+
+
 def _flag(column: str, text: str) -> bool:
     """A 0/1 flag as the writer renders it; any other text is an error."""
     if text not in ("0", "1"):
@@ -351,34 +489,10 @@ def _flag(column: str, text: str) -> bool:
     return text == "1"
 
 
-def _check_trial(record: TrialRecord, config: SweepConfig,
-                 conditions: dict[int, Condition],
-                 seen: set[tuple[int, PolicyId, int]]) -> None:
-    """Raise ValueError naming the column unless `record` is a trial of
-    `config` that no earlier row (in `seen`) holds."""
-    if record.policy not in config.policies:
-        raise ValueError(f"policy: {record.policy.value!r} is not a policy of the run")
-    condition = conditions.get(record.condition_id)
-    if condition is None:
-        raise ValueError(f"condition: {record.condition_id} is not a condition id "
-                         f"of the run, 0 to {len(conditions) - 1}")
-    if record.delta != condition.delta:
-        raise ValueError(f"delta: {record.delta!r} is not condition "
-                         f"{condition.condition_id}'s delta {condition.delta!r}")
-    if record.load != condition.patient_load:
-        raise ValueError(f"load: {record.load} is not condition "
-                         f"{condition.condition_id}'s load {condition.patient_load}")
-    if not 0 <= record.trial < config.trials_per_condition:
-        raise ValueError(f"trial: {record.trial} is outside "
-                         f"[0, {config.trials_per_condition})")
-    key = (record.condition_id, record.policy, record.trial)
-    if key in seen:
-        raise ValueError(f"trial: {record.trial} of condition {record.condition_id} "
-                         f"under {record.policy.value} appears twice")
-    seen.add(key)
-
-
-def _trial_record(row: dict) -> TrialRecord:
+def _check_row(row: dict, config: SweepConfig, conditions: dict[int, Condition],
+               seen: set[tuple[int, PolicyId, int]]) -> None:
+    """Raise ValueError naming the column unless `row` parses and is a trial
+    of `config` that no earlier row (in `seen`) holds."""
     ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
     delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
     censored = [_flag("high_sev_censored", x)
@@ -387,25 +501,47 @@ def _trial_record(row: dict) -> TrialRecord:
         raise ValueError(f"high_sev_ids, high_sev_delays and high_sev_censored hold "
                          f"{len(ids)}, {len(delays)} and {len(censored)} entries")
     load = int(row["load"])
-    metrics = TrialMetrics(
-        high_severity_delays=tuple(
-            DelayRecord(i, d, c) for i, d, c in zip(ids, delays, censored)),
-        served_count=int(row["served"]),
-        total_patients=load,
-        aborted=_flag("aborted", row["aborted"]),
-        lambda_sw=float(row["lambda_sw"]),
-        lambda_int=float(row["lambda_int"]),
-        workload=float(row["workload"]),
-        duration=float(row["duration"]),
-    )
+    served = int(row["served"])
+    _flag("aborted", row["aborted"])
+    for column in ("lambda_sw", "lambda_int", "workload", "duration"):
+        float(row[column])
     try:
         policy = PolicyId(row["policy"])
     except ValueError:
         raise ValueError(f"policy: {row['policy']!r} is not a policy") from None
-    return TrialRecord(
-        policy=policy, delta=float(row["delta"]),
-        load=load, condition_id=int(row["condition"]),
-        trial=int(row["trial"]), metrics=metrics)
+    delta, condition_id, trial = float(row["delta"]), int(row["condition"]), int(row["trial"])
+
+    if policy not in config.policies:
+        raise ValueError(f"policy: {policy.value!r} is not a policy of the run")
+    condition = conditions.get(condition_id)
+    if condition is None:
+        raise ValueError(f"condition: {condition_id} is not a condition id "
+                         f"of the run, 0 to {len(conditions) - 1}")
+    if delta != condition.delta:
+        raise ValueError(f"delta: {delta!r} is not condition "
+                         f"{condition.condition_id}'s delta {condition.delta!r}")
+    if load != condition.patient_load:
+        raise ValueError(f"load: {load} is not condition "
+                         f"{condition.condition_id}'s load {condition.patient_load}")
+    if not 0 <= trial < config.trials_per_condition:
+        raise ValueError(f"trial: {trial} is outside "
+                         f"[0, {config.trials_per_condition})")
+    key = (condition_id, policy, trial)
+    if key in seen:
+        raise ValueError(f"trial: {trial} of condition {condition_id} "
+                         f"under {policy.value} appears twice")
+    seen.add(key)
+    if not 0 <= served <= load:
+        raise ValueError(f"served: {served} is outside [0, {load}]")
+    try:
+        rho = float(row["rho"])
+    except ValueError:
+        raise ValueError(f"rho: {row['rho']!r} is not a number") from None
+    if rho.hex() != (served / load).hex():
+        raise ValueError(f"rho: {rho!r} is not served / load = {served / load!r}")
+    for pid in ids:
+        if not 0 <= pid < load:
+            raise ValueError(f"high_sev_ids: {pid} is outside [0, {load})")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +579,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     paths = emit_reports(result, args.format, args.out)
     log.info("completed %d missions in %.1fs; wrote %s",
-             len(result.records), elapsed, ", ".join(str(p) for p in paths))
+             len(result.trials), elapsed, ", ".join(str(p) for p in paths))
     return 0
 
 
@@ -460,12 +596,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     trials_path = indir / "trials.csv"
     if not trials_path.exists() and (indir / "trials.jsonl").exists():
         trials_path = indir / "trials.jsonl"
-    records = load_trials(trials_path, config)
-    if manifest.get("trial_rows") != len(records):
+    trials = load_trials(trials_path, config)
+    if manifest.get("trial_rows") != len(trials):
         raise ConfigError(f"trial_rows: manifest says {manifest.get('trial_rows')!r}, "
-                          f"{trials_path.name} holds {len(records)} rows")
-    _write_summaries(aggregate(config, records), args.format, Path(args.out))
-    log.info("recomputed summaries for %d trials from %s", len(records), trials_path)
+                          f"{trials_path.name} holds {len(trials)} rows")
+    _write_summaries(aggregate(config, trials), args.format, Path(args.out))
+    log.info("recomputed summaries for %d trials from %s", len(trials), trials_path)
     return 0
 
 

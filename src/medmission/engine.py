@@ -302,8 +302,9 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     """Execute one mission and return its event trace.
 
     Stream consumption order is fixed: visit-plan draws (teleop only),
-    outage schedule, integrity schedule, then alert-suppression draws
-    (twin policy only). Identical inputs give bit-identical traces.
+    outage schedule, integrity schedule (autonomy and twin only: nothing
+    in a teleop mission reads it), then alert-suppression draws (twin
+    policy only). Identical inputs give bit-identical traces.
     """
     if stream is None:
         stream = np.random.default_rng(0)
@@ -400,13 +401,12 @@ def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float
     from in the same order either way, so both give the same mission.
     """
     profile = outage_schedule(delta, params.horizon, stream, loc)
-    episodes = integrity_schedule(params.horizon, stream, loc).episodes
-    crossings = crossing_intervals(policy, delta, profile.outages, episodes,
-                                   params.horizon, params, loc)
-
     if policy is PolicyId.PI1_TELEOP:
         return _run_teleop(ids, depart, arrive, service, profile.outages,
                            params, events)
+    episodes = integrity_schedule(params.horizon, stream, loc).episodes
+    crossings = crossing_intervals(policy, delta, profile.outages, episodes,
+                                   params.horizon, params, loc)
     return _run_supervised(policy, ids, depart, arrive, intervene,
                            profile.outages, crossings, params, stream, events)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, _simulate, leg_timelines
 from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
@@ -21,9 +22,11 @@ from .metrics import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_SERVICE_WINDOW,
+    MetricColumns,
     TrialMetrics,
+    column_bundles,
     failure_rate,
-    outcome_metrics,
+    outcome_columns,
 )
 from .policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
@@ -130,6 +133,86 @@ class TrialRecord:
     metrics: TrialMetrics
 
 
+_POLICY_BY_INDEX = {policy.index: policy for policy in PolicyId}
+
+
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """Trials as columns, one row per mission, in `(condition, policy.index,
+    trial)` order; `policy` holds each row's `PolicyId.index`."""
+
+    policy: np.ndarray
+    condition: np.ndarray
+    delta: np.ndarray
+    load: np.ndarray
+    trial: np.ndarray
+    metrics: MetricColumns
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    @classmethod
+    def concat(cls, tables: list[TrialTable]) -> TrialTable:
+        columns = {f.name: np.concatenate([getattr(t, f.name) for t in tables])
+                   for f in fields(cls) if f.name != "metrics"}
+        metrics = MetricColumns._make(map(np.concatenate, zip(*[t.metrics for t in tables])))
+        return cls(**columns, metrics=metrics)
+
+    def take(self, rows: np.ndarray) -> TrialTable:
+        """The rows at the indices `rows`, in that order."""
+        return TrialTable(self.policy[rows], self.condition[rows], self.delta[rows],
+                          self.load[rows], self.trial[rows], self.metrics.take(rows))
+
+    def sorted(self) -> TrialTable:
+        """The same rows in `(condition, policy.index, trial)` order."""
+        return self.take(np.lexsort((self.trial, self.policy, self.condition)))
+
+    def cells(self) -> list[tuple[int, int]]:
+        """The `[start, stop)` row range of each (condition, policy) cell."""
+        change = (np.diff(self.condition) != 0) | (np.diff(self.policy) != 0)
+        bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(self)]
+        return list(zip(bounds, bounds[1:])) if len(self) else []
+
+    def records(self) -> tuple[TrialRecord, ...]:
+        """One `TrialRecord` per row."""
+        loads = self.load.tolist()
+        return tuple(TrialRecord(_POLICY_BY_INDEX[policy], delta, load, condition, trial,
+                                 bundle)
+                     for policy, delta, load, condition, trial, bundle in zip(
+                         self.policy.tolist(), self.delta.tolist(), loads,
+                         self.condition.tolist(), self.trial.tolist(),
+                         column_bundles(self.metrics, loads)))
+
+    @classmethod
+    def from_records(cls, records) -> TrialTable:
+        """The table of `records`, in `(condition, policy.index, trial)` order."""
+        records = sorted(records, key=lambda r: (r.condition_id, r.policy.index, r.trial))
+        bundles = [r.metrics for r in records]
+        delays = [d for m in bundles for d in m.high_severity_delays]
+
+        def column(values, dtype):
+            return np.array(list(values), dtype=dtype)
+
+        metrics = MetricColumns(
+            aborted=column((m.aborted for m in bundles), bool),
+            duration=column((m.duration for m in bundles), float),
+            served=column((m.served_count for m in bundles), np.int64),
+            rho=column((m.rho for m in bundles), float),
+            lambda_sw=column((m.lambda_sw for m in bundles), float),
+            lambda_int=column((m.lambda_int for m in bundles), float),
+            workload=column((m.workload for m in bundles), float),
+            high_count=column((len(m.high_severity_delays) for m in bundles), np.int64),
+            high_ids=column((d.patient_id for d in delays), np.int64),
+            high_delays=column((d.delay for d in delays), float),
+            high_censored=column((d.censored for d in delays), bool))
+        return cls(policy=column((r.policy.index for r in records), np.int64),
+                   condition=column((r.condition_id for r in records), np.int64),
+                   delta=column((r.delta for r in records), float),
+                   load=column((r.load for r in records), np.int64),
+                   trial=column((r.trial for r in records), np.int64),
+                   metrics=metrics)
+
+
 @dataclass(frozen=True)
 class Stats:
     """Mean, sample standard deviation, and a 95% CI of one sample set."""
@@ -192,14 +275,23 @@ class ParetoPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's trials as columns, and what aggregation builds from them.
+
+    `records` is the same trials as `TrialRecord`s, built on first access.
+    """
+
     config: SweepConfig
-    records: tuple[TrialRecord, ...]
+    trials: TrialTable
     summaries: tuple[ConditionSummary, ...]
     rollups: tuple[PolicyRollup, ...]
     pareto_condition: tuple[ParetoPoint, ...]
     front_condition: tuple[ParetoPoint, ...]
     pareto_pooled: tuple[ParetoPoint, ...]
     front_pooled: tuple[ParetoPoint, ...]
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        return self.trials.records()
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +307,18 @@ def confidence_interval(samples, level: float = 0.95) -> tuple[float, float]:
     arr = np.asarray(samples, dtype=float)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))
-    t_crit = float(_scipy_stats.t.ppf(0.5 + level / 2.0, n - 1))
+    t_crit = float(t_critical(n, level))
     half = t_crit * sd / math.sqrt(n)
     return mean - half, mean + half
+
+
+def t_critical(n, level: float):
+    """Two-sided Student-t critical value of a `level` interval on `n` samples.
+
+    `scipy.special.stdtrit` is the quantile `scipy.stats.t.ppf` computes, to
+    the bit, without importing `scipy.stats`. Takes arrays too.
+    """
+    return stdtrit(n - 1, 0.5 + level / 2.0)
 
 
 def quantiles(samples, qs) -> tuple[float, ...]:
@@ -271,8 +372,7 @@ def pareto_front(points) -> list:
 # ---------------------------------------------------------------------------
 # Sweep execution.
 
-def _run_cell(config: SweepConfig, condition: Condition,
-              policy: PolicyId) -> list[TrialRecord]:
+def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> TrialTable:
     n_trials, load = config.trials_per_condition, condition.patient_load
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
@@ -302,23 +402,35 @@ def _run_cell(config: SweepConfig, condition: Condition,
     depart, arrive, intervene, service = leg_timelines(
         xs, ys, access, orders, base, policy, condition.delta,
         config.platform, config.localization)
-    high = high_severity_flags(severities, field)
-    detect = [DETECT_TIME] * load   # by patient id, which is the column
 
-    # Last, each trial's rows are lists only while its mission runs.
-    records = []
+    # Each trial's rows are lists only while its mission runs, and the loop
+    # keeps only the scalars the metrics read. No event log: the mission
+    # loop counts them as it runs.
+    duration = np.empty(n_trials)
+    aborted = np.empty(n_trials, dtype=bool)
+    switches = np.empty(n_trials, dtype=np.int64)
+    actions = np.empty(n_trials, dtype=np.int64)
+    served_trials, served_ids, served_times = [], [], []
     for trial, stream in enumerate(streams):
-        # No event log: the mission loop counts what the metrics read.
         outcome = _simulate(policy, condition.delta, orders[trial].tolist(),
                             depart[trial].tolist(), arrive[trial].tolist(),
                             intervene[trial].tolist(), service, config.platform,
                             stream, config.localization, events=None)
-        bundle = outcome_metrics(outcome, high[trial].nonzero()[0].tolist(), detect,
-                                 load, config.tau_c, config.alpha, config.beta)
-        records.append(TrialRecord(policy=policy, delta=condition.delta,
-                                   load=load, condition_id=condition.condition_id,
-                                   trial=trial, metrics=bundle))
-    return records
+        duration[trial], aborted[trial], times, switches[trial], actions[trial] = outcome
+        served_trials += [trial] * len(times)
+        served_ids += times
+        served_times += times.values()
+    served = np.full((n_trials, load), math.nan)   # first intervene time by patient id
+    served[served_trials, served_ids] = served_times
+    detect = np.full(load, DETECT_TIME)   # by patient id, which is the column
+    metrics = outcome_columns(duration, aborted, switches, actions, served,
+                              high_severity_flags(severities, field), detect,
+                              config.tau_c, config.alpha, config.beta)
+    return TrialTable(policy=np.full(n_trials, policy.index),
+                      condition=np.full(n_trials, condition.condition_id),
+                      delta=np.full(n_trials, condition.delta),
+                      load=np.full(n_trials, load), trial=np.arange(n_trials),
+                      metrics=metrics)
 
 
 def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
@@ -326,9 +438,9 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     """Execute the full sweep and aggregate it.
 
     `workers` > 1 fans the (condition, policy) cells out to a process
-    pool of at most one worker per cell; aggregation sorts everything
-    back into deterministic index order, so the result does not depend
-    on the degree of parallelism.
+    pool of at most one worker per cell. Each cell returns its trials as
+    columns, and they are joined in `(condition, policy.index)` order, so
+    the result does not depend on the degree of parallelism.
     """
     config.validate()
     conditions, policies = zip(*[(condition, policy)
@@ -337,17 +449,17 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     configs = [config] * len(policies)
 
     if workers <= 1:
-        chunks = list(map(_run_cell, configs, conditions, policies))
+        cells = list(map(_run_cell, configs, conditions, policies))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(policies))) as pool:
-            chunks = list(pool.map(_run_cell, configs, conditions, policies))
+            cells = list(pool.map(_run_cell, configs, conditions, policies))
 
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.condition_id, r.policy.index, r.trial))
-    return aggregate(config, tuple(records))
+    order = sorted(range(len(cells)),
+                   key=lambda i: (conditions[i].condition_id, policies[i].index))
+    return aggregate(config, TrialTable.concat([cells[i] for i in order]))
 
 
-def _stats(samples: list[float]) -> Stats:
+def _stats(samples: np.ndarray) -> Stats:
     n = len(samples)
     if n == 0:
         return Stats(math.nan, math.nan, math.nan, math.nan)
@@ -360,60 +472,66 @@ def _stats(samples: list[float]) -> Stats:
 
 
 def _summarize_cell(policy: PolicyId, delta: float, load: int,
-                    cell: list[TrialRecord]) -> ConditionSummary:
-    delays = [rec.delay for r in cell for rec in r.metrics.high_severity_delays]
-    workloads = [r.metrics.workload for r in cell]
-    if delays:
+                    cell: MetricColumns) -> ConditionSummary:
+    delays, workloads = cell.high_delays, cell.workload
+    if len(delays):
         delay_med, delay_p90, delay_p95 = quantiles(delays, (0.5, 0.9, 0.95))
         delay_box = boxplot_stats(delays)
     else:
         delay_med = delay_p90 = delay_p95 = math.nan
         delay_box = _NAN_BOX
     return ConditionSummary(
-        policy=policy, delta=delta, load=load, n_trials=len(cell),
+        policy=policy, delta=delta, load=load, n_trials=len(cell.duration),
         delay=_stats(delays),
-        rho=_stats([r.metrics.rho for r in cell]),
-        r_fail=_stats([1.0 if r.metrics.aborted else 0.0 for r in cell]),
+        rho=_stats(cell.rho),
+        r_fail=_stats(cell.aborted.astype(float)),
         workload=_stats(workloads),
         delay_median=delay_med, delay_p90=delay_p90, delay_p95=delay_p95,
         delay_box=delay_box,
-        workload_box=boxplot_stats(workloads) if workloads else _NAN_BOX,
-        mean_duration=float(np.mean([r.metrics.duration for r in cell])),
+        workload_box=boxplot_stats(workloads) if len(workloads) else _NAN_BOX,
+        mean_duration=float(np.mean(cell.duration)),
     )
 
 
-def _rollup(policy: PolicyId, records: list[TrialRecord]) -> PolicyRollup:
-    delays = [rec.delay for r in records for rec in r.metrics.high_severity_delays]
-    med, p90, p95 = quantiles(delays, (0.5, 0.9, 0.95)) if delays else (math.nan,) * 3
+def _rollup(policy: PolicyId, trials: MetricColumns) -> PolicyRollup:
+    delays = trials.high_delays
+    med, p90, p95 = quantiles(delays, (0.5, 0.9, 0.95)) if len(delays) else (math.nan,) * 3
     return PolicyRollup(
         policy=policy,
-        t_int_mean=float(np.mean(delays)) if delays else math.nan,
-        rho=float(np.mean([r.metrics.rho for r in records])),
-        r_fail=failure_rate([r.metrics.aborted for r in records]),
-        w_mean=float(np.mean([r.metrics.workload for r in records])),
-        mission_time=float(np.mean([r.metrics.duration for r in records])),
+        t_int_mean=float(np.mean(delays)) if len(delays) else math.nan,
+        rho=float(np.mean(trials.rho)),
+        r_fail=failure_rate(trials.aborted),
+        w_mean=float(np.mean(trials.workload)),
+        mission_time=float(np.mean(trials.duration)),
         delay_median=med, delay_p90=p90, delay_p95=p95,
-        n_trials=len(records),
+        n_trials=len(trials.duration),
     )
 
 
-def aggregate(config: SweepConfig, records: tuple[TrialRecord, ...]) -> SweepResult:
-    """Build summaries, rollups, and Pareto sets from raw trial records."""
-    by_cell: dict[tuple[int, int], list[TrialRecord]] = {}
-    by_policy: dict[PolicyId, list[TrialRecord]] = {p: [] for p in config.policies}
-    for rec in records:
-        by_cell.setdefault((rec.condition_id, rec.policy.index), []).append(rec)
-        by_policy[rec.policy].append(rec)
+def aggregate(config: SweepConfig,
+              trials: TrialTable | tuple[TrialRecord, ...]) -> SweepResult:
+    """Build summaries, rollups, and Pareto sets from the trials.
+
+    `trials` is a table in `(condition, policy.index, trial)` order, or
+    records in any order, which are turned into one first.
+    """
+    if not isinstance(trials, TrialTable):
+        trials = TrialTable.from_records(trials)
+    by_cell = {(int(trials.condition[start]), int(trials.policy[start])): (start, stop)
+               for start, stop in trials.cells()}
 
     summaries = []
     for condition in config.conditions():
         for policy in config.policies:
-            cell = by_cell.get((condition.condition_id, policy.index), [])
-            if cell:
+            cell = by_cell.get((condition.condition_id, policy.index))
+            if cell is not None:
                 summaries.append(_summarize_cell(policy, condition.delta,
-                                                 condition.patient_load, cell))
+                                                 condition.patient_load,
+                                                 trials.metrics.take(np.arange(*cell))))
 
-    rollups = [_rollup(policy, by_policy[policy]) for policy in config.policies]
+    rollups = [_rollup(policy, trials.metrics.take(
+                   np.flatnonzero(trials.policy == policy.index)))
+               for policy in config.policies]
 
     pareto_condition = []
     for s in summaries:
@@ -431,7 +549,7 @@ def aggregate(config: SweepConfig, records: tuple[TrialRecord, ...]) -> SweepRes
 
     return SweepResult(
         config=config,
-        records=records,
+        trials=trials,
         summaries=tuple(summaries),
         rollups=tuple(rollups),
         pareto_condition=tuple(pareto_condition),

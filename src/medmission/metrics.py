@@ -2,11 +2,12 @@
 
 A mission's metric bundle comes from one of two sources with the same
 arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
-`run_mission` returns it; it is the oracle. `outcome_metrics` reads the
-`MissionOutcome` the mission loop counted as it ran, and the field's
-high-severity ids and detect times instead of a `Scenario`; that is what
-the sweep uses, so it builds no event log and no patients. Both share
-`_delays` and `_served_count`. High-severity patients never
+`run_mission` returns it; it is the oracle. `outcome_columns` reads what
+the mission loops of a whole batch counted as they ran (`MissionOutcome`),
+and the field's high-severity flags and detect times instead of a
+`Scenario`; that is what the sweep uses, so it builds no event log, no
+patients and no per-mission bundle. `column_bundles` turns its columns back
+into `TrialMetrics` for readers that want them. High-severity patients never
 reached before the mission ends contribute a censored delay equal to the
 mission duration; dropping them instead would reward aborting early.
 """
@@ -16,8 +17,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionOutcome, MissionTrace
+import numpy as np
+
+from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
 from .scenario import Scenario
 
 DEFAULT_SERVICE_WINDOW = 60.0   # minutes; clinically acceptable delay
@@ -87,7 +91,7 @@ def _columns(scenario: Scenario) -> tuple[list[int], dict[int, float], int]:
 
 
 def _delays(times: dict[int, float], duration: float, high_ids: list[int],
-            detect: Mapping[int, float] | list[float]) -> tuple[DelayRecord, ...]:
+            detect: Mapping[int, float]) -> tuple[DelayRecord, ...]:
     return tuple([DelayRecord(pid, times[pid] - detect[pid], False) if pid in times
                   else DelayRecord(pid, duration - detect[pid], True)
                   for pid in high_ids])
@@ -104,7 +108,7 @@ def served_within_window(trace: MissionTrace, scenario: Scenario,
     return count, count / n_patients if n_patients else 0.0
 
 
-def _served_count(times: dict[int, float], detect: Mapping[int, float] | list[float],
+def _served_count(times: dict[int, float], detect: Mapping[int, float],
                   tau_c: float) -> int:
     if tau_c <= 0.0:
         raise ValueError("tau_c must be positive")
@@ -162,46 +166,106 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
                   alpha: float = DEFAULT_ALPHA,
                   beta: float = DEFAULT_BETA) -> TrialMetrics:
     """Extract the full per-mission metric bundle from one trace."""
-    return _bundle(_intervention_times(trace), task_switch_rate(trace),
-                   intervention_frequency(trace), trace.duration, trace.aborted,
-                   *_columns(scenario), tau_c, alpha, beta)
-
-
-def outcome_metrics(outcome: MissionOutcome, high_ids: list[int],
-                    detect: Mapping[int, float] | list[float], n_patients: int,
-                    tau_c: float = DEFAULT_SERVICE_WINDOW,
-                    alpha: float = DEFAULT_ALPHA,
-                    beta: float = DEFAULT_BETA) -> TrialMetrics:
-    """The bundle `trial_metrics` extracts from the same mission's trace.
-
-    `high_ids` are the mission's high-severity patient ids in scenario
-    order, `detect` maps each patient id to its detect time (a list indexed
-    by id serves) and `n_patients` counts the field.
-    """
-    lam_sw = lam_int = 0.0
-    if outcome.duration > 0.0:
-        # The operator view logs a switch only when the label changes, so
-        # every switch after the first is a change.
-        lam_sw = max(outcome.task_switches - 1, 0) / outcome.duration
-        lam_int = outcome.operator_interventions / outcome.duration
-    return _bundle(outcome.intervene_times, lam_sw, lam_int, outcome.duration,
-                   outcome.aborted, high_ids, detect, n_patients, tau_c, alpha, beta)
-
-
-def _bundle(times: dict[int, float], lam_sw: float, lam_int: float,
-            duration: float, aborted: bool, high_ids: list[int],
-            detect: Mapping[int, float] | list[float], n_patients: int,
-            tau_c: float, alpha: float, beta: float) -> TrialMetrics:
+    times = _intervention_times(trace)
+    high_ids, detect, n_patients = _columns(scenario)
+    lam_sw, lam_int = task_switch_rate(trace), intervention_frequency(trace)
     return TrialMetrics(
-        high_severity_delays=_delays(times, duration, high_ids, detect),
+        high_severity_delays=_delays(times, trace.duration, high_ids, detect),
         served_count=_served_count(times, detect, tau_c),
         total_patients=n_patients,
-        aborted=aborted,
+        aborted=trace.aborted,
         lambda_sw=lam_sw,
         lambda_int=lam_int,
         workload=workload(lam_sw, lam_int, alpha, beta),
-        duration=duration,
+        duration=trace.duration,
     )
+
+
+class MetricColumns(NamedTuple):
+    """The metric bundles of a batch of missions, one array per field.
+
+    Each mission's high-severity patients take `high_count` consecutive
+    entries of the flat `high_ids`, `high_delays` and `high_censored`,
+    in mission order and by ascending id within a mission.
+    """
+
+    aborted: np.ndarray
+    duration: np.ndarray
+    served: np.ndarray
+    rho: np.ndarray
+    lambda_sw: np.ndarray
+    lambda_int: np.ndarray
+    workload: np.ndarray
+    high_count: np.ndarray
+    high_ids: np.ndarray
+    high_delays: np.ndarray
+    high_censored: np.ndarray
+
+    def take(self, rows: np.ndarray) -> MetricColumns:
+        """The missions at the indices `rows`, in that order."""
+        starts = np.cumsum(self.high_count) - self.high_count
+        counts = self.high_count[rows]
+        firsts = np.cumsum(counts) - counts
+        flat = np.arange(counts.sum()) + np.repeat(starts[rows] - firsts, counts)
+        return MetricColumns(self.aborted[rows], self.duration[rows], self.served[rows],
+                             self.rho[rows], self.lambda_sw[rows], self.lambda_int[rows],
+                             self.workload[rows], counts, self.high_ids[flat],
+                             self.high_delays[flat], self.high_censored[flat])
+
+
+def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
+                    task_switches: np.ndarray, operator_interventions: np.ndarray,
+                    intervene: np.ndarray, high: np.ndarray, detect: np.ndarray,
+                    tau_c: float = DEFAULT_SERVICE_WINDOW,
+                    alpha: float = DEFAULT_ALPHA,
+                    beta: float = DEFAULT_BETA) -> MetricColumns:
+    """The bundles `trial_metrics` extracts from a batch of missions' traces.
+
+    The first four arrays hold each mission's `MissionOutcome` counts.
+    `intervene` is the ``(missions, load)`` first intervene time by patient
+    id, NaN for a patient the mission never served; `high` flags the
+    high-severity patients the same way and `detect` holds the detect time
+    per id. Each value takes the IEEE operations `trial_metrics` takes, in
+    its order, so it has the same bits.
+    """
+    if tau_c <= 0.0:
+        raise ValueError("tau_c must be positive")
+    if alpha < 0.0 or beta < 0.0:
+        raise ValueError("workload weights must be nonnegative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The operator view logs a switch only when the label changes, so
+        # every switch after the first is a change.
+        flying = duration > 0.0
+        lambda_sw = np.where(flying, np.maximum(task_switches - 1, 0) / duration, 0.0)
+        lambda_int = np.where(flying, operator_interventions / duration, 0.0)
+    waited = intervene - detect
+    served = np.count_nonzero(waited <= tau_c, axis=1)
+    rows, ids = np.nonzero(high)
+    censored = np.isnan(intervene[rows, ids])
+    return MetricColumns(
+        aborted=aborted, duration=duration, served=served,
+        rho=served / intervene.shape[1],
+        lambda_sw=lambda_sw, lambda_int=lambda_int,
+        workload=float(alpha) * lambda_sw + float(beta) * lambda_int,
+        high_count=np.count_nonzero(high, axis=1), high_ids=ids,
+        high_delays=np.where(censored, duration[rows] - detect[ids], waited[rows, ids]),
+        high_censored=censored)
+
+
+def column_bundles(columns: MetricColumns, n_patients: list[int]) -> list[TrialMetrics]:
+    """One `TrialMetrics` per mission of `columns`; `n_patients` counts each
+    mission's field."""
+    delays = [DelayRecord(*entry) for entry in zip(columns.high_ids.tolist(),
+                                                   columns.high_delays.tolist(),
+                                                   columns.high_censored.tolist())]
+    ends = np.cumsum(columns.high_count).tolist()
+    return [TrialMetrics(tuple(delays[end - count:end]), served, n, aborted,
+                         lam_sw, lam_int, work, duration)
+            for end, count, served, n, aborted, lam_sw, lam_int, work, duration in zip(
+                ends, columns.high_count.tolist(), columns.served.tolist(), n_patients,
+                columns.aborted.tolist(), columns.lambda_sw.tolist(),
+                columns.lambda_int.tolist(), columns.workload.tolist(),
+                columns.duration.tolist())]
 
 
 def metric_vector(trials: list[TrialMetrics] | tuple[TrialMetrics, ...]) -> MetricVector:

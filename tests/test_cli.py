@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from medmission import (
     SweepConfig,
     TriageWeights,
 )
+from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
 from medmission.schema import Bound
 
@@ -420,6 +422,94 @@ def test_report_accepts_only_0_or_1_in_flag_columns(tmp_path, capsys, fmt, colum
     assert code == 2
     err = capsys.readouterr().err
     assert f"trials.{fmt}: row {row_no}: {column}: must be 0 or 1" in err
+
+
+def _over_load(row):
+    row["served"] = int(row["load"]) + 1
+
+
+def _negative(row):
+    row["served"] = -1
+
+
+def _one_ulp_off(row):
+    row["rho"] = repr(math.nextafter(float(row["rho"]), math.inf))
+
+
+def _id_at_load(row):
+    row["high_sev_ids"] = ";".join([str(row["load"]), *row["high_sev_ids"].split(";")[1:]])
+
+
+def _negative_id(row):
+    row["high_sev_ids"] = ";".join(["-1", *row["high_sev_ids"].split(";")[1:]])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("edit, message", [
+    (_over_load, "served: {served} is outside [0, {load}]"),
+    (_negative, "served: -1 is outside [0, {load}]"),
+    (_one_ulp_off, "rho: {rho} is not served / load = "),
+    (_id_at_load, "high_sev_ids: {load} is outside [0, {load})"),
+    (_negative_id, "high_sev_ids: -1 is outside [0, {load})"),
+])
+def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,
+                                                           edit, message):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    edited = {}
+
+    def apply(row):
+        edit(row)
+        edited.update(row)
+
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt, apply)
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert (f"trials.{fmt}: row {row_no}: " + message.format(**edited)
+            in capsys.readouterr().err)
+    assert not (tmp_path / "redo").exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _two_policy_run():
+    """The header, rows and config of a small two-policy run's trials.csv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli("run", *FAST_FLAGS, "--policies", "pi1_teleop,pi2_auto",
+                       "--out", tmp) == 0
+        with open(Path(tmp) / "trials.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+    return header, rows, config_from_dict(manifest["config"])
+
+
+_CELL_TEXTS = ["", "0", "1", "2", "-1", "3", "5", "99", "0.0", "-0.0", "0.5", "nan", "inf",
+               "1e400", " 3", "3_0", "x", "0;1", "1;;2", ";", "1;0;1", "pi1_teleop",
+               "pi2_auto", "pi3_geodt", "9" * 30]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_column_checks_fail_exactly_where_the_row_checks_do(data):
+    header, rows, config = _two_policy_run()
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(header) - 1))
+        other = rows[data.draw(st.integers(0, len(rows) - 1))]
+        how = data.draw(st.sampled_from(["text", "value", "row"]))
+        if how == "text":
+            rows[i][j] = data.draw(st.sampled_from(_CELL_TEXTS))
+        elif how == "value":   # another row's value in the same column
+            rows[i][j] = other[j]
+        else:
+            rows[i] = list(other)
+    table = cli._trial_table(cli._string_columns(header, rows), config)
+    try:
+        cli._check_rows("trials.csv", [dict(zip(header, row)) for row in rows], config)
+    except cli.ConfigError:
+        assert table is None
+    else:
+        assert table is not None and len(table) == len(rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -38,7 +38,7 @@ from medmission.localization import (
     IntegrityProfile,
     LocalizationParams,
 )
-from medmission.metrics import outcome_metrics
+from medmission.metrics import column_bundles, outcome_columns
 from medmission.policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
     DEFAULT_TRIAGE_WEIGHTS,
@@ -528,10 +528,16 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         rows = engine._scenario_timeline(scenario, policy, order, params)
         outcome = engine._simulate(policy, delta, *rows, params, stream,
                                    DEFAULT_LOCALIZATION_PARAMS, events=None)
-    high_ids = [p.id for p in scenario.patients if p.high_severity]
-    detect = [p.detect_time for p in scenario.patients]   # ids are the columns
-    assert (outcome_metrics(outcome, high_ids, detect, load, tau_c, alpha, beta)
-            == trial_metrics(trace, scenario, tau_c, alpha, beta))
+    # The sweep's metric kernel on a batch of one mission; ids are the columns.
+    served = np.full((1, load), math.nan)
+    served[0, list(outcome.intervene_times)] = list(outcome.intervene_times.values())
+    columns = outcome_columns(
+        np.array([outcome.duration]), np.array([outcome.aborted]),
+        np.array([outcome.task_switches]), np.array([outcome.operator_interventions]),
+        served, np.array([[p.high_severity for p in scenario.patients]]),
+        np.array([p.detect_time for p in scenario.patients]), tau_c, alpha, beta)
+    assert (column_bundles(columns, [load])
+            == [trial_metrics(trace, scenario, tau_c, alpha, beta)])
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

@@ -1,6 +1,10 @@
 """Sweep orchestration and the statistics kernels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +31,8 @@ from medmission import (
     run_sweep,
     trial_metrics,
 )
+from medmission.cli import emit_reports, main
+from medmission.metrics import DelayRecord, TrialMetrics
 
 SMALL = SweepConfig(degradation_levels=(0.0, 0.5), patient_loads=(3, 6),
                     trials_per_condition=2)
@@ -129,6 +135,30 @@ def test_the_sweep_builds_no_patient_or_scenario(monkeypatch):
     assert run_sweep(config).records == expected
 
 
+def test_sweep_emit_and_report_build_no_per_mission_record(monkeypatch, tmp_path):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (experiment.TrialRecord, TrialMetrics, DelayRecord):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    result = run_sweep(SweepConfig(), workers=1)
+    emit_reports(result, "csv", tmp_path / "run")
+    assert main(["report", "--in", str(tmp_path / "run"),
+                 "--out", str(tmp_path / "redo")]) == 0
+
+
+def test_aggregating_the_records_gives_the_sweep_aggregates(default_sweep):
+    result, _ = default_sweep
+    again = experiment.aggregate(result.config, result.records)
+    assert again.summaries == result.summaries
+    assert again.rollups == result.rollups
+    assert again.pareto_condition == result.pareto_condition
+    assert again.front_condition == result.front_condition
+    assert again.pareto_pooled == result.pareto_pooled
+    assert again.front_pooled == result.front_pooled
+    assert again.records == result.records
+
+
 def replayed_records(config):
     """Every trial rebuilt on its own through the public replay path."""
     records = []
@@ -222,6 +252,24 @@ def test_ci_widens_with_an_outlier():
 def test_ci_needs_two_samples():
     with pytest.raises(ValueError):
         confidence_interval([1.0])
+
+
+def test_t_critical_is_scipy_stats_t_ppf_to_the_bit():
+    from scipy import stats
+
+    n = np.array([*range(2, 20_001), 2**31])
+    for level in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999):
+        got = np.asarray(experiment.t_critical(n, level), dtype=float)
+        want = stats.t.ppf(0.5 + level / 2.0, n - 1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), level
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    probe = "import sys, medmission.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(experiment.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 def test_ci_rejects_bad_levels():

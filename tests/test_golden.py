@@ -6,11 +6,13 @@ format updates them and says so in CHANGES.md.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
 from medmission import SweepConfig, run_sweep
-from medmission.cli import emit_reports
+from medmission.cli import emit_reports, main
 
 # Full default protocol (seed 42, 250 trials per condition); the same values
 # are the `protocol` entry of bench/golden.json.
@@ -41,6 +43,22 @@ SMALL_DIGESTS = {
     },
 }
 
+# `medmission report` on SMALL_CONFIG's trials table with its rows shuffled
+# by random.Random(11) and every second row kept (90 of 180), the manifest's
+# trial_rows edited to match.
+PARTIAL_DIGESTS = {
+    "csv": {
+        "pareto.csv": "01c8e3897244b1dd864f8b23f7833dd1ff2542e53da623de306a7a7e2cc05ff2",
+        "rollup.csv": "52c2a7dc26d696f602fda19d0e7933fe449c4abdd45905788f5015b5e3de6ade",
+        "summary.json": "878393cbee3a2fd3c1bc09c59ac40079586689b1cdfcb8112132c6c46c7783f7",
+    },
+    "jsonl": {
+        "pareto.jsonl": "b903b4622d729dab2de73ff7e597b26f853ee8cdb92abef23cf11f998a9958e2",
+        "rollup.jsonl": "b5c5e2d1b4ea685e94109a82e2e32abd216cfe854418d70001f908d56626def1",
+        "summary.json": "878393cbee3a2fd3c1bc09c59ac40079586689b1cdfcb8112132c6c46c7783f7",
+    },
+}
+
 
 def digests_of(result, fmt, outdir):
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -60,3 +78,39 @@ def test_small_config_report_digests(small_sweep, fmt, tmp_path):
 def test_full_protocol_report_digests(default_sweep, tmp_path):
     result, _ = default_sweep
     assert digests_of(result, "csv", tmp_path) == PROTOCOL_DIGESTS
+
+
+def rewrite_rows(run, fmt, keep_every):
+    """Shuffle the trial rows of `run`, keep every `keep_every`-th and make
+    the manifest's trial_rows match."""
+    table = run / f"trials.{fmt}"
+    lines = table.read_text().splitlines(keepends=True)
+    header, rows = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
+    random.Random(11).shuffle(rows)
+    rows = rows[::keep_every]
+    table.write_text("".join(header + rows))
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["trial_rows"] = len(rows)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def report_digests(run, fmt, outdir):
+    assert main(["report", "--in", str(run), "--out", str(outdir), "--format", fmt]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("fmt", sorted(SMALL_DIGESTS))
+def test_report_of_shuffled_rows_writes_the_run_bytes(small_sweep, fmt, tmp_path):
+    emit_reports(small_sweep, fmt, tmp_path / "run")
+    rewrite_rows(tmp_path / "run", fmt, keep_every=1)
+    assert report_digests(tmp_path / "run", fmt, tmp_path / "redo") == {
+        name: digest for name, digest in SMALL_DIGESTS[fmt].items()
+        if not name.startswith(("trials.", "manifest."))}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARTIAL_DIGESTS))
+def test_report_of_some_shuffled_rows_writes_pinned_bytes(small_sweep, fmt, tmp_path):
+    emit_reports(small_sweep, fmt, tmp_path / "run")
+    rewrite_rows(tmp_path / "run", fmt, keep_every=2)
+    assert report_digests(tmp_path / "run", fmt, tmp_path / "redo") == PARTIAL_DIGESTS[fmt]
