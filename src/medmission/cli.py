@@ -40,7 +40,6 @@ from .experiment import (
 )
 from .metrics import MetricColumns
 from .policy import PolicyId
-from .scenario import Condition
 from .schema import json_key
 
 log = logging.getLogger("medmission")
@@ -340,14 +339,15 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
 
     The rows may come in any order and hold any subset of the trials; the
     table returned is in `(condition, policy.index, trial)` order. A table
-    missing a column, holding a value that does not parse or a row that is
-    no trial of `config` raises ConfigError naming the file, the first such
-    row in file order and the column or value.
+    missing a column raises ConfigError naming the file and the column. A
+    row that does not parse or is no new trial of `config` raises
+    ConfigError naming the file, the first such row in file order and,
+    from the first check that row fails, the column.
     """
     path = Path(trials_path)
-    header = None
+    header = TRIALS_COLUMNS
     rows: list = []
-    fault = None   # a row that cannot be read, after `rows`
+    fault = None   # what is wrong with the row after `rows`, which cannot be read
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             if path.suffix == ".jsonl":
@@ -356,104 +356,159 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
                 reader = csv.reader(fh)
                 header = next(reader, [])
                 rows.extend(filter(None, reader))   # blank lines hold no row
+        except KeyError as exc:   # a JSON-lines record without that column
+            fault = f" has no {exc.args[0]} column"
         except (ValueError, csv.Error) as exc:
-            fault = exc
-    if header is not None:
-        missing = [c for c in TRIALS_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-        rows = [row + [""] * (len(header) - len(row)) for row in rows]
-    table = _trial_table(_string_columns(header, rows), config)
-    if table is None:
-        if header is not None:
-            rows = [dict(zip(header, row)) for row in rows]
-        _check_rows(path.name, rows, config)
-        raise AssertionError("the column checks and the row checks disagree")
+            fault = f": {exc}"
+    missing = [c for c in TRIALS_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
+    rows = [row + [""] * (len(header) - len(row)) for row in rows]
+    table = _trial_table(path.name, _string_columns(header, rows), config)
     if fault is not None:
-        raise ConfigError(f"{path.name}: row {len(rows) + 1}: {fault}")
+        raise ConfigError(f"{path.name}: row {len(rows) + 1}{fault}")
     return table
 
 
-def _jsonl_row(line: str) -> dict:
-    """One JSON-lines record, each value rendered as the CSV writer would."""
+def _jsonl_row(line: str) -> list[str]:
+    """One JSON-lines record's TRIALS_COLUMNS, each value rendered as the
+    CSV writer would; KeyError names a column the record lacks."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
-    return {c: _fmt(v) for c, v in record.items()}
+    return [_fmt(record[c]) for c in TRIALS_COLUMNS]
 
 
-def _string_columns(header: list[str] | None, rows: list) -> dict[str, list[str]] | None:
-    """Each trials column as text: `rows` are lists under `header`, padded
-    to its width, or (without a header) dicts. None if a dict lacks a column."""
-    if header is None:
-        try:
-            return {c: [row[c] for row in rows] for c in TRIALS_COLUMNS}
-        except KeyError:
-            return None
+def _string_columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]]:
+    """Each trials column as text, from `rows` under `header`, padded to its width."""
     index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
     columns = list(zip(*rows)) if rows else [()] * len(header)
     return {c: columns[index[c]] for c in TRIALS_COLUMNS}
 
 
-def _trial_table(columns: dict[str, list[str]] | None,
-                 config: SweepConfig) -> TrialTable | None:
-    """The trials `columns` hold, in canonical order; None unless every row
-    passes the checks `_check_row` makes, which names the first that fails.
+def _trial_table(name: str, columns: dict[str, tuple[str, ...]],
+                 config: SweepConfig) -> TrialTable:
+    """The trials `columns` hold, in canonical order.
 
-    Values are parsed with `int` and `float`, as `_check_row` parses them,
-    and checked as arrays.
+    The checks run on whole columns, each marking the rows it rejects, in
+    the order one row is checked. If any row fails, ConfigError names file
+    `name`, the first row in file order that fails a check, and the message
+    of the first check that row fails. A value that does not parse fails
+    its own check and reads as 0 in the later ones, none of which can then
+    be the first check its row fails.
     """
-    if columns is None:
-        return None
+    faults: list[tuple] = []   # each failing check's first row, message and index
+
+    def check(bad: np.ndarray, message, counts=None) -> None:
+        """Record the first True of `bad`, a mask over the rows or, given each
+        row's entry `counts`, over the entries of the rows' lists in turn."""
+        if bad.any():
+            i = int(bad.argmax())
+            row = i if counts is None else int(np.searchsorted(np.cumsum(counts), i, "right"))
+            faults.append((row, message, i))
+
+    def parsed(column: str, kind: type, texts=None, counts=None) -> np.ndarray:
+        texts = columns[column] if texts is None else texts
+        values, bad = _parse(texts, kind)
+        check(bad, lambda i: f"{column}: {texts[i]!r} is not a valid {kind.__name__}",
+              counts)
+        return values
+
+    def flags(column: str, texts=None, counts=None) -> np.ndarray:
+        texts = columns[column] if texts is None else texts
+        if not set(texts) <= {"0", "1"}:
+            bad = np.array([text not in ("0", "1") for text in texts])
+            check(bad, lambda i: f"{column}: must be 0 or 1, got {texts[i]!r}", counts)
+        return np.array(list(map("1".__eq__, texts)), dtype=bool)
+
+    def whole(column: str, i: int) -> int:   # as written, even past int64
+        return int(columns[column][i])
+
+    ids_n, ids = _split_lists(columns["high_sev_ids"])
+    delays_n, delays = _split_lists(columns["high_sev_delays"])
+    flags_n, censored = _split_lists(columns["high_sev_censored"])
+    high_ids = parsed("high_sev_ids", int, ids, ids_n)
+    high_delays = parsed("high_sev_delays", float, delays, delays_n)
+    high_censored = flags("high_sev_censored", censored, flags_n)
+    check((ids_n != delays_n) | (ids_n != flags_n),
+          lambda i: f"high_sev_ids, high_sev_delays and high_sev_censored hold "
+                    f"{ids_n[i]}, {delays_n[i]} and {flags_n[i]} entries")
+    load, served = parsed("load", int), parsed("served", int)
+    aborted = flags("aborted")
+    floats = {c: parsed(c, float) for c in ("lambda_sw", "lambda_int", "workload", "duration")}
+    policy_index = {policy.value: policy.index for policy in PolicyId}
+    policy = np.array([policy_index.get(v, -1) for v in columns["policy"]], dtype=np.int64)
+    check(policy < 0, lambda i: f"policy: {columns['policy'][i]!r} is not a policy")
+    delta, condition, trial = (parsed("delta", float), parsed("condition", int),
+                               parsed("trial", int))
+    check(~np.isin(policy, [p.index for p in config.policies]),
+          lambda i: f"policy: {columns['policy'][i]!r} is not a policy of the run")
     conditions = config.conditions()
-    policy_index = {policy.value: policy.index for policy in config.policies}
-    try:
-        ids, delays, flags = (_split_lists(columns[c]) for c in (
-            "high_sev_ids", "high_sev_delays", "high_sev_censored"))
-        if not (ids[0] == delays[0] == flags[0] and _flags_only(flags[1])
-                and _flags_only(columns["aborted"])):
-            return None
-        ints = {c: np.array(list(map(int, columns[c])), dtype=np.int64)
-                for c in ("load", "served", "condition", "trial")}
-        floats = {c: np.array(list(map(float, columns[c])), dtype=float)
-                  for c in ("delta", "duration", "rho", "lambda_sw", "lambda_int", "workload")}
-        policy = np.array([policy_index[v] for v in columns["policy"]], dtype=np.int64)
-        high_ids = np.array(list(map(int, ids[1])), dtype=np.int64)
-        high_delays = np.array(list(map(float, delays[1])), dtype=float)
-    except (ValueError, OverflowError, KeyError):
-        return None
-    condition, load, served = ints["condition"], ints["load"], ints["served"]
-    if not ((condition >= 0) & (condition < len(conditions))).all():
-        return None
-    delta = np.array([c.delta for c in conditions])[condition]
-    high_count = np.array(ids[0], dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        bad = ((floats["delta"] != delta)
-               | (load != np.array([c.patient_load for c in conditions])[condition])
-               | (ints["trial"] < 0) | (ints["trial"] >= config.trials_per_condition)
-               | (served < 0) | (served > load))
-        if bad.any() or (floats["rho"].view(np.int64)
-                         != (served / load).view(np.int64)).any():
-            return None
-    row_load = np.repeat(load, high_count)
-    if ((high_ids < 0) | (high_ids >= row_load)).any():
-        return None
-    table = TrialTable(
-        policy=policy, condition=condition, delta=floats["delta"], load=load,
-        trial=ints["trial"],
+    check((condition < 0) | (condition >= len(conditions)),
+          lambda i: f"condition: {whole('condition', i)} is not a condition id "
+                    f"of the run, 0 to {len(conditions) - 1}")
+    row_condition = np.clip(condition, 0, len(conditions) - 1)
+    check(delta != np.array([c.delta for c in conditions])[row_condition],
+          lambda i: f"delta: {float(delta[i])!r} is not condition {condition[i]}'s "
+                    f"delta {conditions[condition[i]].delta!r}")
+    check(load != np.array([c.patient_load for c in conditions])[row_condition],
+          lambda i: f"load: {whole('load', i)} is not condition {condition[i]}'s "
+                    f"load {conditions[condition[i]].patient_load}")
+    check((trial < 0) | (trial >= config.trials_per_condition),
+          lambda i: f"trial: {whole('trial', i)} is outside "
+                    f"[0, {config.trials_per_condition})")
+    order = np.lexsort((trial, policy, condition))   # stable, so copies stay in file order
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = ((np.diff(condition[order]) == 0) & (np.diff(policy[order]) == 0)
+                           & (np.diff(trial[order]) == 0))
+    check(repeated, lambda i: f"trial: {trial[i]} of condition {condition[i]} "
+                              f"under {columns['policy'][i]} appears twice")
+    check((served < 0) | (served > load),
+          lambda i: f"served: {whole('served', i)} is outside [0, {load[i]}]")
+    rho = parsed("rho", float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        check(rho.view(np.int64) != (served / load).view(np.int64),
+              lambda i: f"rho: {float(rho[i])!r} is not served / load = "
+                        f"{int(served[i]) / int(load[i])!r}")
+    row_load = np.repeat(load, ids_n)
+    check((high_ids < 0) | (high_ids >= row_load),
+          lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
+    if faults:
+        # The first check of the first row; only there are the values it reads parsed.
+        row, message, i = min(faults, key=lambda fault: fault[0])
+        raise ConfigError(f"{name}: row {row + 1}: {message(i)}")
+    return TrialTable(
+        policy=policy, condition=condition, delta=delta, load=load, trial=trial,
         metrics=MetricColumns(
-            aborted=np.array(list(map("1".__eq__, columns["aborted"])), dtype=bool),
-            duration=floats["duration"], served=served, rho=floats["rho"],
+            aborted=aborted, duration=floats["duration"], served=served, rho=rho,
             lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
-            workload=floats["workload"], high_count=high_count, high_ids=high_ids,
-            high_delays=high_delays,
-            high_censored=np.array(list(map("1".__eq__, flags[1])), dtype=bool))).sorted()
-    repeated = ((np.diff(table.condition) == 0) & (np.diff(table.policy) == 0)
-                & (np.diff(table.trial) == 0))
-    return None if repeated.any() else table
+            workload=floats["workload"], high_count=ids_n, high_ids=high_ids,
+            high_delays=high_delays, high_censored=high_censored)).take(order)
 
 
-def _split_lists(texts: list[str]) -> tuple[list[int], list[str]]:
+def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """`texts` parsed with `kind`, int or float, and a mask of those that do
+    not parse, which read as 0. An int past int64 is clipped to its range,
+    which every check on an int column rejects."""
+    dtype = np.int64 if kind is int else float
+    try:
+        return np.array(list(map(kind, texts)), dtype=dtype), np.zeros(len(texts), dtype=bool)
+    except (ValueError, OverflowError):
+        values, bad = np.zeros(len(texts), dtype=dtype), np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            value = kind(text)
+        except ValueError:
+            bad[i] = True
+        else:
+            values[i] = min(max(value, _INT64.min), _INT64.max) if kind is int else value
+    return values, bad
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _split_lists(texts) -> tuple[np.ndarray, list[str]]:
     """Each row's `;`-separated entries, empty ones dropped: their counts,
     and the entries of every row in turn."""
     parts = [text.split(";") if text else [] for text in texts]
@@ -461,87 +516,7 @@ def _split_lists(texts: list[str]) -> tuple[list[int], list[str]]:
     if "" in flat:
         parts = [[x for x in part if x != ""] for part in parts]
         flat = list(chain.from_iterable(parts))
-    return list(map(len, parts)), flat
-
-
-def _flags_only(texts) -> bool:
-    return set(texts) <= {"0", "1"}
-
-
-def _check_rows(name: str, rows: list[dict], config: SweepConfig) -> None:
-    """Raise ConfigError naming the file, the row and the column or value
-    of the first row of `rows` that is not a new trial of `config`."""
-    conditions = {c.condition_id: c for c in config.conditions()}
-    seen: set[tuple[int, PolicyId, int]] = set()
-    for row_no, row in enumerate(rows, 1):
-        try:
-            _check_row(row, config, conditions, seen)
-        except KeyError as exc:
-            raise ConfigError(f"{name}: row {row_no} has no {exc.args[0]} column") from None
-        except ValueError as exc:
-            raise ConfigError(f"{name}: row {row_no}: {exc}") from None
-
-
-def _flag(column: str, text: str) -> bool:
-    """A 0/1 flag as the writer renders it; any other text is an error."""
-    if text not in ("0", "1"):
-        raise ValueError(f"{column}: must be 0 or 1, got {text!r}")
-    return text == "1"
-
-
-def _check_row(row: dict, config: SweepConfig, conditions: dict[int, Condition],
-               seen: set[tuple[int, PolicyId, int]]) -> None:
-    """Raise ValueError naming the column unless `row` parses and is a trial
-    of `config` that no earlier row (in `seen`) holds."""
-    ids = [int(x) for x in row["high_sev_ids"].split(";") if x != ""]
-    delays = [float(x) for x in row["high_sev_delays"].split(";") if x != ""]
-    censored = [_flag("high_sev_censored", x)
-                for x in row["high_sev_censored"].split(";") if x != ""]
-    if not len(ids) == len(delays) == len(censored):
-        raise ValueError(f"high_sev_ids, high_sev_delays and high_sev_censored hold "
-                         f"{len(ids)}, {len(delays)} and {len(censored)} entries")
-    load = int(row["load"])
-    served = int(row["served"])
-    _flag("aborted", row["aborted"])
-    for column in ("lambda_sw", "lambda_int", "workload", "duration"):
-        float(row[column])
-    try:
-        policy = PolicyId(row["policy"])
-    except ValueError:
-        raise ValueError(f"policy: {row['policy']!r} is not a policy") from None
-    delta, condition_id, trial = float(row["delta"]), int(row["condition"]), int(row["trial"])
-
-    if policy not in config.policies:
-        raise ValueError(f"policy: {policy.value!r} is not a policy of the run")
-    condition = conditions.get(condition_id)
-    if condition is None:
-        raise ValueError(f"condition: {condition_id} is not a condition id "
-                         f"of the run, 0 to {len(conditions) - 1}")
-    if delta != condition.delta:
-        raise ValueError(f"delta: {delta!r} is not condition "
-                         f"{condition.condition_id}'s delta {condition.delta!r}")
-    if load != condition.patient_load:
-        raise ValueError(f"load: {load} is not condition "
-                         f"{condition.condition_id}'s load {condition.patient_load}")
-    if not 0 <= trial < config.trials_per_condition:
-        raise ValueError(f"trial: {trial} is outside "
-                         f"[0, {config.trials_per_condition})")
-    key = (condition_id, policy, trial)
-    if key in seen:
-        raise ValueError(f"trial: {trial} of condition {condition_id} "
-                         f"under {policy.value} appears twice")
-    seen.add(key)
-    if not 0 <= served <= load:
-        raise ValueError(f"served: {served} is outside [0, {load}]")
-    try:
-        rho = float(row["rho"])
-    except ValueError:
-        raise ValueError(f"rho: {row['rho']!r} is not a number") from None
-    if rho.hex() != (served / load).hex():
-        raise ValueError(f"rho: {rho!r} is not served / load = {served / load!r}")
-    for pid in ids:
-        if not 0 <= pid < load:
-            raise ValueError(f"high_sev_ids: {pid} is outside [0, {load})")
+    return np.fromiter(map(len, parts), np.int64, len(parts)), flat
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +575,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if manifest.get("trial_rows") != len(trials):
         raise ConfigError(f"trial_rows: manifest says {manifest.get('trial_rows')!r}, "
                           f"{trials_path.name} holds {len(trials)} rows")
+    for policy in config.policies:
+        if not (trials.policy == policy.index).any():   # its rollup would be over no trial
+            raise ConfigError(f"{trials_path.name}: policy: {policy.value} has no row")
     _write_summaries(aggregate(config, trials), args.format, Path(args.out))
     log.info("recomputed summaries for %d trials from %s", len(trials), trials_path)
     return 0

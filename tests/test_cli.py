@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields
 from datetime import timedelta
@@ -330,6 +331,26 @@ def test_report_rejects_a_table_that_disagrees_with_the_manifest(tmp_path, capsy
     assert "23 rows" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("kept, named", [(("pi1_teleop", "pi2_auto"), "pi3_geodt"),
+                                         ((), "pi1_teleop")])
+def test_report_rejects_a_policy_with_no_row(tmp_path, capsys, fmt, kept, named):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    table = out / f"trials.{fmt}"
+    lines = table.read_text().splitlines(keepends=True)
+    head = 1 if fmt == "csv" else 0
+    rows = [line for line in lines[head:] if any(policy in line for policy in kept)]
+    table.write_text("".join(lines[:head] + rows))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["trial_rows"] = len(rows)   # the table agrees with the manifest
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert f"trials.{fmt}: policy: {named} has no row" in capsys.readouterr().err
+    assert not (tmp_path / "redo").exists()
+
+
 def test_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file")
@@ -368,6 +389,16 @@ def test_report_names_a_row_that_does_not_parse(tmp_path, capsys):
     code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
     assert code == 2
     assert "trials.jsonl: row 24:" in capsys.readouterr().err
+
+
+def test_report_names_a_jsonl_record_without_a_column(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", "jsonl", "--out", str(out)) == 0
+    table = out / "trials.jsonl"
+    table.write_text(table.read_text().replace('"rho": ', '"rho_": '))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert "trials.jsonl: row 1 has no rho column" in capsys.readouterr().err
 
 
 def _edit_trial_row(table, fmt, edit):
@@ -444,6 +475,13 @@ def _negative_id(row):
     row["high_sev_ids"] = ";".join(["-1", *row["high_sev_ids"].split(";")[1:]])
 
 
+def _unparsable(column, text):
+    """An edit that puts `text` in place of the first entry of `column`."""
+    def edit(row):
+        row[column] = ";".join([text, *str(row[column]).split(";")[1:]])
+    return edit
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("edit, message", [
     (_over_load, "served: {served} is outside [0, {load}]"),
@@ -451,6 +489,11 @@ def _negative_id(row):
     (_one_ulp_off, "rho: {rho} is not served / load = "),
     (_id_at_load, "high_sev_ids: {load} is outside [0, {load})"),
     (_negative_id, "high_sev_ids: -1 is outside [0, {load})"),
+    (_unparsable("duration", "x"), "duration: 'x' is not a valid float"),
+    (_unparsable("served", "1.5"), "served: '1.5' is not a valid int"),
+    (_unparsable("rho", ""), "rho: '' is not a valid float"),
+    (_unparsable("high_sev_delays", "x"), "high_sev_delays: 'x' is not a valid float"),
+    (_unparsable("high_sev_ids", "x"), "high_sev_ids: 'x' is not a valid int"),
 ])
 def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,
                                                            edit, message):
@@ -489,7 +532,7 @@ _CELL_TEXTS = ["", "0", "1", "2", "-1", "3", "5", "99", "0.0", "-0.0", "0.5", "n
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_the_column_checks_fail_exactly_where_the_row_checks_do(data):
+def test_an_edited_table_loads_or_names_its_first_bad_row(data):
     header, rows, config = _two_policy_run()
     rows = [list(row) for row in rows]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -503,19 +546,34 @@ def test_the_column_checks_fail_exactly_where_the_row_checks_do(data):
             rows[i][j] = other[j]
         else:
             rows[i] = list(other)
-    table = cli._trial_table(cli._string_columns(header, rows), config)
-    try:
-        cli._check_rows("trials.csv", [dict(zip(header, row)) for row in rows], config)
-    except cli.ConfigError:
-        assert table is None
-    else:
-        assert table is not None and len(table) == len(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.csv"
+
+        def load(n):
+            """load_trials on the header and the first `n` rows."""
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows[:n]])
+            return cli.load_trials(path, config)
+
+        try:
+            table = load(len(rows))
+        except cli.ConfigError as exc:
+            named = re.match(r"trials\.csv: row (\d+): (\w+)", str(exc))
+            assert named and named[2] in cli.TRIALS_COLUMNS, str(exc)
+            row_no = int(named[1])
+            load(row_no - 1)   # the rows before the one named hold no fault
+            with pytest.raises(cli.ConfigError) as again:
+                load(row_no)
+            assert str(again.value) == str(exc)
+        else:
+            assert len(table) == len(rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("column, value", [
     ("policy", "pi3_geodt"), ("policy", "pi9"), ("condition", "9"), ("condition", "-1"),
     ("delta", "0.5"), ("load", "-3"), ("trial", "2"), ("trial", "-1"),
+    ("trial", "9" * 30), ("load", "9" * 30),
 ])
 def test_report_rejects_a_row_that_is_no_trial_of_the_run(tmp_path, capsys, fmt,
                                                           column, value):
@@ -526,7 +584,9 @@ def test_report_rejects_a_row_that_is_no_trial_of_the_run(tmp_path, capsys, fmt,
                              lambda row: row.update({column: value}))
     code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
     assert code == 2
-    assert f"trials.{fmt}: row {row_no}: {column}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"trials.{fmt}: row {row_no}: {column}: " in err
+    assert value in err   # as written: an int past int64 is not clipped
     assert not (tmp_path / "redo").exists()
 
 
