@@ -363,7 +363,9 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     missing = [c for c in TRIALS_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-    rows = [row + [""] * (len(header) - len(row)) for row in rows]
+    for row in rows:
+        if len(row) < len(header):   # a short row's missing values read as empty
+            row += [""] * (len(header) - len(row))
     table = _trial_table(path.name, _string_columns(header, rows), config)
     if fault is not None:
         raise ConfigError(f"{path.name}: row {len(rows) + 1}{fault}")

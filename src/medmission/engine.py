@@ -25,8 +25,21 @@ than under pure autonomy.
 
 The planned, pause-free visit times come from `leg_timelines`, which the
 sweep calls once per (condition, policy) cell over `(trials, load)` arrays
-and `run_mission` over a batch of one; each mission loop then applies its
-outages and abort rules to its own rows.
+and `run_mission` over a batch of one. The caller draws each mission's
+interval schedules with `mission_schedules` (the sweep in its first pass
+over a cell, `run_mission` right after planning) and passes them in.
+
+Most missions end before any interval starts, and `cell_outcomes` gives
+those their outcome as columns, over the whole cell at once. A teleop
+mission whose first outage starts more than `_EPS` plus a relative margin
+after its pause-free end never pauses: its times are the left fold of
+each leg, assess and intervene time (`np.cumsum`), cut at the horizon. A
+supervised mission whose first outage or episode starts at or after its
+planned end, which is within the horizon, completes as planned with no
+alert, provided the healthy monitored trace is within the threshold (else
+a crossing may start at 0). Every other row, with a NaN or infinite time
+among them, runs the scalar mission loop (`_simulate`) on its own rows,
+and only those build crossing intervals.
 
 Each mission loop fills a `MissionOutcome` as it runs: the duration, the
 abort flag, each patient's first intervention time and the counts of
@@ -292,6 +305,19 @@ def _first_abort_from_intervals(intervals, stamp_offset, policy, params, as_outa
     return None
 
 
+def mission_schedules(policy: PolicyId, delta: float, params: PlatformParams,
+                      stream: np.random.Generator,
+                      loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                      ) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
+    """A mission's outages and integrity episodes, drawn from its stream after
+    the plan's draws: the outage schedule, then the integrity schedule
+    (autonomy and twin only: nothing in a teleop mission reads it)."""
+    outages = outage_schedule(delta, params.horizon, stream, loc).outages
+    if policy is PolicyId.PI1_TELEOP:
+        return outages, ()
+    return outages, integrity_schedule(params.horizon, stream, loc).episodes
+
+
 def run_mission(scenario: Scenario, policy: PolicyId,
                 params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
                 weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS,
@@ -302,17 +328,17 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     """Execute one mission and return its event trace.
 
     Stream consumption order is fixed: visit-plan draws (teleop only),
-    outage schedule, integrity schedule (autonomy and twin only: nothing
-    in a teleop mission reads it), then alert-suppression draws (twin
-    policy only). Identical inputs give bit-identical traces.
+    then `mission_schedules`, then alert-suppression draws (twin policy
+    only). Identical inputs give bit-identical traces.
     """
     if stream is None:
         stream = np.random.default_rng(0)
+    delta = scenario.condition.delta
     order = plan_for_policy(scenario, policy, weights, stream, error_rate)
+    outages, episodes = mission_schedules(policy, delta, params, stream, loc)
     events: list[MissionEvent] = []
-    outcome = _simulate(policy, scenario.condition.delta,
-                        *_scenario_timeline(scenario, policy, order, params, loc),
-                        params, stream, loc, events)
+    outcome = _simulate(policy, delta, *_scenario_timeline(scenario, policy, order, params, loc),
+                        outages, episodes, params, stream, loc, events)
     return MissionTrace(policy=policy, condition=scenario.condition,
                         trial_index=trial_index, events=tuple(events),
                         duration=outcome.duration, aborted=outcome.aborted)
@@ -386,8 +412,102 @@ def _scenario_timeline(scenario: Scenario, policy: PolicyId, order: tuple[int, .
     return list(order), depart[0].tolist(), arrive[0].tolist(), intervene[0].tolist(), service
 
 
+def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
+                  depart: np.ndarray, arrive: np.ndarray, intervene: np.ndarray,
+                  service: float, schedules: list, streams: list,
+                  params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
+                  loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the metrics read off a cell of missions, as columns.
+
+    `orders`, `depart`, `arrive` and `intervene` are the cell's
+    ``(missions, load)`` visit orders and `leg_timelines`, with ``load >= 1``;
+    `schedules` holds each mission's `mission_schedules` and `streams` its
+    stream after them. Returns the duration, abort flag, task-switch and
+    control-action counts per mission, and each patient's first intervention
+    time by patient id (NaN if unserved). Rows the gate passes take the
+    pause-free closed form; the rest run `_simulate`, as `run_mission` would.
+    """
+    first = np.array([min(outages[0][0] if outages else math.inf,
+                          episodes[0][0] if episodes else math.inf)
+                      for outages, episodes in schedules])
+    if policy is PolicyId.PI1_TELEOP:
+        gate = _pause_free_teleop(depart, arrive, service, first, params)
+    else:
+        gate = _pause_free_supervised(policy, delta, intervene, first, params, loc)
+    fast, duration, aborted, switches, actions, times = gate
+    served = np.full(orders.shape, math.nan)
+    rows = np.flatnonzero(fast)
+    served[rows[:, None], orders[rows]] = times[rows]
+    slow_trials, slow_ids, slow_times = [], [], []
+    for trial in np.flatnonzero(~fast).tolist():
+        outcome = _simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
+                            arrive[trial].tolist(), intervene[trial].tolist(), service,
+                            *schedules[trial], params, streams[trial], loc, events=None)
+        duration[trial], aborted[trial], served_at, switches[trial], actions[trial] = outcome
+        slow_trials += [trial] * len(served_at)
+        slow_ids += served_at
+        slow_times += served_at.values()
+    served[slow_trials, slow_ids] = slow_times
+    return duration, aborted, switches, actions, served
+
+
+def _pause_free_teleop(depart, arrive, service, first, params):
+    """The gate and closed form of teleop missions that never pause.
+
+    `do_work` never pauses a mission whose first outage starts after its
+    last time plus `_EPS`: its times are then the left fold of each leg's
+    `arrive - depart`, the assess time and the rest of the service, which
+    `np.cumsum` takes in the same order. The relative margin keeps the gate
+    sound where an ulp of the end exceeds `_EPS`. Each visit starts with a
+    control action and switches to navigate, assess and intervene at its
+    start, arrival and assess end; the horizon cut keeps what is at or
+    under `terminal + _EPS`. Returns the mask of the rows it holds for and
+    their columns, with the times in visit order (NaN past the cut).
+    """
+    assess_dur = service * params.assess_fraction
+    steps = np.empty(depart.shape + (3,))
+    with np.errstate(over="ignore", invalid="ignore"):   # such rows run the loop
+        steps[:, :, 0] = arrive - depart
+        steps[:, :, 1] = assess_dur
+        steps[:, :, 2] = service - assess_dur
+        times = np.cumsum(steps.reshape(len(steps), -1), axis=1).reshape(steps.shape)
+        end = times[:, -1, 2]
+        fast = (np.isfinite(times).all(axis=(1, 2))
+                & (first > end + _EPS + np.abs(end) * 1e-12))
+    terminal = np.minimum(end, params.horizon)
+    cut = (terminal + _EPS)[:, None]
+    intervened = times[:, :, 2]
+    actions = 1 + (intervened[:, :-1] <= cut).sum(axis=1)   # the first visit starts at 0
+    switches = actions + (times[:, :, :2] <= cut[:, :, None]).sum(axis=(1, 2))
+    return (fast, terminal, end > params.horizon, switches, actions,
+            np.where(intervened <= cut, intervened, math.nan))
+
+
+def _pause_free_supervised(policy, delta, intervene, first, params, loc):
+    """The gate and closed form of supervised missions that meet no interval.
+
+    A mission whose first outage or episode starts at or after its finite
+    planned end, itself within the horizon, has no abort candidate before
+    that end and no alert to handle: it completes as planned, serves every
+    patient at its intervene time, switches once (to monitor) and acts
+    never. That needs the healthy monitored trace within the threshold,
+    or a crossing opens at 0; then no row holds. Returns the mask of the
+    rows it holds for and their columns, with the times in visit order.
+    """
+    natural_end = intervene[:, -1].copy()
+    healthy = monitored_trace(policy, delta, True, False, loc) <= params.uncertainty_threshold
+    fast = (healthy & np.isfinite(intervene).all(axis=1) & (first >= natural_end)
+            & (natural_end <= params.horizon))
+    n = len(intervene)
+    return (fast, natural_end, np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64), intervene)
+
+
 def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float],
               arrive: list[float], intervene: list[float], service: float,
+              outages: tuple[tuple[float, float], ...],
+              episodes: tuple[tuple[float, float], ...],
               params: PlatformParams, stream: np.random.Generator,
               loc: LocalizationParams,
               events: list[MissionEvent] | None) -> MissionOutcome:
@@ -395,20 +515,18 @@ def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float
     metrics read off it.
 
     The rows are one mission's `leg_timelines`: the visited ids, and their
-    depart, arrive and intervene times. `stream` is the mission stream
-    after the plan's draws. Its events are logged into `events` when that
-    is a list; the sweep passes None and builds no log. The stream is drawn
-    from in the same order either way, so both give the same mission.
+    depart, arrive and intervene times. `outages` and `episodes` are its
+    `mission_schedules`, and `stream` the mission stream after them. Its
+    events are logged into `events` when that is a list; the sweep passes
+    None and builds no log. The stream is drawn from in the same order
+    either way, so both give the same mission.
     """
-    profile = outage_schedule(delta, params.horizon, stream, loc)
     if policy is PolicyId.PI1_TELEOP:
-        return _run_teleop(ids, depart, arrive, service, profile.outages,
-                           params, events)
-    episodes = integrity_schedule(params.horizon, stream, loc).episodes
-    crossings = crossing_intervals(policy, delta, profile.outages, episodes,
+        return _run_teleop(ids, depart, arrive, service, outages, params, events)
+    crossings = crossing_intervals(policy, delta, outages, episodes,
                                    params.horizon, params, loc)
     return _run_supervised(policy, ids, depart, arrive, intervene,
-                           profile.outages, crossings, params, stream, events)
+                           outages, crossings, params, stream, events)
 
 
 def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,

@@ -16,7 +16,13 @@ from functools import cached_property
 import numpy as np
 from scipy.special import stdtrit
 
-from .engine import DEFAULT_PLATFORM_PARAMS, PlatformParams, _simulate, leg_timelines
+from .engine import (
+    DEFAULT_PLATFORM_PARAMS,
+    PlatformParams,
+    cell_outcomes,
+    leg_timelines,
+    mission_schedules,
+)
 from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
 from .metrics import (
     DEFAULT_ALPHA,
@@ -377,20 +383,24 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Tr
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
                             policy.index, n_trials)
-    # Pass 1: every trial's field as arrays, and the operator's picks, which
-    # are the first draws of the mission stream.
+    # Pass 1: every trial's field as arrays, then the draws of its mission
+    # stream in their order: the operator's picks and the interval schedules.
+    # The stream is kept for the twin's alert-suppression draws.
     positions = np.empty((n_trials, load, 2))
     severities = np.empty((n_trials, load))
     access = np.empty((n_trials, load))
     picks = np.full((n_trials, load), -1)   # -1: fly to the nearest patient
-    streams = []
+    streams, schedules = [], []
     for trial in range(n_trials):
         scenario_stream = seeded_stream(seeds[2 * trial + StreamPurpose.SCENARIO])
         positions[trial], severities[trial], access[trial] = draw_field(
             load, scenario_stream, config.scenario_params)
-        streams.append(seeded_stream(seeds[2 * trial + StreamPurpose.MISSION]))
+        stream = seeded_stream(seeds[2 * trial + StreamPurpose.MISSION])
         if policy is PolicyId.PI1_TELEOP:
-            picks[trial] = operator_picks(streams[-1], load, config.operator_error_rate)
+            picks[trial] = operator_picks(stream, load, config.operator_error_rate)
+        schedules.append(mission_schedules(policy, condition.delta, config.platform,
+                                           stream, config.localization))
+        streams.append(stream)
     # Then the cell's orders and planned timelines, one call each.
     field, base = config.scenario_params, config.scenario_params.base_position
     xs, ys = positions[:, :, 0], positions[:, :, 1]
@@ -403,25 +413,9 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Tr
         xs, ys, access, orders, base, policy, condition.delta,
         config.platform, config.localization)
 
-    # Each trial's rows are lists only while its mission runs, and the loop
-    # keeps only the scalars the metrics read. No event log: the mission
-    # loop counts them as it runs.
-    duration = np.empty(n_trials)
-    aborted = np.empty(n_trials, dtype=bool)
-    switches = np.empty(n_trials, dtype=np.int64)
-    actions = np.empty(n_trials, dtype=np.int64)
-    served_trials, served_ids, served_times = [], [], []
-    for trial, stream in enumerate(streams):
-        outcome = _simulate(policy, condition.delta, orders[trial].tolist(),
-                            depart[trial].tolist(), arrive[trial].tolist(),
-                            intervene[trial].tolist(), service, config.platform,
-                            stream, config.localization, events=None)
-        duration[trial], aborted[trial], times, switches[trial], actions[trial] = outcome
-        served_trials += [trial] * len(times)
-        served_ids += times
-        served_times += times.values()
-    served = np.full((n_trials, load), math.nan)   # first intervene time by patient id
-    served[served_trials, served_ids] = served_times
+    duration, aborted, switches, actions, served = cell_outcomes(
+        policy, condition.delta, orders, depart, arrive, intervene, service,
+        schedules, streams, config.platform, config.localization)
     detect = np.full(load, DETECT_TIME)   # by patient id, which is the column
     metrics = outcome_columns(duration, aborted, switches, actions, served,
                               high_severity_flags(severities, field), detect,

@@ -525,8 +525,9 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         stream = np.random.default_rng(seed)
         order = plan_for_policy(scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream,
                                 DEFAULT_OPERATOR_ERROR_RATE)
+        schedules = engine.mission_schedules(policy, delta, params, stream)
         rows = engine._scenario_timeline(scenario, policy, order, params)
-        outcome = engine._simulate(policy, delta, *rows, params, stream,
+        outcome = engine._simulate(policy, delta, *rows, *schedules, params, stream,
                                    DEFAULT_LOCALIZATION_PARAMS, events=None)
     # The sweep's metric kernel on a batch of one mission; ids are the columns.
     served = np.full((1, load), math.nan)
@@ -538,6 +539,120 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         np.array([p.detect_time for p in scenario.patients]), tau_c, alpha, beta)
     assert (column_bundles(columns, [load])
             == [trial_metrics(trace, scenario, tau_c, alpha, beta)])
+
+
+# ---------------------------------------------------------------------------
+# The pause-free closed form of a cell against the scalar loop, at its gate.
+
+def _timelines(legs, service):
+    """Depart, arrive and intervene times of missions with these legs, laid
+    out as `leg_timelines` lays them out."""
+    legs = np.array(legs, dtype=float)
+    steps = np.repeat(legs, 2, axis=1)
+    steps[:, 1::2] = service
+    times = np.cumsum(steps, axis=1)
+    arrive, intervene = times[:, 0::2], times[:, 1::2]
+    depart = np.zeros_like(arrive)
+    depart[:, 1:] = intervene[:, :-1]
+    return depart, arrive, intervene
+
+
+def _looped_rows(policy, legs, schedules, params, delta=0.5):
+    """Run a hand-built cell through `cell_outcomes`, hold each row to
+    `_simulate` on the same schedules and return the rows that ran it."""
+    service = params.service_time
+    if policy is PolicyId.PI1_TELEOP:
+        service /= params.teleop_speed_factor
+    depart, arrive, intervene = _timelines(legs, service)
+    n, load = depart.shape
+    orders = np.tile(np.arange(load)[::-1], (n, 1))   # ids differ from visit order
+    streams = [np.random.default_rng(trial) for trial in range(n)]
+    looped = []
+    simulate = engine._simulate
+
+    def recording(*args, **kwargs):
+        looped.extend(trial for trial, s in enumerate(streams) if s is args[10])
+        return simulate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_simulate", recording)
+        duration, aborted, switches, actions, served = engine.cell_outcomes(
+            policy, delta, orders, depart, arrive, intervene, service, schedules,
+            streams, params)
+    for trial in range(n):
+        want = simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
+                        arrive[trial].tolist(), intervene[trial].tolist(), service,
+                        *schedules[trial], params, np.random.default_rng(trial),
+                        DEFAULT_LOCALIZATION_PARAMS, events=None)
+        got = {pid: t.hex() for pid, t in enumerate(served[trial].tolist()) if t == t}
+        assert float(duration[trial]).hex() == want.duration.hex(), trial
+        assert (aborted[trial], switches[trial], actions[trial]) == (
+            want.aborted, want.task_switches, want.operator_interventions), trial
+        assert got == {pid: t.hex() for pid, t in want.intervene_times.items()}, trial
+    return looped
+
+
+def _teleop_end(legs, params):
+    """The pause-free end of a teleop mission, folded as the loop folds it."""
+    service = params.service_time / params.teleop_speed_factor
+    assess = service * params.assess_fraction
+    depart, arrive, _ = _timelines([legs], service)
+    t = 0.0
+    for leg in (arrive - depart)[0].tolist():
+        t = t + leg + assess + (service - assess)
+    return t
+
+
+def _ulps(x, k):
+    """`x` moved `k` ulp up (or down, for negative `k`)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def test_teleop_gate_sends_rows_near_their_end_to_the_loop():
+    legs = [2.0, 3.5, 1.25]
+    end = _teleop_end(legs, PARAMS)
+    gate = end + engine._EPS + abs(end) * 1e-12
+    firsts = ([_ulps(end + engine._EPS, k) for k in range(-3, 4)]
+              + [gate, _ulps(gate, 1), end + 1.0, end - 1.0, math.inf])
+    schedules = [((((first, first + 1.0),) if first < math.inf else ()), ())
+                 for first in firsts]
+    looped = _looped_rows(PolicyId.PI1_TELEOP, [legs] * len(firsts), schedules, PARAMS)
+    assert looped == [0, 1, 2, 3, 4, 5, 6, 7, 10]
+
+
+def test_teleop_fast_rows_take_the_horizon_cut():
+    params = replace(PARAMS, horizon=25.0)
+    legs = [[2.0, 3.5, 1.25], [9.0, 8.0, 7.0], [0.0, 30.0, 1.0], [30.0, 1.0, 1.0]]
+    assert min(_teleop_end(row, params) for row in legs[1:]) > params.horizon
+    assert _looped_rows(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), params) == []
+
+
+def test_teleop_nan_and_infinite_legs_run_the_loop():
+    legs = [[2.0, math.inf, 1.0], [math.nan, 1.0, 1.0], [2.0, 1.0, math.inf], [2.0, 1.0, 1.0]]
+    looped = _looped_rows(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), PARAMS)
+    assert looped == [0, 1, 2]
+
+
+@pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
+def test_supervised_gate_starts_at_the_planned_end(policy):
+    legs = [2.0, 3.5, 1.25]
+    end = _timelines([legs], PARAMS.service_time)[2][0, -1]
+    before = math.nextafter(end, 0.0)
+    outage, episode = (lambda s: (((s, s + 20.0),), ())), (lambda s: ((), ((s, s + 20.0),)))
+    schedules = [outage(end), outage(before), episode(end), episode(before), ((), ()),
+                 ((), ()), ((), ()), ((), ())]
+    rows = [legs] * 5 + [[2.0, math.nan, 1.0], [2.0, math.inf, 1.0], [700.0, 1.0, 1.0]]
+    looped = _looped_rows(policy, rows, schedules, PARAMS)
+    assert looped == [1, 3, 5, 6, 7]
+
+
+@pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
+def test_supervised_rows_all_run_the_loop_over_a_zero_threshold(policy):
+    params = replace(PARAMS, uncertainty_threshold=0.0)
+    legs = [[2.0, 3.5, 1.25], [1.0, 1.0, 1.0]]
+    assert _looped_rows(policy, legs, [((), ())] * 2, params) == [0, 1]
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

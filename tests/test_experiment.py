@@ -200,8 +200,13 @@ def small_configs(draw):
         policies=tuple(draw(st.permutations(list(PolicyId)))),
         operator_error_rate=draw(st.sampled_from([0.0, 0.15, 1.0])),
         # An infinite or tiny cruise speed makes infinite legs, and NaN ones
-        # where an infinite distance meets an infinite speed.
-        platform=PlatformParams(cruise_speed=draw(st.sampled_from([500.0, 5e-324, math.inf]))),
+        # where an infinite distance meets an infinite speed. A short horizon
+        # cuts missions that meet no outage; a zero threshold puts every
+        # supervised mission over it from the start.
+        platform=PlatformParams(
+            cruise_speed=draw(st.sampled_from([500.0, 5e-324, math.inf])),
+            horizon=draw(st.sampled_from([600.0, 25.0])),
+            uncertainty_threshold=draw(st.sampled_from([400.0, 0.0]))),
         scenario_params=scenario)
 
 
@@ -209,6 +214,20 @@ def small_configs(draw):
 @given(config=small_configs())
 def test_sweep_records_equal_the_trial_by_trial_replay(config):
     assert run_sweep(config).records == replayed_records(config)
+
+
+def test_default_sweep_runs_the_mission_loop_on_few_missions(monkeypatch):
+    # Most missions end before any interval starts and take the closed form;
+    # 5,302 of the 15,000 run the scalar loop.
+    simulate, calls = engine._simulate, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_simulate", counted)
+    run_sweep(SweepConfig())
+    assert 0 < len(calls) <= 0.4 * SweepConfig().total_missions
 
 
 def test_config_validation_names_the_offending_key():
