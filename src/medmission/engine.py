@@ -221,36 +221,7 @@ def nominal_trace(policy: PolicyId, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# Interval helpers. All interval lists are sorted, disjoint [start, end) pairs.
-
-def _intersect(a: tuple[tuple[float, float], ...],
-               b: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
-def _complement(intervals: tuple[tuple[float, float], ...],
-                horizon: float) -> tuple[tuple[float, float], ...]:
-    out = []
-    t = 0.0
-    for start, end in intervals:
-        if start > t:
-            out.append((t, start))
-        t = max(t, end)
-    if t < horizon:
-        out.append((t, horizon))
-    return tuple(out)
-
+# Threshold crossings.
 
 def crossing_intervals(policy: PolicyId, delta: float,
                        outages: tuple[tuple[float, float], ...],
@@ -261,48 +232,31 @@ def crossing_intervals(policy: PolicyId, delta: float,
                        ) -> tuple[tuple[float, float], ...]:
     """Maximal intervals where the monitored trace sits above the threshold.
 
-    Evaluated over the four (gps up/down, episode on/off) regimes, so the
-    result is correct for any parameter set, not just the defaults.
+    `outages` and `episodes` must be sorted, disjoint ``[start, end)`` lists
+    within ``[0, horizon]``. Their ends cut ``[0, horizon]`` into pieces on
+    which GPS is up or down and an episode on or off throughout, so the
+    trace is constant on each; a piece is judged by its regime at its start
+    (a time lies inside a list iff an odd number of its ends are at or
+    before it). That holds for any parameter set, not just the defaults.
     """
     if policy is PolicyId.PI1_TELEOP:
         return ()
-    theta = params.uncertainty_threshold
-    no_outage = _complement(outages, horizon)
-    no_episode = _complement(episodes, horizon)
-    regimes = (
-        (no_outage, no_episode, True, False),
-        (no_outage, episodes, True, True),
-        (outages, no_episode, False, False),
-        (outages, episodes, False, True),
-    )
-    pieces: list[tuple[float, float]] = []
-    for gps_part, ep_part, gps_valid, episode in regimes:
-        if monitored_trace(policy, delta, gps_valid, episode, loc) > theta:
-            pieces.extend(_intersect(gps_part, ep_part))
-    return merge_intervals(pieces)
+    above = {(gps_valid, episode): monitored_trace(policy, delta, gps_valid, episode, loc)
+             > params.uncertainty_threshold
+             for gps_valid in (True, False) for episode in (False, True)}
+    outage_ends = [t for interval in outages for t in interval]
+    episode_ends = [t for interval in episodes for t in interval]
+    cuts = sorted({0.0, horizon, *outage_ends, *episode_ends})
+    return merge_intervals(
+        (lo, hi) for lo, hi in zip(cuts, cuts[1:])
+        if above[bisect_right(outage_ends, lo) % 2 == 0,
+                 bisect_right(episode_ends, lo) % 2 == 1])
 
 
 # ---------------------------------------------------------------------------
 # Trace assembly.
 
 _EPS = 1e-9
-
-
-def _first_abort_from_intervals(intervals, stamp_offset, policy, params, as_outage):
-    """First abort time implied by interval durations, or None.
-
-    Each interval is judged with check_abort on its full length; the abort
-    is stamped `stamp_offset` minutes after the interval opens.
-    """
-    for start, end in intervals:
-        duration = end - start
-        if as_outage:
-            tripped = check_abort(duration, 0.0, policy, params)
-        else:
-            tripped = check_abort(0.0, duration, policy, params)
-        if tripped:
-            return start + stamp_offset
-    return None
 
 
 def mission_schedules(policy: PolicyId, delta: float, params: PlatformParams,
@@ -538,16 +492,17 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
         # never ends, so the mission runs to an abort.
         natural_end = math.inf
 
-    comm_abort = _first_abort_from_intervals(
-        outages, params.comm_timeout_for(policy), policy, params, as_outage=True)
-    unc_abort = _first_abort_from_intervals(
-        crossings, params.abort_grace, policy, params, as_outage=False)
-
-    candidates = [c for c in (comm_abort, unc_abort) if c is not None and c < natural_end]
-    if natural_end > params.horizon:
-        candidates.append(params.horizon)
-    aborted = bool(candidates)
-    terminal = min(candidates) if aborted else natural_end
+    # Each rule judges an interval on its full length and, when it trips,
+    # stamps the abort its limit after the interval opens.
+    timeout = params.comm_timeout_for(policy)
+    comm_abort = next((start + timeout for start, end in outages
+                       if check_abort(end - start, 0.0, policy, params)), math.inf)
+    unc_abort = next((start + params.abort_grace for start, end in crossings
+                      if check_abort(0.0, end - start, policy, params)), math.inf)
+    cap = params.horizon if natural_end > params.horizon else math.inf
+    abort_at = min(comm_abort, unc_abort, cap)
+    aborted = abort_at < natural_end
+    terminal = abort_at if aborted else natural_end
 
     logged = events is not None
     activity: list[MissionEvent] = []

@@ -78,8 +78,8 @@ class SweepConfig:
     trials_per_condition: int = bounded(DEFAULT_TRIALS_PER_CONDITION,
                                         f"[1, {MAX_TRIALS_PER_CELL}]", int)
     tau_c: float = bounded(DEFAULT_SERVICE_WINDOW, "(0, inf]")
-    alpha: float = bounded(DEFAULT_ALPHA, "[0, inf]")
-    beta: float = bounded(DEFAULT_BETA, "[0, inf]")
+    alpha: float = bounded(DEFAULT_ALPHA, "[0, inf)")
+    beta: float = bounded(DEFAULT_BETA, "[0, inf)")
     operator_error_rate: float = bounded(DEFAULT_OPERATOR_ERROR_RATE, "[0, 1]")
     triage_weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS
     platform: PlatformParams = DEFAULT_PLATFORM_PARAMS
@@ -168,10 +168,6 @@ class TrialTable:
         """The rows at the indices `rows`, in that order."""
         return TrialTable(self.policy[rows], self.condition[rows], self.delta[rows],
                           self.load[rows], self.trial[rows], self.metrics.take(rows))
-
-    def sorted(self) -> TrialTable:
-        """The same rows in `(condition, policy.index, trial)` order."""
-        return self.take(np.lexsort((self.trial, self.policy, self.condition)))
 
     def cells(self) -> list[tuple[int, int]]:
         """The `[start, stop)` row range of each (condition, policy) cell."""
@@ -402,10 +398,10 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Tr
                                            stream, config.localization))
         streams.append(stream)
     # Then the cell's orders and planned timelines, one call each.
-    field, base = config.scenario_params, config.scenario_params.base_position
+    scenario_params, base = config.scenario_params, config.scenario_params.base_position
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     if policy is PolicyId.PI3_GEODT:
-        orders = triage_orders(severities, criticality_times(severities, field),
+        orders = triage_orders(severities, criticality_times(severities, scenario_params),
                                access, config.triage_weights)
     else:
         orders = nearest_walks(xs, ys, base, picks)
@@ -418,7 +414,7 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Tr
         schedules, streams, config.platform, config.localization)
     detect = np.full(load, DETECT_TIME)   # by patient id, which is the column
     metrics = outcome_columns(duration, aborted, switches, actions, served,
-                              high_severity_flags(severities, field), detect,
+                              high_severity_flags(severities, scenario_params), detect,
                               config.tau_c, config.alpha, config.beta)
     return TrialTable(policy=np.full(n_trials, policy.index),
                       condition=np.full(n_trials, condition.condition_id),

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
@@ -22,6 +23,7 @@ from medmission import (
     ScenarioParams,
     SweepConfig,
     TriageWeights,
+    run_sweep,
 )
 from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
@@ -139,6 +141,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"scenario": {"base_position": [0, 10**400]}}, "scenario.base_position"),
     ({"localization": {"sigma_gps": 1e200}}, "localization.sigma_gps"),
     ({"patient_loads": [20000]}, "patient_loads"),
+    ({"alpha": math.inf}, "alpha"),
+    ({"beta": math.inf}, "beta"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
@@ -304,6 +308,17 @@ def test_report_reproduces_the_run_summaries(tmp_path):
     assert run_cli("report", "--in", str(out), "--out", str(redo)) == 0
     for name in ("summary.json", "rollup.csv", "pareto.csv"):
         assert read(out / name) == read(redo / name)
+
+
+def test_small_run_and_report_raise_no_warning(tmp_path):
+    # A NaN from `inf * 0` or an empty quantile warns before it reaches a
+    # report; as an error it fails here instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3), workers=1)
+        cli.emit_reports(result, "csv", tmp_path / "run")
+        assert run_cli("report", "--in", str(tmp_path / "run"),
+                       "--out", str(tmp_path / "redo")) == 0
 
 
 def test_report_reads_a_jsonl_run(tmp_path):

@@ -281,6 +281,48 @@ def test_teleop_has_no_uncertainty_crossings():
                               ((0.0, 600.0),), 600.0) == ()
 
 
+def _in_any(intervals, t):
+    return any(start <= t < end for start, end in intervals)
+
+
+@st.composite
+def _crossing_cases(draw):
+    """A supervised policy, delta, threshold, horizon and two sorted,
+    disjoint interval lists within [0, horizon]; intervals may be empty,
+    may touch, and may end at 0 or at the horizon."""
+    policy = draw(st.sampled_from([PolicyId.PI2_AUTO, PolicyId.PI3_GEODT]))
+    delta = draw(st.floats(0.0, 1.0))
+    traces = [engine.monitored_trace(policy, delta, gps, episode)
+              for gps in (True, False) for episode in (False, True)]
+    threshold = draw(st.one_of(st.sampled_from([0.0, 400.0, 1e9, *traces]),
+                               st.floats(0.0, 1e9)))
+    horizon = draw(st.sampled_from([25.0, 600.0]) | st.floats(1e-3, 1e3))
+    point = st.sampled_from([0.0, horizon]) | st.floats(0.0, horizon)
+
+    def intervals():
+        ends = sorted(draw(st.lists(point, max_size=8)))
+        return tuple(zip(ends[0:-1:2], ends[1::2]))
+    return policy, delta, threshold, horizon, intervals(), intervals()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_crossing_cases())
+def test_crossings_are_where_the_monitored_trace_exceeds_the_threshold(case):
+    policy, delta, threshold, horizon, outages, episodes = case
+    params = replace(PARAMS, uncertainty_threshold=threshold)
+    got = crossing_intervals(policy, delta, outages, episodes, horizon, params)
+    ends = sorted({0.0, horizon, *(t for i in outages + episodes for t in i)})
+    probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for t in probes:
+        if t < horizon:
+            trace = engine.monitored_trace(policy, delta, not _in_any(outages, t),
+                                           _in_any(episodes, t))
+            assert _in_any(got, t) == (trace > threshold), t
+    assert all(start < end for start, end in got)
+    assert all(end < start for (_, end), (start, _) in zip(got, got[1:]))
+    assert {t for interval in got for t in interval} <= set(ends)
+
+
 def test_fused_trace_stays_below_threshold_when_gps_is_valid():
     # Even fully degraded GPS keeps the fused estimate under the abort
     # threshold while a fix exists; that is what makes crossings rare.
@@ -341,6 +383,12 @@ def test_empty_plan_completes_immediately():
 def _fixed_outages(intervals):
     def fake(delta, horizon, stream, params=None):
         return DegradationProfile(outages=tuple(intervals))
+    return fake
+
+
+def _fixed_episodes(intervals):
+    def fake(horizon, stream, params=None):
+        return IntegrityProfile(episodes=tuple(intervals))
     return fake
 
 
@@ -668,9 +716,7 @@ def test_autonomous_missions_fly_through_outages(monkeypatch):
 
 def test_autonomous_aborts_after_a_sustained_threshold_crossing(monkeypatch):
     monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([]))
-    monkeypatch.setattr(engine, "integrity_schedule",
-                        lambda horizon, stream, params=None:
-                        IntegrityProfile(episodes=((1.0, 6.0),)))
+    monkeypatch.setattr(engine, "integrity_schedule", _fixed_episodes([(1.0, 6.0)]))
     scenario = make_scenario([(3000.0, 0.0)])
     trace = run_mission(scenario, PolicyId.PI2_AUTO, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC)
@@ -680,13 +726,39 @@ def test_autonomous_aborts_after_a_sustained_threshold_crossing(monkeypatch):
 
 def test_twin_policy_shrugs_off_the_same_episode(monkeypatch):
     monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([]))
-    monkeypatch.setattr(engine, "integrity_schedule",
-                        lambda horizon, stream, params=None:
-                        IntegrityProfile(episodes=((1.0, 6.0),)))
+    monkeypatch.setattr(engine, "integrity_schedule", _fixed_episodes([(1.0, 6.0)]))
     scenario = make_scenario([(3000.0, 0.0)])
     trace = run_mission(scenario, PolicyId.PI3_GEODT, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC)
     assert not trace.aborted
+
+
+@pytest.mark.parametrize("policy, kind, limit", [
+    (PolicyId.PI2_AUTO, "outage", PARAMS.comm_timeout_auto),
+    (PolicyId.PI3_GEODT, "outage", PARAMS.comm_timeout_dt),
+    (PolicyId.PI2_AUTO, "episode", PARAMS.abort_grace),
+])
+def test_supervised_abort_needs_an_interval_longer_than_its_limit(
+        monkeypatch, policy, kind, limit):
+    # Autonomy crosses the threshold exactly during an episode, so an
+    # episode's length is its crossing's. The abort rules compare strictly.
+    start = 1.0
+    scenario = make_scenario([(20000.0, 0.0)])
+    for length, aborts in ((limit, False), (math.nextafter(limit, math.inf), True)):
+        interval = [(start, start + length)]
+        assert interval[0][1] - start == length
+        monkeypatch.setattr(engine, "outage_schedule",
+                            _fixed_outages(interval if kind == "outage" else []))
+        monkeypatch.setattr(engine, "integrity_schedule",
+                            _fixed_episodes(interval if kind == "episode" else []))
+        trace = run_mission(scenario, policy, PARAMS,
+                            stream=np.random.default_rng(0), loc=QUIET_LOC)
+        assert trace.aborted == aborts
+        if aborts:
+            assert trace.duration == start + limit
+        else:
+            assert trace.duration > start + limit
+            assert trace.events[-1].kind == COMPLETE
 
 
 def test_horizon_cap_forces_an_abort():
