@@ -40,6 +40,7 @@ from .experiment import (
 )
 from .metrics import MetricColumns
 from .policy import PolicyId
+from .scenario import Condition
 from .schema import json_key
 
 log = logging.getLogger("medmission")
@@ -149,7 +150,7 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:   # also an integer past the digit limit
+            except (ValueError, RecursionError) as exc:   # also past the digit or depth limit
                 raise ConfigError(f"config file: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file: top level must be an object")
@@ -223,9 +224,9 @@ def _transpose(rows: list[list]) -> list[list]:
     return [list(column) for column in zip(*rows)]
 
 
-def _trial_chunks(trials: TrialTable):
+def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
     """The trials table, one (condition, policy) cell at a time, as the
-    columns of TRIALS_COLUMNS."""
+    columns of TRIALS_COLUMNS; `conditions` are the run's, by id."""
     names = {policy.index: policy.value for policy in PolicyId}
     metrics = trials.metrics
     ends = np.cumsum(metrics.high_count).tolist()
@@ -239,9 +240,10 @@ def _trial_chunks(trials: TrialTable):
         def joined(texts: list[str]) -> list[str]:
             return [";".join(texts[a:b]) for a, b in spans]
 
+        n, condition = stop - start, conditions[int(trials.condition[start])]
         yield [
-            [names[int(trials.policy[start])]] * (stop - start),
-            trials.delta[rows].tolist(), trials.load[rows].tolist(),
+            [names[int(trials.policy[start])]] * n,
+            [condition.delta] * n, [condition.patient_load] * n,
             trials.condition[rows].tolist(), trials.trial[rows].tolist(),
             metrics.aborted[rows].tolist(), metrics.duration[rows].tolist(),
             metrics.served[rows].tolist(), metrics.rho[rows].tolist(),
@@ -319,7 +321,8 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     out = Path(outdir)
     summaries = _write_summaries(result, fmt, out)
     trials_path = out / f"trials.{fmt}"
-    _write_table(trials_path, TRIALS_COLUMNS, _trial_chunks(result.trials), fmt)
+    _write_table(trials_path, TRIALS_COLUMNS,
+                 _trial_chunks(result.trials, result.config.conditions()), fmt)
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {
         "config": config_to_dict(result.config),
@@ -358,7 +361,7 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
                 rows.extend(filter(None, reader))   # blank lines hold no row
         except KeyError as exc:   # a JSON-lines record without that column
             fault = f" has no {exc.args[0]} column"
-        except (ValueError, csv.Error) as exc:
+        except (ValueError, RecursionError, csv.Error) as exc:
             fault = f": {exc}"
     missing = [c for c in TRIALS_COLUMNS if c not in header]
     if missing:
@@ -480,7 +483,7 @@ def _trial_table(name: str, columns: dict[str, tuple[str, ...]],
         row, message, i = min(faults, key=lambda fault: fault[0])
         raise ConfigError(f"{name}: row {row + 1}: {message(i)}")
     return TrialTable(
-        policy=policy, condition=condition, delta=delta, load=load, trial=trial,
+        policy=policy, condition=condition, trial=trial,
         metrics=MetricColumns(
             aborted=aborted, duration=floats["duration"], served=served, rho=rho,
             lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
@@ -565,7 +568,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     with open(indir / "manifest.json", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"manifest.json: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError("manifest.json: config: must be an object")

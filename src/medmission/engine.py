@@ -337,10 +337,10 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
         legs = np.where(dist == 0.0, 0.0,
                         dist / params.cruise_speed * penalty / access[rows, order])
         legs *= speed_scale
-    steps = np.empty((len(legs), 2 * legs.shape[1]))
-    steps[:, 0::2] = legs
-    steps[:, 1::2] = service
-    times = np.cumsum(steps, axis=1)
+        steps = np.empty((len(legs), 2 * legs.shape[1]))
+        steps[:, 0::2] = legs
+        steps[:, 1::2] = service
+        times = np.cumsum(steps, axis=1)
     arrive, intervene = times[:, 0::2], times[:, 1::2]
     depart = np.zeros_like(arrive)
     depart[:, 1:] = intervene[:, :-1]

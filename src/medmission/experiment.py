@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +45,6 @@ from .policy import (
 )
 from .scenario import (
     DEFAULT_SCENARIO_PARAMS,
-    DETECT_TIME,
     MAX_TRIALS_PER_CELL,
     Condition,
     ScenarioParams,
@@ -145,29 +144,21 @@ _POLICY_BY_INDEX = {policy.index: policy for policy in PolicyId}
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """Trials as columns, one row per mission, in `(condition, policy.index,
-    trial)` order; `policy` holds each row's `PolicyId.index`."""
+    trial)` order; `policy` holds each row's `PolicyId.index`. A row's delta
+    and load are its condition's."""
 
     policy: np.ndarray
     condition: np.ndarray
-    delta: np.ndarray
-    load: np.ndarray
     trial: np.ndarray
     metrics: MetricColumns
 
     def __len__(self) -> int:
         return len(self.trial)
 
-    @classmethod
-    def concat(cls, tables: list[TrialTable]) -> TrialTable:
-        columns = {f.name: np.concatenate([getattr(t, f.name) for t in tables])
-                   for f in fields(cls) if f.name != "metrics"}
-        metrics = MetricColumns._make(map(np.concatenate, zip(*[t.metrics for t in tables])))
-        return cls(**columns, metrics=metrics)
-
     def take(self, rows: np.ndarray) -> TrialTable:
         """The rows at the indices `rows`, in that order."""
-        return TrialTable(self.policy[rows], self.condition[rows], self.delta[rows],
-                          self.load[rows], self.trial[rows], self.metrics.take(rows))
+        return TrialTable(self.policy[rows], self.condition[rows], self.trial[rows],
+                          self.metrics.take(rows))
 
     def cells(self) -> list[tuple[int, int]]:
         """The `[start, stop)` row range of each (condition, policy) cell."""
@@ -175,15 +166,16 @@ class TrialTable:
         bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(self)]
         return list(zip(bounds, bounds[1:])) if len(self) else []
 
-    def records(self) -> tuple[TrialRecord, ...]:
-        """One `TrialRecord` per row."""
-        loads = self.load.tolist()
+    def records(self, conditions: tuple[Condition, ...]) -> tuple[TrialRecord, ...]:
+        """One `TrialRecord` per row; `conditions` are the run's, by id."""
+        condition_ids = self.condition.tolist()
+        deltas = [conditions[c].delta for c in condition_ids]
+        loads = [conditions[c].patient_load for c in condition_ids]
         return tuple(TrialRecord(_POLICY_BY_INDEX[policy], delta, load, condition, trial,
                                  bundle)
                      for policy, delta, load, condition, trial, bundle in zip(
-                         self.policy.tolist(), self.delta.tolist(), loads,
-                         self.condition.tolist(), self.trial.tolist(),
-                         column_bundles(self.metrics, loads)))
+                         self.policy.tolist(), deltas, loads, condition_ids,
+                         self.trial.tolist(), column_bundles(self.metrics, loads)))
 
     @classmethod
     def from_records(cls, records) -> TrialTable:
@@ -209,8 +201,6 @@ class TrialTable:
             high_censored=column((d.censored for d in delays), bool))
         return cls(policy=column((r.policy.index for r in records), np.int64),
                    condition=column((r.condition_id for r in records), np.int64),
-                   delta=column((r.delta for r in records), float),
-                   load=column((r.load for r in records), np.int64),
                    trial=column((r.trial for r in records), np.int64),
                    metrics=metrics)
 
@@ -293,7 +283,7 @@ class SweepResult:
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        return self.trials.records()
+        return self.trials.records(self.config.conditions())
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +364,7 @@ def pareto_front(points) -> list:
 # ---------------------------------------------------------------------------
 # Sweep execution.
 
-def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> TrialTable:
+def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> MetricColumns:
     n_trials, load = config.trials_per_condition, condition.patient_load
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
@@ -412,15 +402,9 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Tr
     duration, aborted, switches, actions, served = cell_outcomes(
         policy, condition.delta, orders, depart, arrive, intervene, service,
         schedules, streams, config.platform, config.localization)
-    detect = np.full(load, DETECT_TIME)   # by patient id, which is the column
-    metrics = outcome_columns(duration, aborted, switches, actions, served,
-                              high_severity_flags(severities, scenario_params), detect,
-                              config.tau_c, config.alpha, config.beta)
-    return TrialTable(policy=np.full(n_trials, policy.index),
-                      condition=np.full(n_trials, condition.condition_id),
-                      delta=np.full(n_trials, condition.delta),
-                      load=np.full(n_trials, load), trial=np.arange(n_trials),
-                      metrics=metrics)
+    return outcome_columns(duration, aborted, switches, actions, served,
+                           high_severity_flags(severities, scenario_params),
+                           config.tau_c, config.alpha, config.beta)
 
 
 def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
@@ -428,9 +412,9 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     """Execute the full sweep and aggregate it.
 
     `workers` > 1 fans the (condition, policy) cells out to a process
-    pool of at most one worker per cell. Each cell returns its trials as
-    columns, and they are joined in `(condition, policy.index)` order, so
-    the result does not depend on the degree of parallelism.
+    pool of at most one worker per cell. Each cell returns only its metric
+    columns; they are joined in `(condition, policy.index)` order and keyed
+    here, so the result does not depend on the degree of parallelism.
     """
     config.validate()
     conditions, policies = zip(*[(condition, policy)
@@ -446,7 +430,13 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
 
     order = sorted(range(len(cells)),
                    key=lambda i: (conditions[i].condition_id, policies[i].index))
-    return aggregate(config, TrialTable.concat([cells[i] for i in order]))
+    n = config.trials_per_condition
+    trials = TrialTable(
+        policy=np.repeat([policies[i].index for i in order], n),
+        condition=np.repeat([conditions[i].condition_id for i in order], n),
+        trial=np.tile(np.arange(n), len(order)),
+        metrics=MetricColumns._make(map(np.concatenate, zip(*[cells[i] for i in order]))))
+    return aggregate(config, trials)
 
 
 def _stats(samples: np.ndarray) -> Stats:

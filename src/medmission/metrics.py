@@ -4,12 +4,12 @@ A mission's metric bundle comes from one of two sources with the same
 arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
 `run_mission` returns it; it is the oracle. `outcome_columns` reads what
 the mission loops of a whole batch counted as they ran (`MissionOutcome`),
-and the field's high-severity flags and detect times instead of a
-`Scenario`; that is what the sweep uses, so it builds no event log, no
-patients and no per-mission bundle. `column_bundles` turns its columns back
-into `TrialMetrics` for readers that want them. High-severity patients never
-reached before the mission ends contribute a censored delay equal to the
-mission duration; dropping them instead would reward aborting early.
+and the field's high-severity flags instead of a `Scenario`; that is what
+the sweep uses, so it builds no event log, no patients and no per-mission
+bundle. `column_bundles` turns its columns back into `TrialMetrics` for
+readers that want them. High-severity patients never reached before the
+mission ends contribute a censored delay equal to the mission duration;
+dropping them instead would reward aborting early.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
-from .scenario import Scenario
+from .scenario import DETECT_TIME, Scenario
 
 DEFAULT_SERVICE_WINDOW = 60.0   # minutes; clinically acceptable delay
 DEFAULT_ALPHA = 1.0             # weight of the task-switching rate
@@ -215,7 +215,7 @@ class MetricColumns(NamedTuple):
 
 def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
                     task_switches: np.ndarray, operator_interventions: np.ndarray,
-                    intervene: np.ndarray, high: np.ndarray, detect: np.ndarray,
+                    intervene: np.ndarray, high: np.ndarray,
                     tau_c: float = DEFAULT_SERVICE_WINDOW,
                     alpha: float = DEFAULT_ALPHA,
                     beta: float = DEFAULT_BETA) -> MetricColumns:
@@ -224,21 +224,21 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
     The first four arrays hold each mission's `MissionOutcome` counts.
     `intervene` is the ``(missions, load)`` first intervene time by patient
     id, NaN for a patient the mission never served; `high` flags the
-    high-severity patients the same way and `detect` holds the detect time
-    per id. Each value takes the IEEE operations `trial_metrics` takes, in
-    its order, so it has the same bits.
+    high-severity patients the same way; every patient is detected at
+    `DETECT_TIME`. Each value takes the IEEE operations `trial_metrics`
+    takes, in its order, so it has the same bits.
     """
     if tau_c <= 0.0:
         raise ValueError("tau_c must be positive")
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("workload weights must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # The operator view logs a switch only when the label changes, so
         # every switch after the first is a change.
         flying = duration > 0.0
         lambda_sw = np.where(flying, np.maximum(task_switches - 1, 0) / duration, 0.0)
         lambda_int = np.where(flying, operator_interventions / duration, 0.0)
-    waited = intervene - detect
+    waited = intervene - DETECT_TIME
     served = np.count_nonzero(waited <= tau_c, axis=1)
     rows, ids = np.nonzero(high)
     censored = np.isnan(intervene[rows, ids])
@@ -248,7 +248,7 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
         lambda_sw=lambda_sw, lambda_int=lambda_int,
         workload=float(alpha) * lambda_sw + float(beta) * lambda_int,
         high_count=np.count_nonzero(high, axis=1), high_ids=ids,
-        high_delays=np.where(censored, duration[rows] - detect[ids], waited[rows, ids]),
+        high_delays=np.where(censored, duration[rows] - DETECT_TIME, waited[rows, ids]),
         high_censored=censored)
 
 

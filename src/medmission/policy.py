@@ -200,7 +200,8 @@ def triage_orders(severities: np.ndarray, criticality: np.ndarray, access: np.nd
     """
     if ids is None:
         ids = np.broadcast_to(np.arange(severities.shape[1]), severities.shape)
-    exponents = (-criticality / weights.urgency_timescale).ravel().tolist()
+    with np.errstate(over="ignore"):
+        exponents = (-criticality / weights.urgency_timescale).ravel().tolist()
     urgency = np.array(list(map(math.exp, exponents))).reshape(severities.shape)
     scores = (weights.w_severity * severities + weights.w_urgency * urgency
               + weights.w_access * access)

@@ -243,7 +243,8 @@ DETECT_TIME = 0.0   # minutes; every patient is known at mission start
 def criticality_times(severities: np.ndarray,
                       params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> np.ndarray:
     """Minutes until each patient turns critical, shrinking linearly with severity."""
-    return params.criticality_max * (1.0 - severities) + params.criticality_floor
+    with np.errstate(over="ignore"):
+        return params.criticality_max * (1.0 - severities) + params.criticality_floor
 
 
 def high_severity_flags(severities: np.ndarray,

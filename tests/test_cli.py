@@ -13,6 +13,7 @@ from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from medmission import (
     LocalizationParams,
     PlatformParams,
+    PolicyId,
     ScenarioParams,
     SweepConfig,
     TriageWeights,
@@ -27,6 +29,7 @@ from medmission import (
 )
 from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
+from medmission.metrics import MetricColumns
 from medmission.schema import Bound
 
 FAST_FLAGS = ["--deltas", "0,1", "--loads", "3,5", "--trials", "2", "--seed", "7"]
@@ -310,15 +313,41 @@ def test_report_reproduces_the_run_summaries(tmp_path):
         assert read(out / name) == read(redo / name)
 
 
-def test_small_run_and_report_raise_no_warning(tmp_path):
+@pytest.mark.parametrize("extreme", [
+    {},
+    {"triage_weights": TriageWeights(urgency_timescale=5e-324)},
+    {"platform": PlatformParams(service_time=1e308)},
+    {"scenario_params": ScenarioParams(criticality_max=1.7e308, criticality_floor=1.7e308)},
+])
+def test_small_run_and_report_raise_no_warning(tmp_path, extreme):
     # A NaN from `inf * 0` or an empty quantile warns before it reaches a
-    # report; as an error it fails here instead.
+    # report, and so does a kernel's overflow to the inf its scalar path
+    # computes silently; as an error it fails here instead.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3), workers=1)
+        result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3, **extreme),
+                           workers=1)
         cli.emit_reports(result, "csv", tmp_path / "run")
         assert run_cli("report", "--in", str(tmp_path / "run"),
                        "--out", str(tmp_path / "redo")) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_trials_file_reads_back_as_the_sweeps_table_to_the_bit(tmp_path, fmt):
+    # Policies out of index order, so the sweep must key its cells itself.
+    config = SweepConfig(trials_per_condition=3,
+                         policies=(PolicyId.PI3_GEODT, PolicyId.PI1_TELEOP))
+    result = run_sweep(config)
+    cli.emit_reports(result, fmt, tmp_path)
+    made, read = result.trials, cli.load_trials(tmp_path / f"trials.{fmt}", config)
+
+    def bits(column):
+        return column.view(np.int64) if column.dtype == float else column
+
+    for name in ("policy", "condition", "trial"):
+        assert np.array_equal(getattr(read, name), getattr(made, name)), name
+    for name, got, want in zip(MetricColumns._fields, read.metrics, made.metrics):
+        assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want)), name
 
 
 def test_report_reads_a_jsonl_run(tmp_path):
@@ -394,6 +423,30 @@ def test_report_names_a_truncated_manifest(tmp_path, capsys):
     code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
     assert code == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000   # nested past the JSON decoder's recursion limit
+
+
+def test_a_deeply_nested_config_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(_DEEP)
+    assert run_cli("validate", "--config", str(cfg)) == 2
+    assert "config file: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, kept, named", [
+    ("manifest.json", 0, "manifest.json: invalid JSON"),
+    ("trials.jsonl", 1, "trials.jsonl: row 2:"),
+])
+def test_a_deeply_nested_run_file_exits_2_naming_it(tmp_path, capsys, name, kept, named):
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", "jsonl", "--out", str(out)) == 0
+    lines = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text("".join(lines[:kept]) + _DEEP + "\n")
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_report_names_a_row_that_does_not_parse(tmp_path, capsys):

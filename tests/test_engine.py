@@ -583,8 +583,7 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
     columns = outcome_columns(
         np.array([outcome.duration]), np.array([outcome.aborted]),
         np.array([outcome.task_switches]), np.array([outcome.operator_interventions]),
-        served, np.array([[p.high_severity for p in scenario.patients]]),
-        np.array([p.detect_time for p in scenario.patients]), tau_c, alpha, beta)
+        served, np.array([[p.high_severity for p in scenario.patients]]), tau_c, alpha, beta)
     assert (column_bundles(columns, [load])
             == [trial_metrics(trace, scenario, tau_c, alpha, beta)])
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from medmission import (
     trial_metrics,
 )
 from medmission.cli import emit_reports, main
-from medmission.metrics import DelayRecord, TrialMetrics
+from medmission.metrics import DelayRecord, MetricColumns, TrialMetrics
 
 SMALL = SweepConfig(degradation_levels=(0.0, 0.5), patient_loads=(3, 6),
                     trials_per_condition=2)
@@ -104,6 +105,16 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
     assert pooled.records == serial.records
     assert pooled.summaries == serial.summaries
     assert pooled.rollups == serial.rollups
+
+
+def test_the_default_cells_ship_only_their_metric_columns():
+    # A pool worker pickles its cell back to the parent, which keys the rows;
+    # a per-row copy of a cell constant would show here.
+    config = SweepConfig()
+    cells = [experiment._run_cell(config, condition, policy)
+             for condition in config.conditions() for policy in config.policies]
+    assert all(type(cell) is MetricColumns for cell in cells)
+    assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_959_380   # 1,920,961 + 2%
 
 
 def test_sweep_is_reproducible():

@@ -1,6 +1,7 @@
 """Metric extraction and aggregation against hand-computed values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from medmission.engine import (
     OPERATOR_INTERVENTION,
     TASK_SWITCH,
 )
-from medmission.metrics import DelayRecord, TrialMetrics
+from medmission.metrics import DelayRecord, TrialMetrics, outcome_columns
 
 
 def build_trace(event_specs, duration, aborted=False):
@@ -361,3 +362,14 @@ def test_trial_metrics_reads_only_defined_event_kinds():
     assert a.lambda_int == pytest.approx(0.1)
     assert a.workload == pytest.approx(0.2)
     assert a.high_severity_delays == (DelayRecord(0, 3.0, False),)
+
+
+def test_outcome_columns_of_a_subnormal_duration_raise_no_warning():
+    # The rates overflow to the inf that `trial_metrics` computes silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = outcome_columns(np.array([5e-324]), np.array([True]), np.array([3]),
+                                  np.array([2]), np.full((1, 2), math.nan),
+                                  np.array([[True, False]]))
+    assert columns.lambda_sw[0] == columns.lambda_int[0] == columns.workload[0] == math.inf
+    assert columns.high_delays.tolist() == [5e-324]
