@@ -25,9 +25,11 @@ than under pure autonomy.
 
 The planned, pause-free visit times come from `leg_timelines`, which the
 sweep calls once per (condition, policy) cell over `(trials, load)` arrays
-and `run_mission` over a batch of one. The caller draws each mission's
-interval schedules with `mission_schedules` (the sweep in its first pass
-over a cell, `run_mission` right after planning) and passes them in.
+and `run_mission` over a batch of one, on the columns and order row that
+`policy.plan_scenario` built, once, for `policy.plan_orders`. The caller
+draws each mission's interval schedules with `mission_schedules` (the sweep
+in its first pass over a cell, `run_mission` right after planning) and
+passes them in.
 
 Most missions end before any interval starts, and `cell_outcomes` gives
 those their outcome as columns, over the whole cell at once. A teleop
@@ -71,7 +73,7 @@ from .policy import (
     DEFAULT_TRIAGE_WEIGHTS,
     PolicyId,
     TriageWeights,
-    plan_for_policy,
+    plan_scenario,
 )
 from .scenario import Condition, Scenario
 from .schema import bounded
@@ -288,11 +290,15 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     if stream is None:
         stream = np.random.default_rng(0)
     delta = scenario.condition.delta
-    order = plan_for_policy(scenario, policy, weights, stream, error_rate)
+    visits, (xs, ys, _, _, access), order = plan_scenario(scenario, policy, weights, stream,
+                                                          error_rate)
     outages, episodes = mission_schedules(policy, delta, params, stream, loc)
+    depart, arrive, intervene, service = leg_timelines(
+        xs, ys, access, order, scenario.base_position, policy, delta, params, loc)
     events: list[MissionEvent] = []
-    outcome = _simulate(policy, delta, *_scenario_timeline(scenario, policy, order, params, loc),
-                        outages, episodes, params, stream, loc, events)
+    outcome = _simulate(policy, delta, list(visits), depart[0].tolist(), arrive[0].tolist(),
+                        intervene[0].tolist(), service, outages, episodes, params, stream,
+                        loc, events)
     return MissionTrace(policy=policy, condition=scenario.condition,
                         trial_index=trial_index, events=tuple(events),
                         duration=outcome.duration, aborted=outcome.aborted)
@@ -345,25 +351,6 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
     depart = np.zeros_like(arrive)
     depart[:, 1:] = intervene[:, :-1]
     return depart, arrive, intervene, service
-
-
-def _scenario_timeline(scenario: Scenario, policy: PolicyId, order: tuple[int, ...],
-                      params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
-                      loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
-                      ) -> tuple[list[int], list[float], list[float], list[float], float]:
-    """The planned rows of one mission along `order`: `leg_timelines` over a
-    batch of one. Returns the visited ids, their depart, arrive and
-    intervene times, and the service time."""
-    patients = scenario.patients
-    xs = np.array([[p.position[0] for p in patients]], dtype=float)
-    ys = np.array([[p.position[1] for p in patients]], dtype=float)
-    access = np.array([[p.accessibility for p in patients]], dtype=float)
-    column = {p.id: j for j, p in enumerate(patients)}
-    columns = np.array([[column[pid] for pid in order]], dtype=np.intp)
-    depart, arrive, intervene, service = leg_timelines(
-        xs, ys, access, columns, scenario.base_position, policy,
-        scenario.condition.delta, params, loc)
-    return list(order), depart[0].tolist(), arrive[0].tolist(), intervene[0].tolist(), service
 
 
 def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,

@@ -39,9 +39,8 @@ from .policy import (
     DEFAULT_TRIAGE_WEIGHTS,
     PolicyId,
     TriageWeights,
-    nearest_walks,
     operator_picks,
-    triage_orders,
+    plan_orders,
 )
 from .scenario import (
     DEFAULT_SCENARIO_PARAMS,
@@ -63,6 +62,9 @@ MAX_PATIENT_LOAD = 1000   # nearest-neighbour planning is quadratic in the load
 DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
+# Patient slots (trials times largest load) of one cell. tracemalloc puts a
+# cell's peak at 181-210 bytes per slot, so 2**22 slots * 210 B is 0.8 GiB.
+MAX_CELL_SLOTS = 2 ** 22
 _NAN_BOX = (math.nan,) * 5   # the five-number summary of no samples
 
 
@@ -96,6 +98,11 @@ class SweepConfig:
             values = getattr(self, key)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{key}: must be nonempty, without duplicates")
+        slots = self.trials_per_condition * max(self.patient_loads)
+        if slots > MAX_CELL_SLOTS:
+            raise ValueError(f"trials_per_condition: {self.trials_per_condition!r} trials at "
+                             f"a largest load of {max(self.patient_loads)} make {slots} "
+                             f"patient slots per cell, over the cap of {MAX_CELL_SLOTS}")
         scenario = self.scenario_params
         if len(scenario.base_position) != 2:
             raise ValueError("scenario.base_position: must be a pair of numbers")
@@ -390,11 +397,9 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
     # Then the cell's orders and planned timelines, one call each.
     scenario_params, base = config.scenario_params, config.scenario_params.base_position
     xs, ys = positions[:, :, 0], positions[:, :, 1]
-    if policy is PolicyId.PI3_GEODT:
-        orders = triage_orders(severities, criticality_times(severities, scenario_params),
-                               access, config.triage_weights)
-    else:
-        orders = nearest_walks(xs, ys, base, picks)
+    orders = plan_orders(policy, xs, ys, base, picks, severities,
+                         criticality_times(severities, scenario_params), access,
+                         config.triage_weights)
     depart, arrive, intervene, service = leg_timelines(
         xs, ys, access, orders, base, policy, condition.delta,
         config.platform, config.localization)

@@ -11,9 +11,10 @@ tuple; ties always break toward the lower id so results are reproducible.
 
 Both nearest-neighbour orderings run one kernel, `nearest_walks`, which
 advances a batch of equally loaded fields in lock step, and the triage
-ordering runs `triage_orders`. The sweep plans a whole (condition, policy)
-cell with one call; `order_teleop`, `order_heuristic` and `order_triage`
-run the same kernels as a batch of one.
+ordering runs `triage_orders`; `plan_orders` picks the kernel of a policy.
+The sweep plans a whole (condition, policy) cell with one call to it.
+`plan_scenario` turns one scenario into columns once and plans it as a
+batch of one; every per-scenario planner and `engine.run_mission` use it.
 """
 
 from __future__ import annotations
@@ -149,17 +150,6 @@ def nearest_walks(xs: np.ndarray, ys: np.ndarray, base: tuple[float, float],
     return order
 
 
-def _walk(scenario: Scenario, picks: list[int]) -> tuple[int, ...]:
-    """One scenario's walk: `nearest_walks` over a batch of one."""
-    patients = scenario.patients
-    ids = [p.id for p in patients]
-    xs = np.array([[p.position[0] for p in patients]], dtype=float)
-    ys = np.array([[p.position[1] for p in patients]], dtype=float)
-    cols = nearest_walks(xs, ys, scenario.base_position, np.array([picks]),
-                         np.array([ids]))[0]
-    return tuple(ids[j] for j in cols.tolist())
-
-
 def order_teleop(scenario: Scenario, stream: np.random.Generator,
                  error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> tuple[int, ...]:
     """Noisy nearest-neighbor order chosen by a simulated operator.
@@ -171,12 +161,12 @@ def order_teleop(scenario: Scenario, stream: np.random.Generator,
     the random target when needed. The last patient, and every step when
     error_rate is 0, draws nothing.
     """
-    return _walk(scenario, operator_picks(stream, len(scenario.patients), error_rate))
+    return plan_scenario(scenario, PolicyId.PI1_TELEOP, stream=stream, error_rate=error_rate)[0]
 
 
 def order_heuristic(scenario: Scenario) -> tuple[int, ...]:
     """Deterministic nearest-neighbor from the base, ties to the lower id."""
-    return _walk(scenario, [-1] * len(scenario.patients))
+    return plan_scenario(scenario, PolicyId.PI2_AUTO)[0]
 
 
 def triage_score(patient: Patient, weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> float:
@@ -210,25 +200,47 @@ def triage_orders(severities: np.ndarray, criticality: np.ndarray, access: np.nd
 
 def order_triage(scenario: Scenario,
                  weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS) -> tuple[int, ...]:
-    """Patients sorted by priority score, highest first, ties to the lower id.
-
-    `triage_orders` over a batch of one.
-    """
-    patients = scenario.patients
-    ids = [p.id for p in patients]
-    sev = np.array([[p.severity for p in patients]], dtype=float)
-    ttc = np.array([[p.time_to_criticality for p in patients]], dtype=float)
-    acc = np.array([[p.accessibility for p in patients]], dtype=float)
-    order = triage_orders(sev, ttc, acc, weights, np.array([ids]))[0]
-    return tuple(ids[j] for j in order.tolist())
+    """Patients sorted by priority score, highest first, ties to the lower id."""
+    return plan_scenario(scenario, PolicyId.PI3_GEODT, weights)[0]
 
 
 def plan_for_policy(scenario: Scenario, policy: PolicyId,
                     weights: TriageWeights, stream: np.random.Generator,
                     error_rate: float = DEFAULT_OPERATOR_ERROR_RATE) -> tuple[int, ...]:
     """Visit order of patient ids from the ordering that belongs to `policy`."""
+    return plan_scenario(scenario, policy, weights, stream, error_rate)[0]
+
+
+def plan_orders(policy: PolicyId, xs: np.ndarray, ys: np.ndarray, base: tuple[float, float],
+                picks: np.ndarray, severities: np.ndarray, criticality: np.ndarray,
+                access: np.ndarray, weights: TriageWeights,
+                ids: np.ndarray | None = None) -> np.ndarray:
+    """Visit orders of a batch of equally loaded fields under `policy`:
+    `triage_orders` for the twin, `nearest_walks` along `picks` otherwise.
+    The arrays are ``(fields, load)`` patient columns in scenario order;
+    returns the ``(fields, load)`` column indices in visit order."""
+    if policy is PolicyId.PI3_GEODT:
+        return triage_orders(severities, criticality, access, weights, ids)
+    return nearest_walks(xs, ys, base, picks, ids)
+
+
+def plan_scenario(scenario: Scenario, policy: PolicyId,
+                  weights: TriageWeights = DEFAULT_TRIAGE_WEIGHTS,
+                  stream: np.random.Generator | None = None,
+                  error_rate: float = DEFAULT_OPERATOR_ERROR_RATE,
+                  ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """One scenario's plan: `plan_orders` over a batch of one, on ``(1, load)``
+    columns of x, y, severity, time to criticality and accessibility. Teleop
+    draws its `operator_picks` from `stream`; no other policy draws. Returns
+    the visited ids, the columns and the ``(1, load)`` order row."""
+    ids = [p.id for p in scenario.patients]
+    fields = [(*p.position, p.severity, p.time_to_criticality, p.accessibility)
+              for p in scenario.patients]
+    columns = tuple(np.array(fields, dtype=float).reshape(-1, 5).T[:, None])
+    xs, ys, severities, criticality, access = columns
+    picks = np.full(xs.shape, -1)   # -1: fly to the nearest patient
     if policy is PolicyId.PI1_TELEOP:
-        return order_teleop(scenario, stream, error_rate)
-    if policy is PolicyId.PI2_AUTO:
-        return order_heuristic(scenario)
-    return order_triage(scenario, weights)
+        picks[0] = operator_picks(stream, len(ids), error_rate)
+    order = plan_orders(policy, xs, ys, scenario.base_position, picks, severities,
+                        criticality, access, weights, np.array([ids]))
+    return tuple(ids[j] for j in order[0].tolist()), columns, order

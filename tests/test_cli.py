@@ -144,6 +144,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"scenario": {"base_position": [0, 10**400]}}, "scenario.base_position"),
     ({"localization": {"sigma_gps": 1e200}}, "localization.sigma_gps"),
     ({"patient_loads": [20000]}, "patient_loads"),
+    ({"trials_per_condition": 2**32, "patient_loads": [1000], "degradation_levels": [0.0],
+      "policies": ["pi2_auto"]}, "trials_per_condition"),
     ({"alpha": math.inf}, "alpha"),
     ({"beta": math.inf}, "beta"),
 ])
@@ -234,10 +236,11 @@ def test_list_items_are_checked_not_converted(tmp_path, capsys):
 
 
 def test_trials_per_condition_must_fit_one_uint32_word(capsys):
-    assert run_cli("validate", "--trials", str(2**32)) == 0
-    capsys.readouterr()
+    # 2**32 trials fit the word and meet the cap on a cell's patient slots instead.
+    assert run_cli("validate", "--trials", str(2**32), "--loads", "1") == 2
+    assert "patient slots per cell" in capsys.readouterr().err
     assert run_cli("validate", "--trials", str(2**32 + 1)) == 2
-    assert "trials_per_condition:" in capsys.readouterr().err
+    assert "trials_per_condition: must be in [1, 4294967296]" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_fails_before_the_run(tmp_path, capsys):

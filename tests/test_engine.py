@@ -43,7 +43,7 @@ from medmission.policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
     DEFAULT_TRIAGE_WEIGHTS,
     order_heuristic,
-    plan_for_policy,
+    plan_scenario,
 )
 
 PARAMS = PlatformParams()
@@ -208,10 +208,6 @@ def test_leg_timelines_equal_the_scalar_loop_bit_for_bit(batch, policy, cruise_s
         got = [depart[row].tolist(), arrive[row].tolist(), intervene[row].tolist()]
         assert [bits(times) for times in got] == [bits(times) for times in want[1:]]
         assert bits([service]) == bits([want_service])
-        # The batch of one that run_mission plans, mapped by id.
-        rows = engine._scenario_timeline(scenario, policy, order, params)
-        assert rows[0] == want[0]
-        assert [bits(times) for times in rows[1:4]] == [bits(times) for times in want[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +567,15 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
             mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
         trace = run_mission(scenario, policy, params, stream=np.random.default_rng(seed))
         stream = np.random.default_rng(seed)
-        order = plan_for_policy(scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream,
-                                DEFAULT_OPERATOR_ERROR_RATE)
+        visits, (xs, ys, _, _, access), order = plan_scenario(
+            scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream, DEFAULT_OPERATOR_ERROR_RATE)
         schedules = engine.mission_schedules(policy, delta, params, stream)
-        rows = engine._scenario_timeline(scenario, policy, order, params)
-        outcome = engine._simulate(policy, delta, *rows, *schedules, params, stream,
-                                   DEFAULT_LOCALIZATION_PARAMS, events=None)
+        depart, arrive, intervene, service = engine.leg_timelines(
+            xs, ys, access, order, scenario.base_position, policy, delta, params)
+        outcome = engine._simulate(policy, delta, list(visits), depart[0].tolist(),
+                                   arrive[0].tolist(), intervene[0].tolist(), service,
+                                   *schedules, params, stream, DEFAULT_LOCALIZATION_PARAMS,
+                                   events=None)
     # The sweep's metric kernel on a batch of one mission; ids are the columns.
     served = np.full((1, load), math.nan)
     served[0, list(outcome.intervene_times)] = list(outcome.intervene_times.values())

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import medmission.engine as engine
@@ -223,6 +223,7 @@ def small_configs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(config=small_configs())
+@example(config=SweepConfig(trials_per_condition=2))   # every default cell
 def test_sweep_records_equal_the_trial_by_trial_replay(config):
     assert run_sweep(config).records == replayed_records(config)
 
