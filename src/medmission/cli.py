@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -193,26 +194,23 @@ def _json_safe(value):
     return value
 
 
-def _fmt_column(values: list) -> list[str]:
-    """`_fmt` of each value; a column of one plain type is formatted in one pass."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(repr, values))
-    if kinds == {int}:
-        return list(map(str, values))
-    if kinds == {str}:
-        return values
-    return list(map(_fmt, values))
+def _text_column(values: np.ndarray) -> list[str]:
+    """`_fmt` of each value of a NumPy column, chosen once by its dtype."""
+    if values.dtype == bool:
+        return np.where(values, "1", "0").tolist()
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
 
 def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
-    """Write a table given as chunks of rows, each chunk a list of columns."""
+    """Write a table given as chunks of rows, each chunk a list of columns:
+    for CSV columns of text, written a chunk at a time as `,`-joined lines
+    (no field holds a `,`, `"` or line break, so none needs quoting); for
+    JSON lines columns of values."""
     with open(path, "w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
         if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\n")
             for chunk in chunks:
-                writer.writerows(zip(*map(_fmt_column, chunk)))
+                fh.write("".join([",".join(row) + "\n" for row in zip(*chunk)]))
         else:
             for chunk in chunks:
                 for row in zip(*chunk):
@@ -220,13 +218,19 @@ def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
                     fh.write(json.dumps(record, sort_keys=False) + "\n")
 
 
-def _transpose(rows: list[list]) -> list[list]:
+def _value_chunk(rows: list[list], fmt: str) -> list[list]:
+    """`rows` of values as one chunk for `_write_table`: for CSV each value
+    is rendered by `_fmt`, an enum name, a number or empty."""
+    if fmt == "csv":
+        rows = [list(map(_fmt, row)) for row in rows]
     return [list(column) for column in zip(*rows)]
 
 
-def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
+def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...], fmt: str):
     """The trials table, one (condition, policy) cell at a time, as the
-    columns of TRIALS_COLUMNS; `conditions` are the run's, by id."""
+    columns of TRIALS_COLUMNS, of text for CSV and of values for JSON lines;
+    `conditions` are the run's, by id."""
+    value, column = (_fmt, _text_column) if fmt == "csv" else (lambda v: v, np.ndarray.tolist)
     names = {policy.index: policy.value for policy in PolicyId}
     metrics = trials.metrics
     ends = np.cumsum(metrics.high_count).tolist()
@@ -237,21 +241,20 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
         bounds = [0, *(end - first for end in ends[rows])]
         spans = list(zip(bounds, bounds[1:]))
 
-        def joined(texts: list[str]) -> list[str]:
+        def joined(values: np.ndarray) -> list[str]:
+            texts = _text_column(values[flat])
             return [";".join(texts[a:b]) for a, b in spans]
 
         n, condition = stop - start, conditions[int(trials.condition[start])]
         yield [
             [names[int(trials.policy[start])]] * n,
-            [condition.delta] * n, [condition.patient_load] * n,
-            trials.condition[rows].tolist(), trials.trial[rows].tolist(),
-            metrics.aborted[rows].tolist(), metrics.duration[rows].tolist(),
-            metrics.served[rows].tolist(), metrics.rho[rows].tolist(),
-            metrics.lambda_sw[rows].tolist(), metrics.lambda_int[rows].tolist(),
-            metrics.workload[rows].tolist(),
-            joined(list(map(str, metrics.high_ids[flat].tolist()))),
-            joined(list(map(repr, metrics.high_delays[flat].tolist()))),
-            joined(np.where(metrics.high_censored[flat], "1", "0").tolist()),
+            [value(condition.delta)] * n, [value(condition.patient_load)] * n,
+            *(column(values[rows]) for values in (
+                trials.condition, trials.trial, metrics.aborted, metrics.duration,
+                metrics.served, metrics.rho, metrics.lambda_sw, metrics.lambda_int,
+                metrics.workload)),
+            joined(metrics.high_ids), joined(metrics.high_delays),
+            joined(metrics.high_censored),
         ]
 
 
@@ -309,8 +312,8 @@ def _write_summaries(result: SweepResult, fmt: str, out: Path) -> list[Path]:
     rollup_path = out / f"rollup.{fmt}"
     pareto_path = out / f"pareto.{fmt}"
     _write_json(summary_path, _summary_payload(result))
-    _write_table(rollup_path, ROLLUP_COLUMNS, [_transpose(_rollup_rows(result))], fmt)
-    _write_table(pareto_path, PARETO_COLUMNS, [_transpose(_pareto_rows(result))], fmt)
+    _write_table(rollup_path, ROLLUP_COLUMNS, [_value_chunk(_rollup_rows(result), fmt)], fmt)
+    _write_table(pareto_path, PARETO_COLUMNS, [_value_chunk(_pareto_rows(result), fmt)], fmt)
     return [summary_path, rollup_path, pareto_path]
 
 
@@ -322,7 +325,7 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     summaries = _write_summaries(result, fmt, out)
     trials_path = out / f"trials.{fmt}"
     _write_table(trials_path, TRIALS_COLUMNS,
-                 _trial_chunks(result.trials, result.config.conditions()), fmt)
+                 _trial_chunks(result.trials, result.config.conditions(), fmt), fmt)
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {
         "config": config_to_dict(result.config),
@@ -350,15 +353,26 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     path = Path(trials_path)
     header = TRIALS_COLUMNS
     rows: list = []
+    flat = None   # every row's fields in turn, each row as wide as the header
     fault = None   # what is wrong with the row after `rows`, which cannot be read
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             if path.suffix == ".jsonl":
                 rows.extend(map(_jsonl_row, fh))
             else:
-                reader = csv.reader(fh)
-                header = next(reader, [])
-                rows.extend(filter(None, reader))   # blank lines hold no row
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError:   # csv.reader reads the rows before it
+                    fh.seek(0)
+                    text = None
+                plain = None if text is None else _plain_fields(text)
+                if plain is None:
+                    reader = csv.reader(fh if text is None else io.StringIO(text, newline=""))
+                    header = next(reader, [])
+                    rows.extend(filter(None, reader))   # blank lines hold no row
+                else:
+                    header, flat = plain
+                del text, plain
         except KeyError as exc:   # a JSON-lines record without that column
             fault = f" has no {exc.args[0]} column"
         except (ValueError, RecursionError, csv.Error) as exc:
@@ -366,13 +380,35 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     missing = [c for c in TRIALS_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-    for row in rows:
-        if len(row) < len(header):   # a short row's missing values read as empty
-            row += [""] * (len(header) - len(row))
-    table = _trial_table(path.name, _string_columns(header, rows), config)
+    width = len(header)
+    if flat is None:   # a short row's missing values read as empty
+        flat = list(chain.from_iterable(
+            row[:width] + [""] * (width - len(row)) for row in rows))
+    index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+    columns = {c: flat[index[c]::width] for c in TRIALS_COLUMNS}
+    del flat
+    table = _trial_table(path.name, columns, config)
     if fault is not None:
         raise ConfigError(f"{path.name}: row {len(rows) + 1}{fault}")
     return table
+
+
+def _plain_fields(text: str) -> tuple[list[str], list[str]] | None:
+    """The header and the fields of every row in turn of CSV `text`, split
+    on `\\n` and `,` where that is what csv.reader would read: the text
+    holds no `"`, CR or NUL, no line is longer than the field size limit,
+    and every line but a blank one is as wide as the first; else None."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")   # not splitlines, which also splits on \x0b, \x1c, ...
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")   # a blank one misses every column, as csv.reader's []
+    body = list(filter(None, lines[1:]))   # blank lines hold no row
+    del lines
+    if set(map(str.count, body, repeat(","))) - {len(header) - 1}:
+        return None
+    return header, ",".join(body).split(",") if body else []
 
 
 def _jsonl_row(line: str) -> list[str]:
@@ -384,14 +420,7 @@ def _jsonl_row(line: str) -> list[str]:
     return [_fmt(record[c]) for c in TRIALS_COLUMNS]
 
 
-def _string_columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]]:
-    """Each trials column as text, from `rows` under `header`, padded to its width."""
-    index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
-    columns = list(zip(*rows)) if rows else [()] * len(header)
-    return {c: columns[index[c]] for c in TRIALS_COLUMNS}
-
-
-def _trial_table(name: str, columns: dict[str, tuple[str, ...]],
+def _trial_table(name: str, columns: dict[str, list[str]],
                  config: SweepConfig) -> TrialTable:
     """The trials `columns` hold, in canonical order.
 
@@ -516,12 +545,15 @@ _INT64 = np.iinfo(np.int64)
 def _split_lists(texts) -> tuple[np.ndarray, list[str]]:
     """Each row's `;`-separated entries, empty ones dropped: their counts,
     and the entries of every row in turn."""
-    parts = [text.split(";") if text else [] for text in texts]
-    flat = list(chain.from_iterable(parts))
-    if "" in flat:
-        parts = [[x for x in part if x != ""] for part in parts]
-        flat = list(chain.from_iterable(parts))
-    return np.fromiter(map(len, parts), np.int64, len(parts)), flat
+    joined = ";".join(filter(None, texts))
+    flat = joined.split(";") if joined else []
+    if "" in flat:   # an empty entry: split row by row to drop it
+        parts = [[x for x in text.split(";") if x] for text in texts]
+        return (np.fromiter(map(len, parts), np.int64, len(parts)),
+                list(chain.from_iterable(parts)))
+    counts = np.fromiter(map(str.count, texts, repeat(";")), np.int64, len(texts)) + 1
+    counts[np.fromiter(map(len, texts), np.int64, len(texts)) == 0] = 0
+    return counts, flat
 
 
 # ---------------------------------------------------------------------------

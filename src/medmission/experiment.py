@@ -303,12 +303,35 @@ def confidence_interval(samples, level: float = 0.95) -> tuple[float, float]:
         raise ValueError("confidence interval needs at least two samples")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    arr = np.asarray(samples, dtype=float)
+    return _t_stats(np.asarray(samples, dtype=float), level)[2:]
+
+
+# A sample set whose largest magnitude passes 2**_SCALE_EXP is scaled below it
+# before its deviations are squared: below it, the squares of 2**21 deviations
+# (each under twice the largest magnitude) sum to a finite float.
+_SCALE_EXP = 500
+
+
+def _t_stats(arr: np.ndarray, level: float = 0.95) -> tuple[float, float, float, float]:
+    """Mean, sample standard deviation and Student-t `level` interval of two
+    or more samples `arr`.
+
+    A finite set whose largest magnitude passes 2**_SCALE_EXP is scaled by a
+    power of two to bring it below, and the results are scaled back, so no
+    square of a finite sample overflows; a result past the float range reads
+    as inf. Scaling by a power of two is exact, and any other set is not
+    scaled, so its results are the unscaled bits.
+    """
+    scale = 1.0
+    peak = float(np.abs(arr).max())
+    if 2.0 ** _SCALE_EXP < peak < math.inf:
+        scale = 2.0 ** (math.frexp(peak)[1] - _SCALE_EXP)
+        arr = arr / scale
+    n = len(arr)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))
-    t_crit = float(t_critical(n, level))
-    half = t_crit * sd / math.sqrt(n)
-    return mean - half, mean + half
+    half = float(t_critical(n, level)) * sd / math.sqrt(n)
+    return mean * scale, sd * scale, (mean - half) * scale, (mean + half) * scale
 
 
 def t_critical(n, level: float):
@@ -449,11 +472,9 @@ def _stats(samples: np.ndarray) -> Stats:
     if n == 0:
         return Stats(math.nan, math.nan, math.nan, math.nan)
     arr = np.asarray(samples, dtype=float)
-    mean = float(arr.mean())
     if n == 1:
-        return Stats(mean, math.nan, math.nan, math.nan)
-    lo, hi = confidence_interval(samples)
-    return Stats(mean, float(arr.std(ddof=1)), lo, hi)
+        return Stats(float(arr[0]), math.nan, math.nan, math.nan)
+    return Stats(*_t_stats(arr))
 
 
 def _summarize_cell(policy: PolicyId, delta: float, load: int,

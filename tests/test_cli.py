@@ -12,6 +12,7 @@ import warnings
 from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -638,6 +639,170 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             assert str(again.value) == str(exc)
         else:
             assert len(table) == len(rows)
+
+
+# ---------------------------------------------------------------------------
+# The bulk CSV reader and writer.
+
+def test_a_fresh_trials_file_is_read_without_csv_reader(tmp_path, monkeypatch):
+    # A fast path that quietly fell back would pass every other test.
+    assert run_cli("run", *FAST_FLAGS, "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+
+    monkeypatch.setattr(cli.csv, "reader", refuse)
+    table = cli.load_trials(tmp_path / "trials.csv", config_from_dict(manifest["config"]))
+    assert len(table) == manifest["trial_rows"]
+
+
+def test_report_tables_are_what_csv_writer_writes(tmp_path):
+    # Their fields are policy and scope names, numbers and empty texts, none
+    # of which csv.writer would quote, so joining them with "," is the same.
+    result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3))
+    cli.emit_reports(result, "csv", tmp_path)
+    for name in ("trials.csv", "rollup.csv", "pareto.csv"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(
+            line.split(",") for line in text.splitlines())
+        assert again.getvalue() == text, name
+
+
+@functools.lru_cache(maxsize=None)
+def _small_trials_text():
+    """A small two-policy run's trials.csv text and config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli("run", *FAST_FLAGS, "--policies", "pi1_teleop,pi2_auto",
+                       "--out", tmp) == 0
+        text = (Path(tmp) / "trials.csv").read_text(encoding="utf-8")
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+    return text, config_from_dict(manifest["config"])
+
+
+_LIST_COLUMNS = [cli.TRIALS_COLUMNS.index(c)
+                 for c in ("high_sev_ids", "high_sev_delays", "high_sev_censored")]
+
+
+def _edit_lines(data, lines: list[str]) -> list[str]:
+    """One drawn edit of a trials file's `lines` (line ends dropped)."""
+    limit = csv.field_size_limit()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split(",")
+    j = data.draw(st.integers(0, len(fields) - 1))
+    how = data.draw(st.sampled_from([
+        "insert", "break", "quote", "blank", "short", "long", "wide", "repeat", "list", "huge"]))
+    if how == "insert":   # a quote, CR, NUL or list separator
+        k = data.draw(st.integers(0, len(lines[i])))
+        char = data.draw(st.sampled_from(['"', "\r", "\0", ";"]))
+        lines[i] = lines[i][:k] + char + lines[i][k:]
+    elif how == "break":   # a character splitlines breaks at, where the row stays as wide
+        char = data.draw(st.sampled_from(["\x0b", "\x1c", "\u2028"]))
+        lines[i] = data.draw(st.sampled_from([char + lines[i], lines[i] + char]))
+    elif how == "quote":   # a quoted field, maybe holding a comma or a line break
+        inner = data.draw(st.sampled_from(["", ",", "\n", '""']))
+        fields[j] = f'"{fields[j]}{inner}"'
+        lines[i] = ",".join(fields)
+    elif how == "blank":
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    elif how == "short":
+        lines[i] = ",".join(fields[:j])
+    elif how == "long":
+        lines[i] += "," * data.draw(st.integers(1, 3))
+    elif how == "wide":   # a long row whose line passes the limit, no field of it
+        lines[i] += ("," + "7" * 1000) * (limit // 1000 + 1)
+    elif how == "repeat":   # a header name again at the end; the last one counts
+        name = data.draw(st.sampled_from(cli.TRIALS_COLUMNS))
+        k = cli.TRIALS_COLUMNS.index(name)
+        values = [(line.split(",")[k:] or [""])[0] for line in lines[1:]]   # "" if short
+        values = [data.draw(st.sampled_from([value, *_CELL_TEXTS])) for value in values]
+        lines[:] = [lines[0] + "," + name,
+                    *(line + "," + value for line, value in zip(lines[1:], values))]
+    elif how == "list":   # empty entries in a list cell
+        j = data.draw(st.sampled_from(_LIST_COLUMNS))
+        fields += [""] * (j + 1 - len(fields))   # a short row gets as far as the column
+        fields[j] = data.draw(st.sampled_from([";" + fields[j], fields[j] + ";", ";;",
+                                               fields[j].replace(";", ";;"), ";"]))
+        lines[i] = ",".join(fields)
+    else:   # one field past csv.field_size_limit()
+        fields[j] = "9" * (limit + 1)
+        lines[i] = ",".join(fields)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_bulk_reader_reads_what_csv_reader_reads(data):
+    text, config = _small_trials_text()
+    lines = text.split("\n")[:-1]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines = _edit_lines(data, lines)
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
+    if data.draw(st.booleans()):
+        text = text[:-len(end)]   # no final line end
+    if data.draw(st.integers(0, 19)) == 0:
+        text = ""
+
+    def load(path) -> tuple:
+        """The columns of the table read, floats as their bits, or the error."""
+        try:
+            table = cli.load_trials(path, config)
+        except cli.ConfigError as exc:
+            return ("error", str(exc))
+        columns = [table.policy, table.condition, table.trial, *table.metrics]
+        return tuple((c.dtype.str, c.view(np.int64).tolist() if c.dtype == float
+                      else c.tolist()) for c in columns)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = load(path)
+        with mock.patch.object(cli, "_plain_fields", lambda text: None):
+            assert load(path) == bulk
+
+
+def test_a_repeated_trials_column_reads_its_last_copy(tmp_path):
+    text, config = _small_trials_text()
+    lines = text.split("\n")[:-1]
+    path = tmp_path / "trials.csv"
+    path.write_text("".join(line + ("," + ("trial" if i == 0 else "99")) + "\n"
+                            for i, line in enumerate(lines)), encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match=r"row 1: trial: 99 is outside \[0, 2\)"):
+        cli.load_trials(path, config)
+
+
+_LIST_TEXTS = st.lists(st.sampled_from(["", "0", "1", "17", "x", "2.5"]), max_size=4).map(";".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_LIST_TEXTS, max_size=8))
+def test_list_cells_split_into_their_nonempty_entries(texts):
+    counts, entries = cli._split_lists(texts)
+    parts = [[x for x in text.split(";") if x] for text in texts]
+    assert counts.dtype == np.int64 and counts.tolist() == list(map(len, parts))
+    assert entries == [x for part in parts for x in part]
+
+
+def test_a_trials_file_that_is_not_utf8_names_the_row_csv_reader_stops_at(tmp_path):
+    config = SweepConfig(master_seed=7, trials_per_condition=3)
+    cli.emit_reports(run_sweep(config), "csv", tmp_path)
+    path = tmp_path / "trials.csv"
+    data = path.read_bytes()
+    at = data.index(b"\n", len(data) // 2) + 1   # the first byte of a row past a read chunk
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    rows = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        with pytest.raises(UnicodeDecodeError) as stop:
+            for row in reader:
+                rows += bool(row)
+    assert rows > 0
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.load_trials(path, config)
+    assert str(exc.value) == f"trials.csv: row {rows + 1}: {stop.value}"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -306,6 +307,37 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 def test_ci_rejects_bad_levels():
     with pytest.raises(ValueError):
         confidence_interval([1.0, 2.0], level=1.0)
+
+
+def test_samples_near_the_float_limit_give_finite_statistics_without_a_warning():
+    # Squaring their deviations overflowed: std=inf and an interval of +-inf.
+    config = SweepConfig(alpha=1e308, trials_per_condition=3, degradation_levels=(0.5,),
+                         patient_loads=(5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(config)
+    (teleop,) = [s for s in result.summaries if s.policy is PolicyId.PI1_TELEOP]
+    stats = teleop.workload
+    assert stats.mean > 1e306   # the weight reaches the samples
+    assert all(map(math.isfinite, (stats.mean, stats.std, stats.ci_lo, stats.ci_hi))), stats
+    assert stats.ci_lo < stats.mean < stats.ci_hi
+
+
+_MAGNITUDES = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(st.one_of(_MAGNITUDES, _MAGNITUDES.map(float.__neg__)),
+                        min_size=2, max_size=40),
+       shift=st.integers(520, 1010))
+def test_a_set_scaled_by_a_power_of_two_has_its_statistics_scaled_to_the_bit(samples,
+                                                                              shift):
+    # The scaled set passes the threshold and is scaled back down; the
+    # original is not. Past the float range a result reads as inf on both sides.
+    arr, factor = np.array(samples), 2.0 ** shift
+    got = experiment._t_stats(arr * factor)
+    want = [value * factor for value in experiment._t_stats(arr)]
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
