@@ -50,8 +50,9 @@ from .scenario import (
     StreamPurpose,
     cell_seed_words,
     criticality_times,
-    draw_field,
+    draw_unit_field,
     high_severity_flags,
+    scale_field,
     seeded_stream,
 )
 from .schema import bounded, check_fields
@@ -319,12 +320,18 @@ def _t_stats(arr: np.ndarray, level: float = 0.95) -> tuple[float, float, float,
     A finite set whose largest magnitude passes 2**_SCALE_EXP is scaled by a
     power of two to bring it below, and the results are scaled back, so no
     square of a finite sample overflows; a result past the float range reads
-    as inf. Scaling by a power of two is exact, and any other set is not
-    scaled, so its results are the unscaled bits.
+    as inf. Scaling by a power of two is exact, and any other finite set is
+    not scaled, so its results are the unscaled bits.
+
+    A set holding inf or NaN has its mean (inf, -inf or NaN) and a NaN
+    spread and interval, reached without a warning.
     """
     scale = 1.0
     peak = float(np.abs(arr).max())
-    if 2.0 ** _SCALE_EXP < peak < math.inf:
+    if not peak < math.inf:
+        with np.errstate(invalid="ignore"):
+            return float(arr.mean()), math.nan, math.nan, math.nan
+    if 2.0 ** _SCALE_EXP < peak:
         scale = 2.0 ** (math.frexp(peak)[1] - _SCALE_EXP)
         arr = arr / scale
     n = len(arr)
@@ -344,14 +351,32 @@ def t_critical(n, level: float):
 
 
 def quantiles(samples, qs) -> tuple[float, ...]:
-    """Linear-interpolation quantiles at rank (n-1)*q + 1 (1-indexed)."""
+    """Linear-interpolation quantiles at rank (n-1)*q + 1 (1-indexed).
+
+    A finite set's quantiles are `np.quantile`'s. In a set holding inf, the
+    quantile between order statistics ``a <= b`` at weight ``0 < t < 1`` is
+    ``a`` if they are equal, else ``(1 - t) * a + t * b``: the infinite one of
+    the two, or NaN between -inf and inf. A set holding NaN has NaN
+    quantiles. Neither warns.
+    """
     if len(samples) == 0:
         raise ValueError("quantiles undefined for an empty sample set")
     for q in qs:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
     arr = np.asarray(samples, dtype=float)
-    return tuple(float(v) for v in np.quantile(arr, list(qs), method="linear"))
+    if np.isfinite(arr).all():
+        return tuple(float(v) for v in np.quantile(arr, list(qs), method="linear"))
+    if np.isnan(arr).any():
+        return (math.nan,) * len(qs)
+    ordered = np.sort(arr).tolist()
+    values = []
+    for q in qs:
+        rank = (len(ordered) - 1) * q
+        i = math.floor(rank)
+        t, a = rank - i, ordered[i]
+        values.append(a if t == 0.0 or a == ordered[i + 1] else (1.0 - t) * a + t * ordered[i + 1])
+    return tuple(values)
 
 
 def boxplot_stats(samples) -> tuple[float, float, float, float, float]:
@@ -399,37 +424,40 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
                             policy.index, n_trials)
-    # Pass 1: every trial's field as arrays, then the draws of its mission
-    # stream in their order: the operator's picks and the interval schedules.
-    # The stream is kept for the twin's alert-suppression draws.
+    # Pass 1: every trial's field draws into the cell's arrays, then the draws
+    # of its mission stream in their order: the operator's picks and the
+    # interval schedules. The stream is kept for the twin's alert-suppression
+    # draws. The field's unit uniforms are mapped to their ranges after the
+    # loop, once for the cell.
+    scenario_params, base = config.scenario_params, config.scenario_params.base_position
+    delta, platform, loc = condition.delta, config.platform, config.localization
+    teleop, error_rate = policy is PolicyId.PI1_TELEOP, config.operator_error_rate
     positions = np.empty((n_trials, load, 2))
     severities = np.empty((n_trials, load))
     access = np.empty((n_trials, load))
     picks = np.full((n_trials, load), -1)   # -1: fly to the nearest patient
     streams, schedules = [], []
-    for trial in range(n_trials):
-        scenario_stream = seeded_stream(seeds[2 * trial + StreamPurpose.SCENARIO])
-        positions[trial], severities[trial], access[trial] = draw_field(
-            load, scenario_stream, config.scenario_params)
-        stream = seeded_stream(seeds[2 * trial + StreamPurpose.MISSION])
-        if policy is PolicyId.PI1_TELEOP:
-            picks[trial] = operator_picks(stream, load, config.operator_error_rate)
-        schedules.append(mission_schedules(policy, condition.delta, config.platform,
-                                           stream, config.localization))
+    for trial, (scenario_words, mission_words) in enumerate(
+            zip(seeds[StreamPurpose.SCENARIO::2], seeds[StreamPurpose.MISSION::2])):
+        draw_unit_field(seeded_stream(scenario_words), positions[trial],
+                        severities[trial], access[trial], scenario_params)
+        stream = seeded_stream(mission_words)
+        if teleop:
+            picks[trial] = operator_picks(stream, load, error_rate)
+        schedules.append(mission_schedules(policy, delta, platform, stream, loc))
         streams.append(stream)
+    scale_field(positions, access, scenario_params)
     # Then the cell's orders and planned timelines, one call each.
-    scenario_params, base = config.scenario_params, config.scenario_params.base_position
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     orders = plan_orders(policy, xs, ys, base, picks, severities,
                          criticality_times(severities, scenario_params), access,
                          config.triage_weights)
     depart, arrive, intervene, service = leg_timelines(
-        xs, ys, access, orders, base, policy, condition.delta,
-        config.platform, config.localization)
+        xs, ys, access, orders, base, policy, delta, platform, loc)
 
     duration, aborted, switches, actions, served = cell_outcomes(
-        policy, condition.delta, orders, depart, arrive, intervene, service,
-        schedules, streams, config.platform, config.localization)
+        policy, delta, orders, depart, arrive, intervene, service,
+        schedules, streams, platform, loc)
     return outcome_columns(duration, aborted, switches, actions, served,
                            high_severity_flags(severities, scenario_params),
                            config.tau_c, config.alpha, config.beta)

@@ -95,16 +95,22 @@ def merge_intervals(intervals) -> tuple[tuple[float, float], ...]:
 
 def _interval_process(rate: float, mean_duration: float, horizon: float,
                       stream: np.random.Generator) -> tuple[tuple[float, float], ...]:
-    """Poisson onsets with exponential durations, merged into disjoint intervals."""
+    """Poisson onsets with exponential durations, merged into disjoint intervals.
+
+    Draws one exponential per onset and per duration, alternating, and stops
+    at the first onset at or past `horizon`: the stream's later readers start
+    right after it. Onsets come in order, so fewer than two intervals are
+    already merged.
+    """
     if rate <= 0.0:
         return ()
+    exponential, mean_gap = stream.exponential, 1.0 / rate
     raw = []
-    t = float(stream.exponential(1.0 / rate))
+    t = exponential(mean_gap)
     while t < horizon:
-        duration = float(stream.exponential(mean_duration))
-        raw.append((t, min(t + duration, horizon)))
-        t += float(stream.exponential(1.0 / rate))
-    return merge_intervals(raw)
+        raw.append((t, min(t + exponential(mean_duration), horizon)))
+        t += exponential(mean_gap)
+    return merge_intervals(raw) if len(raw) > 1 else tuple(raw)
 
 
 def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,
@@ -118,7 +124,7 @@ def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,
         raise ValueError("horizon must be positive")
     intervals = _interval_process(params.outage_rate_coeff * delta,
                                   params.outage_mean_duration, horizon, stream)
-    return DegradationProfile(outages=intervals)
+    return DegradationProfile(intervals)
 
 
 def integrity_schedule(horizon: float, stream: np.random.Generator,
@@ -126,6 +132,5 @@ def integrity_schedule(horizon: float, stream: np.random.Generator,
     """Sample the onboard estimator's low-confidence episodes for one mission."""
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    return IntegrityProfile(
-        episodes=_interval_process(params.integrity_rate,
-                                   params.integrity_mean_duration, horizon, stream))
+    return IntegrityProfile(_interval_process(params.integrity_rate,
+                                              params.integrity_mean_duration, horizon, stream))

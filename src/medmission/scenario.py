@@ -7,6 +7,7 @@ of workers can regenerate the exact same scenario from the same
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -223,6 +224,43 @@ def classify_high_severity(patient: Patient,
     return patient.severity >= threshold
 
 
+def draw_unit_field(stream: np.random.Generator, positions: np.ndarray,
+                    severities: np.ndarray, access: np.ndarray,
+                    params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> None:
+    """Fill one field's arrays with its stream draws, in their fixed order.
+
+    `positions` (``(n, 2)``) and then `access` (``(n,)``) get unit uniforms
+    from `Generator.random`, which `scale_field` maps to their ranges;
+    between them, `severities` gets the Beta draws.
+    """
+    stream.random(out=positions)
+    severities[...] = stream.beta(params.severity_alpha, params.severity_beta,
+                                  len(severities))
+    stream.random(out=access)
+
+
+def _to_range(u: np.ndarray, low: float, high: float, key: str) -> None:
+    """``u = low + (high - low) * u`` in place: `Generator.uniform`'s map of
+    a unit uniform, to the bit. An empty or unbounded range raises, as there."""
+    span = high - low
+    if not 0.0 <= span < math.inf:
+        raise ValueError(f"{key}: range [{low!r}, {high!r}] is empty or unbounded")
+    u *= span
+    u += low
+
+
+def scale_field(positions: np.ndarray, access: np.ndarray,
+                params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> None:
+    """Map `draw_unit_field`'s unit uniforms to their ranges, in place.
+
+    The arrays may hold any number of fields: the sweep maps a whole cell at
+    once.
+    """
+    _to_range(positions, 0.0, params.area_extent, "scenario.area_extent")
+    _to_range(access, params.accessibility_low, params.accessibility_high,
+              "scenario.accessibility_low")
+
+
 def draw_field(n: int, stream: np.random.Generator,
                params: ScenarioParams = DEFAULT_SCENARIO_PARAMS
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,9 +269,9 @@ def draw_field(n: int, stream: np.random.Generator,
     Returns the ``(n, 2)`` positions, then the severities and the
     accessibilities; `build_scenario` turns them into the `Scenario`.
     """
-    positions = stream.uniform(0.0, params.area_extent, size=(n, 2))
-    severities = stream.beta(params.severity_alpha, params.severity_beta, size=n)
-    access = stream.uniform(params.accessibility_low, params.accessibility_high, size=n)
+    positions, severities, access = np.empty((n, 2)), np.empty(n), np.empty(n)
+    draw_unit_field(stream, positions, severities, access, params)
+    scale_field(positions, access, params)
     return positions, severities, access
 
 

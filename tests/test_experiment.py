@@ -323,6 +323,58 @@ def test_samples_near_the_float_limit_give_finite_statistics_without_a_warning()
     assert stats.ci_lo < stats.mean < stats.ci_hi
 
 
+def test_a_subnormal_horizon_runs_emits_and_reports_without_a_warning(tmp_path):
+    # Missions end at once, so the rates are inf: every workload sample is inf.
+    config = SweepConfig(master_seed=7, trials_per_condition=3,
+                         platform=PlatformParams(horizon=5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(config)
+        emit_reports(result, "csv", tmp_path / "run")
+        assert main(["report", "--in", str(tmp_path / "run"),
+                     "--out", str(tmp_path / "redo")]) == 0
+    for name in ("summary.json", "rollup.csv", "pareto.csv"):
+        assert (tmp_path / "redo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    for summary in result.summaries:
+        assert np.isinf(summary.workload.mean)
+        assert all(map(math.isnan, (summary.workload.std, summary.workload.ci_lo,
+                                    summary.workload.ci_hi)))
+        assert summary.workload_box == (math.inf,) * 5
+        assert math.isfinite(summary.rho.mean) and math.isfinite(summary.rho.std)
+
+
+@pytest.mark.parametrize("samples, mean", [
+    ([1.0, math.inf, 2.0], math.inf),
+    ([-math.inf, -math.inf], -math.inf),
+    ([-math.inf, 0.0, math.inf], math.nan),
+    ([1.0, math.nan, 3.0], math.nan),
+])
+def test_a_set_holding_inf_or_nan_has_its_mean_and_a_nan_spread_silently(samples, mean):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = experiment._t_stats(np.array(samples))
+        interval = confidence_interval(samples)
+    assert got[0] == mean or math.isnan(got[0]) and math.isnan(mean)
+    assert all(map(math.isnan, got[1:] + interval))
+
+
+@pytest.mark.parametrize("samples, qs, want", [
+    ([math.inf] * 3, (0.0, 0.5, 1.0), (math.inf,) * 3),
+    ([1.0, math.inf, math.inf], (0.0, 0.25, 0.5, 1.0), (1.0, math.inf, math.inf, math.inf)),
+    ([3.0, 1.0, math.inf], (0.25, 0.5, 0.75), (2.0, 3.0, math.inf)),
+    ([2.9, 2.9, 2.9, math.inf], (0.3,), (2.9,)),   # not 0.7 * 2.9 + 0.3 * 2.9
+    ([-math.inf, 2.0, math.inf], (0.0, 0.25, 0.5, 0.75, 1.0),
+     (-math.inf, -math.inf, 2.0, math.inf, math.inf)),
+    ([-math.inf, math.inf], (0.0, 0.5, 1.0), (-math.inf, math.nan, math.inf)),
+    ([1.0, math.nan], (0.0, 1.0), (math.nan, math.nan)),
+])
+def test_quantiles_of_a_set_holding_inf_or_nan_are_defined_silently(samples, qs, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantiles(samples, qs)
+    assert np.array_equal(np.array(got), np.array(want), equal_nan=True)
+
+
 _MAGNITUDES = st.floats(1e-3, 1e3)
 
 

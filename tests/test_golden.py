@@ -8,6 +8,7 @@ format updates them and says so in CHANGES.md.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,17 @@ def test_small_config_report_digests(small_sweep, fmt, tmp_path):
 def test_full_protocol_report_digests(default_sweep, tmp_path):
     result, _ = default_sweep
     assert digests_of(result, "csv", tmp_path) == PROTOCOL_DIGESTS
+
+
+# The benchmark's `sparse_fields` workload: load 5 only, 2,000 trials per
+# condition, seed 42. Its digests are read from the file the benchmark gates on.
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+def test_sparse_fields_report_digests(tmp_path):
+    expected = json.loads(BENCH_GOLDEN.read_text())["sparse_fields"]
+    config = SweepConfig(master_seed=42, patient_loads=(5,), trials_per_condition=2000)
+    assert digests_of(run_sweep(config, workers=1), "csv", tmp_path) == expected
 
 
 def rewrite_rows(run, fmt, keep_every):

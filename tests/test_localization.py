@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medmission import (
@@ -14,6 +14,7 @@ from medmission import (
     outage_schedule,
 )
 from medmission.engine import monitored_trace
+from medmission.localization import _interval_process, merge_intervals
 
 LOC = DEFAULT_LOCALIZATION_PARAMS
 DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -70,6 +71,37 @@ def test_outage_intervals_are_disjoint_ordered_and_clipped():
 
 # ---------------------------------------------------------------------------
 # GPS and onboard variances.
+
+def _sort_then_merge_process(rate, mean_duration, horizon, stream):
+    """The interval process as first written: every interval, sorted and merged."""
+    if rate <= 0.0:
+        return ()
+    raw = []
+    t = float(stream.exponential(1.0 / rate))
+    while t < horizon:
+        duration = float(stream.exponential(mean_duration))
+        raw.append((t, min(t + duration, horizon)))
+        t += float(stream.exponential(1.0 / rate))
+    return merge_intervals(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       rate=st.one_of(st.just(0.0), st.floats(1e-4, 2.0), st.floats(5e-324, 1e-300)),
+       mean_duration=st.floats(1e-3, 60.0), horizon=st.floats(1e-3, 300.0))
+@example(seed=1, rate=1.0, mean_duration=50.0, horizon=100.0)   # nearly all overlap
+@example(seed=2, rate=0.005, mean_duration=5.0, horizon=600.0)  # the default outages
+@example(seed=3, rate=5e-324, mean_duration=3.0, horizon=600.0)  # an infinite mean gap
+def test_the_interval_process_is_the_sort_then_merge_process(seed, rate, mean_duration,
+                                                             horizon):
+    # Same intervals, and the stream left where the integrity process and the
+    # twin's suppression draws expect to read on.
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _sort_then_merge_process(rate, mean_duration, horizon, old)
+    got = _interval_process(rate, mean_duration, horizon, new)
+    assert got == want and all(type(end) is float for pair in got for end in pair)
+    assert new.bit_generator.random_raw() == old.bit_generator.random_raw()
+
 
 def test_gps_error_variance_matches_nominal_at_zero_degradation():
     assert LOC.gps_variance(0.0) == LOC.sigma_gps ** 2

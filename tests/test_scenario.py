@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medmission import (
@@ -16,7 +16,14 @@ from medmission import (
     derive_stream,
     generate_scenario,
 )
-from medmission.scenario import MAX_TRIALS_PER_CELL, cell_seed_words, seeded_stream
+from medmission.scenario import (
+    MAX_TRIALS_PER_CELL,
+    cell_seed_words,
+    draw_field,
+    draw_unit_field,
+    scale_field,
+    seeded_stream,
+)
 
 MASTER = 42
 
@@ -135,6 +142,63 @@ def test_scenario_draws_do_not_depend_on_other_trials():
     after = generate_scenario(condition, derive_stream(MASTER, 0, 5, 0, StreamPurpose.SCENARIO))
     alone = generate_scenario(condition, derive_stream(MASTER, 0, 5, 0, StreamPurpose.SCENARIO))
     assert after == alone
+
+
+def _uniform_beta_uniform(n, stream, params):
+    """A field's draws as `Generator.uniform` and `Generator.beta` take them."""
+    return (stream.uniform(0.0, params.area_extent, size=(n, 2)),
+            stream.beta(params.severity_alpha, params.severity_beta, size=n),
+            stream.uniform(params.accessibility_low, params.accessibility_high, size=n))
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+
+
+@st.composite
+def _field_params(draw):
+    low = draw(st.floats(1e-300, 1.0))
+    high = draw(st.one_of(st.just(low), st.floats(low, 1.0)))
+    return ScenarioParams(
+        area_extent=draw(st.one_of(st.just(4000.0), st.floats(1e-300, 1.7e308))),
+        severity_alpha=draw(st.floats(0.1, 10.0)), severity_beta=draw(st.floats(0.1, 10.0)),
+        accessibility_low=low, accessibility_high=high)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), load=st.integers(1, 40), trials=st.integers(1, 4),
+       params=_field_params())
+@example(seed=42, load=5, trials=3, params=ScenarioParams(accessibility_low=0.3,
+                                                          accessibility_high=0.3))
+@example(seed=7, load=40, trials=2, params=ScenarioParams(area_extent=1.7e308))
+def test_the_split_field_draw_is_uniform_beta_uniform_to_the_bit(seed, load, trials, params):
+    # Generator.uniform(low, high) returns low + (high - low) * u for the u that
+    # Generator.random returns: no fused multiply-add, no other draw count.
+    def stream(trial):
+        return derive_stream(seed, 0, trial, 0, StreamPurpose.SCENARIO)
+
+    olds, news = [stream(t) for t in range(trials)], [stream(t) for t in range(trials)]
+    want = [_uniform_beta_uniform(load, old, params) for old in olds]
+    # The sweep's way: unit draws into a cell's rows, mapped once for the cell.
+    positions, severities, access = (np.empty((trials, load, 2)), np.empty((trials, load)),
+                                     np.empty((trials, load)))
+    for t, new in enumerate(news):
+        draw_unit_field(new, positions[t], severities[t], access[t], params)
+    scale_field(positions, access, params)
+    for t in range(trials):
+        assert _same_bits((positions[t], severities[t], access[t]), want[t])
+    assert ([s.bit_generator.random_raw() for s in news]
+            == [s.bit_generator.random_raw() for s in olds])
+    # The replay's way: draw_field on one stream.
+    old, new = stream(trials), stream(trials)
+    assert _same_bits(draw_field(load, new, params), _uniform_beta_uniform(load, old, params))
+    assert new.bit_generator.random_raw() == old.bit_generator.random_raw()
+
+
+def test_an_empty_accessibility_range_still_raises():
+    params = ScenarioParams(accessibility_low=0.9, accessibility_high=0.5)
+    with pytest.raises(ValueError, match="scenario.accessibility_low"):
+        draw_field(3, np.random.default_rng(0), params)
 
 
 def test_severity_mean_matches_the_beta_distribution():
