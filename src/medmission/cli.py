@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import __version__
@@ -184,9 +184,10 @@ def _fmt(value) -> str:
 
 
 def _json_safe(value):
-    """NaN becomes null so the JSON stays strictly parseable."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
+    """NaN becomes null and an infinity the string "inf" or "-inf", so the
+    JSON stays strictly parseable."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else repr(value)
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -215,7 +216,7 @@ def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
             for chunk in chunks:
                 for row in zip(*chunk):
                     record = {c: _json_safe(v) for c, v in zip(columns, row)}
-                    fh.write(json.dumps(record, sort_keys=False) + "\n")
+                    fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _value_chunk(rows: list[list], fmt: str) -> list[list]:
@@ -232,29 +233,20 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...], fmt: st
     `conditions` are the run's, by id."""
     value, column = (_fmt, _text_column) if fmt == "csv" else (lambda v: v, np.ndarray.tolist)
     names = {policy.index: policy.value for policy in PolicyId}
-    metrics = trials.metrics
-    ends = np.cumsum(metrics.high_count).tolist()
-    for start, stop in trials.cells():
-        rows = slice(start, stop)
-        first = ends[start] - int(metrics.high_count[start])
-        flat = slice(first, ends[stop - 1])
-        bounds = [0, *(end - first for end in ends[rows])]
-        spans = list(zip(bounds, bounds[1:]))
+    for start, cell in trials.cells():
+        counts = cell.high_count.tolist()
 
         def joined(values: np.ndarray) -> list[str]:
-            texts = _text_column(values[flat])
-            return [";".join(texts[a:b]) for a, b in spans]
+            texts = iter(_text_column(values))
+            return [";".join(islice(texts, count)) for count in counts]
 
-        n, condition = stop - start, conditions[int(trials.condition[start])]
+        n, condition = len(counts), conditions[int(trials.condition[start])]
         yield [
             [names[int(trials.policy[start])]] * n,
             [value(condition.delta)] * n, [value(condition.patient_load)] * n,
-            *(column(values[rows]) for values in (
-                trials.condition, trials.trial, metrics.aborted, metrics.duration,
-                metrics.served, metrics.rho, metrics.lambda_sw, metrics.lambda_int,
-                metrics.workload)),
-            joined(metrics.high_ids), joined(metrics.high_delays),
-            joined(metrics.high_censored),
+            column(trials.condition[start:start + n]), column(trials.trial[start:start + n]),
+            *(column(getattr(cell, name)) for name in MetricColumns.MISSION_FIELDS),
+            *(joined(getattr(cell, name)) for name in MetricColumns.HIGH_FIELDS),
         ]
 
 
@@ -299,9 +291,10 @@ def _summary_payload(result: SweepResult) -> dict:
     return {"cells": cells}
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, strict: bool = True) -> None:
+    """Write `payload` as indented JSON; strict JSON goes through `_json_safe`."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(payload), fh, indent=2)
+        json.dump(_json_safe(payload) if strict else payload, fh, indent=2, allow_nan=not strict)
         fh.write("\n")
 
 
@@ -327,13 +320,15 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     _write_table(trials_path, TRIALS_COLUMNS,
                  _trial_chunks(result.trials, result.config.conditions(), fmt), fmt)
     manifest_path = out / "manifest.json"
+    # `report` reads the config back as a config file, where an infinite
+    # value (a `tau_c` of inf) is written `Infinity`.
     _write_json(manifest_path, {
         "config": config_to_dict(result.config),
         "master_seed": result.config.master_seed,
         "version": __version__,
         "total_missions": result.config.total_missions,
         "trial_rows": len(result.trials),
-    })
+    }, strict=False)
     return [trials_path, *summaries, manifest_path]
 
 
@@ -417,7 +412,8 @@ def _jsonl_row(line: str) -> list[str]:
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
-    return [_fmt(record[c]) for c in TRIALS_COLUMNS]
+    # The writer's null is a NaN (`_json_safe`).
+    return [_fmt(math.nan if record[c] is None else record[c]) for c in TRIALS_COLUMNS]
 
 
 def _trial_table(name: str, columns: dict[str, list[str]],

@@ -31,7 +31,6 @@ from .metrics import (
     MetricColumns,
     TrialMetrics,
     column_bundles,
-    failure_rate,
     outcome_columns,
 )
 from .policy import (
@@ -66,7 +65,6 @@ MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # Patient slots (trials times largest load) of one cell. tracemalloc puts a
 # cell's peak at 181-210 bytes per slot, so 2**22 slots * 210 B is 0.8 GiB.
 MAX_CELL_SLOTS = 2 ** 22
-_NAN_BOX = (math.nan,) * 5   # the five-number summary of no samples
 
 
 @dataclass(frozen=True)
@@ -168,11 +166,11 @@ class TrialTable:
         return TrialTable(self.policy[rows], self.condition[rows], self.trial[rows],
                           self.metrics.take(rows))
 
-    def cells(self) -> list[tuple[int, int]]:
-        """The `[start, stop)` row range of each (condition, policy) cell."""
+    def cells(self) -> list[tuple[int, MetricColumns]]:
+        """Each (condition, policy) cell's first row and its metric columns, as views."""
         change = (np.diff(self.condition) != 0) | (np.diff(self.policy) != 0)
         bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(self)]
-        return list(zip(bounds, bounds[1:])) if len(self) else []
+        return list(zip(bounds, self.metrics.split(bounds))) if len(self) else []
 
     def records(self, conditions: tuple[Condition, ...]) -> tuple[TrialRecord, ...]:
         """One `TrialRecord` per row; `conditions` are the run's, by id."""
@@ -226,8 +224,8 @@ class Stats:
 @dataclass(frozen=True)
 class ConditionSummary:
     policy: PolicyId
-    delta: float
-    load: int
+    delta: float | None          # None, as is load, for a policy's pooled trials
+    load: int | None
     n_trials: int
     delay: Stats                 # pooled high-severity delays, censored included
     rho: Stats                   # per-trial service rates
@@ -243,7 +241,7 @@ class ConditionSummary:
 
 @dataclass(frozen=True)
 class PolicyRollup:
-    """Whole-sweep aggregate per policy, one row per policy."""
+    """Whole-sweep aggregate per policy: means and delay quantiles of its trials."""
 
     policy: PolicyId
     t_int_mean: float
@@ -505,41 +503,33 @@ def _stats(samples: np.ndarray) -> Stats:
     return Stats(*_t_stats(arr))
 
 
-def _summarize_cell(policy: PolicyId, delta: float, load: int,
+# The five-number summary (min, Q1, median, Q3, max), then P90 and P95.
+_DELAY_QS = (0.0, 0.25, 0.5, 0.75, 1.0, 0.9, 0.95)
+
+
+def _summarize_cell(policy: PolicyId, delta: float | None, load: int | None,
                     cell: MetricColumns) -> ConditionSummary:
     delays, workloads = cell.high_delays, cell.workload
-    if len(delays):
-        delay_med, delay_p90, delay_p95 = quantiles(delays, (0.5, 0.9, 0.95))
-        delay_box = boxplot_stats(delays)
-    else:
-        delay_med = delay_p90 = delay_p95 = math.nan
-        delay_box = _NAN_BOX
+    delay_qs = quantiles(delays, _DELAY_QS) if len(delays) else (math.nan,) * len(_DELAY_QS)
     return ConditionSummary(
         policy=policy, delta=delta, load=load, n_trials=len(cell.duration),
         delay=_stats(delays),
         rho=_stats(cell.rho),
         r_fail=_stats(cell.aborted.astype(float)),
         workload=_stats(workloads),
-        delay_median=delay_med, delay_p90=delay_p90, delay_p95=delay_p95,
-        delay_box=delay_box,
-        workload_box=boxplot_stats(workloads) if len(workloads) else _NAN_BOX,
+        delay_median=delay_qs[2], delay_p90=delay_qs[5], delay_p95=delay_qs[6],
+        delay_box=delay_qs[:5],
+        workload_box=boxplot_stats(workloads),
         mean_duration=float(np.mean(cell.duration)),
     )
 
 
-def _rollup(policy: PolicyId, trials: MetricColumns) -> PolicyRollup:
-    delays = trials.high_delays
-    med, p90, p95 = quantiles(delays, (0.5, 0.9, 0.95)) if len(delays) else (math.nan,) * 3
-    return PolicyRollup(
-        policy=policy,
-        t_int_mean=float(np.mean(delays)) if len(delays) else math.nan,
-        rho=float(np.mean(trials.rho)),
-        r_fail=failure_rate(trials.aborted),
-        w_mean=float(np.mean(trials.workload)),
-        mission_time=float(np.mean(trials.duration)),
-        delay_median=med, delay_p90=p90, delay_p95=p95,
-        n_trials=len(trials.duration),
-    )
+def _pareto_points(summaries: list[ConditionSummary]) -> list[ParetoPoint]:
+    """The point of each summary but those where no high-severity patient
+    ever appeared."""
+    return [ParetoPoint(policy=s.policy, delta=s.delta, load=s.load, x=s.delay.mean,
+                        y=s.r_fail.mean, size=s.rho.mean * (1.0 - s.r_fail.mean))
+            for s in summaries if not math.isnan(s.delay.mean)]
 
 
 def aggregate(config: SweepConfig,
@@ -547,40 +537,33 @@ def aggregate(config: SweepConfig,
     """Build summaries, rollups, and Pareto sets from the trials.
 
     `trials` is a table in `(condition, policy.index, trial)` order, or
-    records in any order, which are turned into one first.
+    records in any order, which are turned into one first. A policy's
+    rollup is the summary of its cells' trials pooled in table order.
     """
     if not isinstance(trials, TrialTable):
         trials = TrialTable.from_records(trials)
-    by_cell = {(int(trials.condition[start]), int(trials.policy[start])): (start, stop)
-               for start, stop in trials.cells()}
+    by_cell = {(int(trials.condition[start]), int(trials.policy[start])): cell
+               for start, cell in trials.cells()}
+    summaries = [_summarize_cell(policy, condition.delta, condition.patient_load,
+                                 by_cell[condition.condition_id, policy.index])
+                 for condition in config.conditions() for policy in config.policies
+                 if (condition.condition_id, policy.index) in by_cell]
 
-    summaries = []
-    for condition in config.conditions():
-        for policy in config.policies:
-            cell = by_cell.get((condition.condition_id, policy.index))
-            if cell is not None:
-                summaries.append(_summarize_cell(policy, condition.delta,
-                                                 condition.patient_load,
-                                                 trials.metrics.take(np.arange(*cell))))
+    pooled = []
+    for policy in config.policies:
+        cells = [cell for (_, index), cell in by_cell.items() if index == policy.index]
+        if not cells:
+            raise ValueError(f"policies: {policy.value} has no trial to roll up")
+        pooled.append(_summarize_cell(policy, None, None, MetricColumns._make(
+            map(np.concatenate, zip(*cells)))))
+    rollups = [PolicyRollup(policy=s.policy, t_int_mean=s.delay.mean, rho=s.rho.mean,
+                            r_fail=s.r_fail.mean, w_mean=s.workload.mean,
+                            mission_time=s.mean_duration, delay_median=s.delay_median,
+                            delay_p90=s.delay_p90, delay_p95=s.delay_p95,
+                            n_trials=s.n_trials)
+               for s in pooled]
 
-    rollups = [_rollup(policy, trials.metrics.take(
-                   np.flatnonzero(trials.policy == policy.index)))
-               for policy in config.policies]
-
-    pareto_condition = []
-    for s in summaries:
-        if math.isnan(s.delay.mean):
-            continue   # no high-severity patient ever appeared in this cell
-        pareto_condition.append(ParetoPoint(
-            policy=s.policy, delta=s.delta, load=s.load,
-            x=s.delay.mean, y=s.r_fail.mean,
-            size=s.rho.mean * (1.0 - s.r_fail.mean)))
-    pareto_pooled = [
-        ParetoPoint(policy=r.policy, delta=None, load=None, x=r.t_int_mean,
-                    y=r.r_fail, size=r.rho * (1.0 - r.r_fail))
-        for r in rollups if not math.isnan(r.t_int_mean)
-    ]
-
+    pareto_condition, pareto_pooled = _pareto_points(summaries), _pareto_points(pooled)
     return SweepResult(
         config=config,
         trials=trials,

@@ -201,16 +201,29 @@ class MetricColumns(NamedTuple):
     high_delays: np.ndarray
     high_censored: np.ndarray
 
+    # The fields with one entry per mission but `high_count`, and the flat ones.
+    MISSION_FIELDS = ("aborted", "duration", "served", "rho", "lambda_sw", "lambda_int",
+                      "workload")
+    HIGH_FIELDS = ("high_ids", "high_delays", "high_censored")
+
+    def _pick(self, rows, flat) -> MetricColumns:
+        """The per-mission fields indexed by `rows`, the flat ones by `flat`."""
+        return MetricColumns(high_count=self.high_count[rows],
+                             **{name: getattr(self, name)[rows] for name in self.MISSION_FIELDS},
+                             **{name: getattr(self, name)[flat] for name in self.HIGH_FIELDS})
+
     def take(self, rows: np.ndarray) -> MetricColumns:
         """The missions at the indices `rows`, in that order."""
         starts = np.cumsum(self.high_count) - self.high_count
         counts = self.high_count[rows]
         firsts = np.cumsum(counts) - counts
-        flat = np.arange(counts.sum()) + np.repeat(starts[rows] - firsts, counts)
-        return MetricColumns(self.aborted[rows], self.duration[rows], self.served[rows],
-                             self.rho[rows], self.lambda_sw[rows], self.lambda_int[rows],
-                             self.workload[rows], counts, self.high_ids[flat],
-                             self.high_delays[flat], self.high_censored[flat])
+        return self._pick(rows, np.arange(counts.sum()) + np.repeat(starts[rows] - firsts, counts))
+
+    def split(self, bounds: list[int]) -> list[MetricColumns]:
+        """Views of the missions in each `[bounds[i], bounds[i + 1])`."""
+        flat = np.concatenate(([0], np.cumsum(self.high_count)))[bounds].tolist()
+        return [self._pick(slice(start, stop), slice(first, last))
+                for start, stop, first, last in zip(bounds, bounds[1:], flat, flat[1:])]
 
 
 def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
@@ -238,6 +251,7 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
         flying = duration > 0.0
         lambda_sw = np.where(flying, np.maximum(task_switches - 1, 0) / duration, 0.0)
         lambda_int = np.where(flying, operator_interventions / duration, 0.0)
+        work = float(alpha) * lambda_sw + float(beta) * lambda_int
     waited = intervene - DETECT_TIME
     served = np.count_nonzero(waited <= tau_c, axis=1)
     rows, ids = np.nonzero(high)
@@ -246,7 +260,7 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
         aborted=aborted, duration=duration, served=served,
         rho=served / intervene.shape[1],
         lambda_sw=lambda_sw, lambda_int=lambda_int,
-        workload=float(alpha) * lambda_sw + float(beta) * lambda_int,
+        workload=work,
         high_count=np.count_nonzero(high, axis=1), high_ids=ids,
         high_delays=np.where(censored, duration[rows] - DETECT_TIME, waited[rows, ids]),
         high_censored=censored)

@@ -317,13 +317,21 @@ def test_report_reproduces_the_run_summaries(tmp_path):
         assert read(out / name) == read(redo / name)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("extreme", [
     {},
     {"triage_weights": TriageWeights(urgency_timescale=5e-324)},
     {"platform": PlatformParams(service_time=1e308)},
     {"scenario_params": ScenarioParams(criticality_max=1.7e308, criticality_floor=1.7e308)},
+    # Missions end at once: the rates are inf, and an alpha of 0 makes a
+    # workload of 0 * inf, NaN.
+    {"alpha": 0.0, "platform": PlatformParams(horizon=5e-324)},
 ])
-def test_small_run_and_report_raise_no_warning(tmp_path, extreme):
+def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
     # A NaN from `inf * 0` or an empty quantile warns before it reaches a
     # report, and so does a kernel's overflow to the inf its scalar path
     # computes silently; as an error it fails here instead.
@@ -331,9 +339,17 @@ def test_small_run_and_report_raise_no_warning(tmp_path, extreme):
         warnings.simplefilter("error")
         result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3, **extreme),
                            workers=1)
-        cli.emit_reports(result, "csv", tmp_path / "run")
+        cli.emit_reports(result, fmt, tmp_path / "run")
         assert run_cli("report", "--in", str(tmp_path / "run"),
-                       "--out", str(tmp_path / "redo")) == 0
+                       "--out", str(tmp_path / "redo"), "--format", fmt) == 0
+    for name in ("summary.json", f"rollup.{fmt}", f"pareto.{fmt}"):
+        assert read(tmp_path / "redo" / name) == read(tmp_path / "run" / name), name
+    texts = [(tmp_path / "run" / "summary.json").read_text()]
+    if fmt == "jsonl":
+        texts += [line for name in ("trials", "rollup", "pareto")
+                  for line in (tmp_path / "run" / f"{name}.jsonl").read_text().splitlines()]
+    for text in texts:   # strict JSON: no NaN, Infinity or -Infinity token
+        json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -1,10 +1,13 @@
 """Sweep orchestration and the statistics kernels."""
 
+import functools
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,8 +36,8 @@ from medmission import (
     run_sweep,
     trial_metrics,
 )
-from medmission.cli import emit_reports, main
-from medmission.metrics import DelayRecord, MetricColumns, TrialMetrics
+from medmission.cli import emit_reports, load_trials, main
+from medmission.metrics import DelayRecord, MetricColumns, TrialMetrics, failure_rate
 
 SMALL = SweepConfig(degradation_levels=(0.0, 0.5), patient_loads=(3, 6),
                     trials_per_condition=2)
@@ -169,6 +172,99 @@ def test_aggregating_the_records_gives_the_sweep_aggregates(default_sweep):
     assert again.pareto_pooled == result.pareto_pooled
     assert again.front_pooled == result.front_pooled
     assert again.records == result.records
+
+
+def bits(values):
+    """Float values as their bit patterns, anything else as it is."""
+    values = np.asarray(values)
+    return values.view(np.int64) if values.dtype == float else values
+
+
+# Seed 7, 3 trials per condition, every load, level and policy.
+SMALL_DEFAULT_SHAPED = SweepConfig(master_seed=7, trials_per_condition=3)
+
+
+@pytest.mark.parametrize("config", [
+    SMALL_DEFAULT_SHAPED,
+    SweepConfig(alpha=1e308, trials_per_condition=3, degradation_levels=(0.5,),
+                patient_loads=(5,)),
+    SweepConfig(master_seed=7, trials_per_condition=3,
+                platform=PlatformParams(horizon=5e-324)),
+], ids=["small", "alpha_1e308", "subnormal_horizon"])
+def test_a_rollup_is_the_summary_of_its_policys_trials_to_the_bit(config):
+    result = run_sweep(config)
+    for policy, rollup in zip(config.policies, result.rollups):
+        trials = result.trials.metrics.take(np.flatnonzero(result.trials.policy == policy.index))
+        summary = experiment._summarize_cell(policy, None, None, trials)
+        delays = trials.high_delays
+        # Each field as the summary gives it, and as the rollup once computed it.
+        wants = {
+            "t_int_mean": (summary.delay.mean, np.mean(delays) if len(delays) else math.nan),
+            "rho": (summary.rho.mean, np.mean(trials.rho)),
+            "r_fail": (summary.r_fail.mean, failure_rate(trials.aborted)),
+            "w_mean": (summary.workload.mean, np.mean(trials.workload)),
+            "mission_time": (summary.mean_duration, np.mean(trials.duration)),
+            "n_trials": (summary.n_trials, len(trials.duration)),
+        }
+        for name, q in (("delay_median", 0.5), ("delay_p90", 0.9), ("delay_p95", 0.95)):
+            wants[name] = (getattr(summary, name),
+                           quantiles(delays, (q,))[0] if len(delays) else math.nan)
+        for name, want in wants.items():
+            got = getattr(rollup, name)
+            assert np.array_equal(bits([got, got]), bits(want)), (policy, name, got, want)
+
+
+def test_a_rollup_of_samples_near_the_float_limit_is_finite_without_a_warning():
+    # np.mean of the pooled workloads overflowed to inf with a warning.
+    config = SweepConfig(master_seed=7, trials_per_condition=3, alpha=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(config)
+    assert all(math.isfinite(rollup.w_mean) for rollup in result.rollups)
+
+
+def test_aggregating_a_table_without_a_policys_rows_names_the_policy():
+    trials = run_sweep(SMALL).trials
+    kept = trials.take(np.flatnonzero(trials.policy != PolicyId.PI2_AUTO.index))
+    with pytest.raises(ValueError, match="pi2_auto"):
+        experiment.aggregate(SMALL, kept)
+
+
+def test_metric_columns_name_each_field_once_by_kind():
+    named = (*MetricColumns.MISSION_FIELDS, "high_count", *MetricColumns.HIGH_FIELDS)
+    assert sorted(named) == sorted(MetricColumns._fields)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_trials_lines():
+    """The header and row lines of SMALL_DEFAULT_SHAPED's trials.csv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_reports(run_sweep(SMALL_DEFAULT_SHAPED), "csv", tmp)
+        header, *rows = (Path(tmp) / "trials.csv").read_text().splitlines(keepends=True)
+    return header, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffle=st.randoms(use_true_random=False), data=st.data())
+def test_each_cell_of_a_read_back_table_is_a_view_of_its_rows(shuffle, data):
+    header, rows = _small_trials_lines()
+    rows = list(rows)
+    shuffle.shuffle(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.csv"
+        path.write_text(header + "".join(rows[:data.draw(st.integers(1, len(rows)))]))
+        table = load_trials(path, SMALL_DEFAULT_SHAPED)
+    cells = table.cells()
+    starts = [start for start, _ in cells]
+    keys = [(table.condition[start], table.policy[start]) for start in starts]
+    assert starts[0] == 0 and starts == sorted(starts) and len(set(keys)) == len(keys)
+    for (start, cell), stop, (condition, policy) in zip(cells, [*starts[1:], len(table)], keys):
+        assert (table.condition[start:stop] == condition).all()
+        assert (table.policy[start:stop] == policy).all()
+        want = table.metrics.take(np.arange(start, stop))
+        for name, got, value, column in zip(MetricColumns._fields, cell, want, table.metrics):
+            assert got.dtype == value.dtype and np.array_equal(bits(got), bits(value)), name
+            assert got.size == 0 or np.shares_memory(got, column), name
 
 
 def replayed_records(config):
