@@ -97,6 +97,8 @@ def _from_json(cls, data, key: str):
         value = known.pop(json_key(f))
         if is_dataclass(f.default):
             value = _from_json(type(f.default), value, prefix + json_key(f))
+        elif isinstance(f.default, float) and value in ("inf", "-inf"):
+            value = float(value)   # an infinity as `_json_text` writes it
         elif isinstance(f.default, tuple):
             # A top-level list may come from a comma-separated flag and takes its
             # items' type; a section's pair (scenario.base_position) stays as written.
@@ -133,6 +135,16 @@ def _list_value(values, key: str, kind: type | None) -> tuple:
     return tuple(out)
 
 
+def _read_json(path, name: str):
+    """The JSON value of file `path`, read leniently (a bare `Infinity` token
+    too); invalid JSON raises ConfigError naming `name`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:   # also past the digit or depth limit
+            raise ConfigError(f"{name}: invalid JSON ({exc})") from None
+
+
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON form, naming any bad key."""
     try:
@@ -148,11 +160,7 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
     data: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (ValueError, RecursionError) as exc:   # also past the digit or depth limit
-                raise ConfigError(f"config file: invalid JSON ({exc})") from exc
+        data = _read_json(config_path, "config file")
         if not isinstance(data, dict):
             raise ConfigError("config file: top level must be an object")
 
@@ -184,8 +192,7 @@ def _fmt(value) -> str:
 
 
 def _json_safe(value):
-    """NaN becomes null and an infinity the string "inf" or "-inf", so the
-    JSON stays strictly parseable."""
+    """NaN becomes null and an infinity the string "inf" or "-inf"."""
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else repr(value)
     if isinstance(value, dict):
@@ -193,6 +200,11 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
+
+
+def _json_text(value, indent: int | None = None) -> str:
+    """`value` as strict JSON (`_json_safe`) and a newline: every JSON text the CLI writes."""
+    return json.dumps(_json_safe(value), indent=indent, allow_nan=False) + "\n"
 
 
 def _text_column(values: np.ndarray) -> list[str]:
@@ -215,8 +227,7 @@ def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
         else:
             for chunk in chunks:
                 for row in zip(*chunk):
-                    record = {c: _json_safe(v) for c, v in zip(columns, row)}
-                    fh.write(json.dumps(record, allow_nan=False) + "\n")
+                    fh.write(_json_text(dict(zip(columns, row))))
 
 
 def _value_chunk(rows: list[list], fmt: str) -> list[list]:
@@ -291,20 +302,13 @@ def _summary_payload(result: SweepResult) -> dict:
     return {"cells": cells}
 
 
-def _write_json(path: Path, payload: dict, strict: bool = True) -> None:
-    """Write `payload` as indented JSON; strict JSON goes through `_json_safe`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(payload) if strict else payload, fh, indent=2, allow_nan=not strict)
-        fh.write("\n")
-
-
 def _write_summaries(result: SweepResult, fmt: str, out: Path) -> list[Path]:
     """Write summary.json and the rollup and pareto tables into `out`."""
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.json"
     rollup_path = out / f"rollup.{fmt}"
     pareto_path = out / f"pareto.{fmt}"
-    _write_json(summary_path, _summary_payload(result))
+    summary_path.write_text(_json_text(_summary_payload(result), indent=2), encoding="utf-8")
     _write_table(rollup_path, ROLLUP_COLUMNS, [_value_chunk(_rollup_rows(result), fmt)], fmt)
     _write_table(pareto_path, PARETO_COLUMNS, [_value_chunk(_pareto_rows(result), fmt)], fmt)
     return [summary_path, rollup_path, pareto_path]
@@ -320,15 +324,13 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     _write_table(trials_path, TRIALS_COLUMNS,
                  _trial_chunks(result.trials, result.config.conditions(), fmt), fmt)
     manifest_path = out / "manifest.json"
-    # `report` reads the config back as a config file, where an infinite
-    # value (a `tau_c` of inf) is written `Infinity`.
-    _write_json(manifest_path, {
+    manifest_path.write_text(_json_text({
         "config": config_to_dict(result.config),
         "master_seed": result.config.master_seed,
         "version": __version__,
         "total_missions": result.config.total_missions,
         "trial_rows": len(result.trials),
-    }, strict=False)
+    }, indent=2), encoding="utf-8")
     return [trials_path, *summaries, manifest_path]
 
 
@@ -593,11 +595,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
-    with open(indir / "manifest.json", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"manifest.json: invalid JSON ({exc})") from None
+    manifest = _read_json(indir / "manifest.json", "manifest.json")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError("manifest.json: config: must be an object")
     config = config_from_dict(manifest["config"])
@@ -618,8 +616,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = parse_config(args)
-    json.dump(config_to_dict(config), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(config_to_dict(config), indent=2))
     return 0
 
 

@@ -520,7 +520,7 @@ def _summarize_cell(policy: PolicyId, delta: float | None, load: int | None,
         delay_median=delay_qs[2], delay_p90=delay_qs[5], delay_p95=delay_qs[6],
         delay_box=delay_qs[:5],
         workload_box=boxplot_stats(workloads),
-        mean_duration=float(np.mean(cell.duration)),
+        mean_duration=_stats(cell.duration).mean,
     )
 
 

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medmission import (
@@ -30,6 +30,7 @@ from medmission import (
 )
 from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
+from medmission.experiment import aggregate
 from medmission.metrics import MetricColumns
 from medmission.schema import Bound
 
@@ -149,6 +150,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
       "policies": ["pi2_auto"]}, "trials_per_condition"),
     ({"alpha": math.inf}, "alpha"),
     ({"beta": math.inf}, "beta"),
+    # "inf" and "-inf" are a float key's infinities; no other string is a number.
+    ({"alpha": "-inf"}, "alpha"),
+    ({"master_seed": "inf"}, "master_seed"),
+    ({"tau_c": "Infinity"}, "tau_c"),
+    ({"platform": {"service_time": "nan"}}, "platform.service_time"),
+    ({"platform": {"horizon": "inf"}}, "platform.horizon"),
+    ({"scenario": {"base_position": ["inf", 0]}}, "scenario.base_position"),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
@@ -162,8 +170,8 @@ def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     assert not (tmp_path / "out").exists()
 
 
-# One key of a one-mission-per-policy config set to an arbitrary JSON value.
-_SHAPE = {"trials_per_condition": 1, "patient_loads": [2], "degradation_levels": [1.0]}
+# One key of a two-missions-per-policy config set to an arbitrary JSON value.
+_SHAPE = {"trials_per_condition": 2, "patient_loads": [2], "degradation_levels": [1.0]}
 _KEYS = ["tau_c", "alpha", "beta", "operator_error_rate", "master_seed", "policies"] + [
     f"{section}.{name}" for section, value in config_to_dict(SweepConfig()).items()
     if isinstance(value, dict) for name in value]
@@ -177,23 +185,69 @@ _JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
                          st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _assert_means_finite_where_samples_are(result):
+    """Each mean of a summary or rollup of `result` is finite where every
+    sample behind it is (its spread and interval may still pass the float
+    range)."""
+    conditions = result.config.conditions()
+    cells, pooled = {}, {}
+    for start, cell in result.trials.cells():
+        condition = conditions[int(result.trials.condition[start])]
+        policy = int(result.trials.policy[start])
+        cells[policy, condition.delta, condition.patient_load] = cell
+        pooled.setdefault(policy, []).append(cell)
+    checks = [((s.delay.mean, s.rho.mean, s.r_fail.mean, s.workload.mean, s.mean_duration),
+               cells[s.policy.index, s.delta, s.load]) for s in result.summaries]
+    checks += [((r.t_int_mean, r.rho, r.r_fail, r.w_mean, r.mission_time),
+                MetricColumns._make(map(np.concatenate, zip(*pooled[r.policy.index]))))
+               for r in result.rollups]
+    for means, cell in checks:
+        samples = (cell.high_delays, cell.rho, cell.aborted, cell.workload, cell.duration)
+        for mean, values in zip(means, samples):
+            if len(values) and np.isfinite(values).all():
+                assert math.isfinite(mean), (mean, values)
+
+
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(key=st.sampled_from(_KEYS), value=_JSON_VALUES)
+@example(key="tau_c", value="inf")
+@example(key="platform.service_time", value="inf")
+@example(key="alpha", value="-inf")
+@example(key="master_seed", value="inf")
+@example(key="tau_c", value="Infinity")
+@example(key="platform.horizon", value="nan")
 def test_one_arbitrary_key_validates_and_runs_or_exits_2_naming_it(key, value):
     section, _, name = key.rpartition(".")
     data = {**_SHAPE, **({section: {name: value}} if section else {key: value})}
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "sweep.json"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg, out, redo = Path(tmp) / "sweep.json", Path(tmp) / "out", Path(tmp) / "redo"
         cfg.write_text(json.dumps(data))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        err, echo, again = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(echo):
             code = run_cli("validate", "--config", str(cfg))
-            if code == 0:
-                code = run_cli("run", "--config", str(cfg), "--out", str(Path(tmp) / "out"))
-                assert code == 0, err.getvalue()
         assert code in (0, 2)
         if code == 2:
             assert f"{key}:" in err.getvalue()
+            return
+        with contextlib.redirect_stderr(err):
+            assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0, err.getvalue()
+            assert run_cli("report", "--in", str(out), "--out", str(redo)) == 0, err.getvalue()
+            # The echo is strict JSON and a config file that echoes itself.
+            json.loads(echo.getvalue(), parse_constant=_refuse_constant)
+            cfg.write_text(echo.getvalue())
+            with contextlib.redirect_stdout(again):
+                assert run_cli("validate", "--config", str(cfg)) == 0, err.getvalue()
+        assert again.getvalue() == echo.getvalue()
+        for name in ("summary.json", "rollup.csv", "pareto.csv"):
+            assert read(redo / name) == read(out / name), name
+        config = config_from_dict(json.loads(echo.getvalue()))
+        _assert_means_finite_where_samples_are(
+            aggregate(config, cli.load_trials(out / "trials.csv", config)))
 
 
 def test_every_config_field_declares_a_bound():
@@ -250,6 +304,33 @@ def test_negative_seed_flag_fails_before_the_run(tmp_path, capsys):
     assert code == 2
     assert "master_seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_manifests_config_object_is_a_config_file(tmp_path, capsys):
+    flags = ["--tau-c", "inf", "--trials", "2", "--deltas", "0", "--loads", "5"]
+    run = tmp_path / "run"
+    assert run_cli("run", *flags, "--out", str(run)) == 0
+    manifest = json.loads((run / "manifest.json").read_text(), parse_constant=_refuse_constant)
+    assert manifest["config"]["tau_c"] == "inf"
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(manifest["config"]))
+    capsys.readouterr()
+    assert run_cli("validate", "--config", str(cfg)) == 0
+    echoed = capsys.readouterr().out
+    assert run_cli("validate", *flags) == 0
+    assert capsys.readouterr().out == echoed
+    # `report` reads the manifest back, and so it reads one an older writer
+    # left, with the bare token Infinity.
+    manifests = [(run / "manifest.json").read_text()]
+    manifests.append(manifests[0].replace('"tau_c": "inf"', '"tau_c": Infinity'))
+    assert manifests[1] != manifests[0]
+    for text in manifests:
+        (run / "manifest.json").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", "--in", str(run), "--out", str(tmp_path / "redo")) == 0
+        for name in ("summary.json", "rollup.csv", "pareto.csv"):
+            assert read(tmp_path / "redo" / name) == read(run / name), name
 
 
 def test_validate_echo_parses_back(capsys):
@@ -317,8 +398,10 @@ def test_report_reproduces_the_run_summaries(tmp_path):
         assert read(out / name) == read(redo / name)
 
 
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
+# One condition of load 3 with no integrity episode, so a horizon near the
+# float range is under the cap on intervals per mission.
+_ONE_CELL = {"patient_loads": (3,), "degradation_levels": (0.0,),
+             "localization": LocalizationParams(integrity_rate=0.0)}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -330,6 +413,15 @@ def _refuse_constant(name):
     # Missions end at once: the rates are inf, and an alpha of 0 makes a
     # workload of 0 * inf, NaN.
     {"alpha": 0.0, "platform": PlatformParams(horizon=5e-324)},
+    # Missions run to a horizon near the float range: every duration is
+    # finite, and their mean must not overflow to inf.
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, service_time=1.7e308)},
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, cruise_speed=5e-324)},
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, teleop_speed_factor=5e-324)},
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, uncertainty_penalty=1.7e308)},
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, reference_distance=5e-324)},
+    # An infinite config value, which the manifest writes "inf" and `report` reads back.
+    {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, service_time=math.inf)},
 ])
 def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
     # A NaN from `inf * 0` or an empty quantile warns before it reaches a
@@ -344,7 +436,7 @@ def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
                        "--out", str(tmp_path / "redo"), "--format", fmt) == 0
     for name in ("summary.json", f"rollup.{fmt}", f"pareto.{fmt}"):
         assert read(tmp_path / "redo" / name) == read(tmp_path / "run" / name), name
-    texts = [(tmp_path / "run" / "summary.json").read_text()]
+    texts = [(tmp_path / "run" / name).read_text() for name in ("summary.json", "manifest.json")]
     if fmt == "jsonl":
         texts += [line for name in ("trials", "rollup", "pareto")
                   for line in (tmp_path / "run" / f"{name}.jsonl").read_text().splitlines()]
