@@ -24,7 +24,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .experiment import (
     ParetoPoint,
+    PolicyRollup,
     SweepConfig,
     SweepResult,
     TrialTable,
@@ -48,18 +49,11 @@ log = logging.getLogger("medmission")
 
 TABLE_FORMATS = ("csv", "jsonl")
 
-TRIALS_COLUMNS = [
-    "policy", "delta", "load", "condition", "trial", "aborted", "duration",
-    "served", "rho", "lambda_sw", "lambda_int", "workload",
-    "high_sev_ids", "high_sev_delays", "high_sev_censored",
-]
-
-ROLLUP_COLUMNS = [
-    "policy", "t_int_mean", "rho", "r_fail", "w_mean", "mission_time",
-    "delay_median", "delay_p90", "delay_p95", "n_trials",
-]
-
-PARETO_COLUMNS = ["scope", "policy", "delta", "load", "x", "y", "size", "on_front"]
+TRIALS_COLUMNS = ["policy", "delta", "load", "condition", "trial",
+                  *MetricColumns.MISSION_FIELDS,
+                  "high_sev_ids", "high_sev_delays", "high_sev_censored"]
+ROLLUP_COLUMNS = [f.name for f in fields(PolicyRollup)]
+PARETO_COLUMNS = ["scope", *(f.name for f in fields(ParetoPoint)), "on_front"]
 
 
 class ConfigError(ValueError):
@@ -211,38 +205,35 @@ def _text_column(values: np.ndarray) -> list[str]:
     """`_fmt` of each value of a NumPy column, chosen once by its dtype."""
     if values.dtype == bool:
         return np.where(values, "1", "0").tolist()
-    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    kind = values.dtype.kind
+    return list(map(repr if kind == "f" else _fmt if kind == "O" else str, values.tolist()))
 
 
 def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
-    """Write a table given as chunks of rows, each chunk a list of columns:
-    for CSV columns of text, written a chunk at a time as `,`-joined lines
-    (no field holds a `,`, `"` or line break, so none needs quoting); for
-    JSON lines columns of values."""
-    with open(path, "w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
-        if fmt == "csv":
+    """Write a table given as chunks of rows. A chunk is the values its rows
+    share, which lead each row, and the rest of its columns: NumPy columns
+    of values and lists of text. CSV renders a NumPy column with
+    `_text_column` and each shared value with `_fmt` once per chunk, and
+    writes a chunk at a time as `,`-joined lines (no field holds a `,`, `"`
+    or line break, so none needs quoting); JSON lines writes the values."""
+    csv_text = fmt == "csv"
+    column, value = (_text_column, _fmt) if csv_text else (np.ndarray.tolist, lambda v: v)
+    with open(path, "w", newline="" if csv_text else None, encoding="utf-8") as fh:
+        if csv_text:
             fh.write(",".join(columns) + "\n")
-            for chunk in chunks:
-                fh.write("".join([",".join(row) + "\n" for row in zip(*chunk)]))
-        else:
-            for chunk in chunks:
-                for row in zip(*chunk):
-                    fh.write(_json_text(dict(zip(columns, row))))
+        for shared, rest in chunks:
+            n = len(rest[0])
+            rows = zip(*([value(v)] * n for v in shared),
+                       *(column(c) if isinstance(c, np.ndarray) else c for c in rest))
+            if csv_text:
+                fh.write("".join([",".join(row) + "\n" for row in rows]))
+            else:
+                fh.writelines(_json_text(dict(zip(columns, row))) for row in rows)
 
 
-def _value_chunk(rows: list[list], fmt: str) -> list[list]:
-    """`rows` of values as one chunk for `_write_table`: for CSV each value
-    is rendered by `_fmt`, an enum name, a number or empty."""
-    if fmt == "csv":
-        rows = [list(map(_fmt, row)) for row in rows]
-    return [list(column) for column in zip(*rows)]
-
-
-def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...], fmt: str):
-    """The trials table, one (condition, policy) cell at a time, as the
-    columns of TRIALS_COLUMNS, of text for CSV and of values for JSON lines;
-    `conditions` are the run's, by id."""
-    value, column = (_fmt, _text_column) if fmt == "csv" else (lambda v: v, np.ndarray.tolist)
+def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
+    """The trials table, one (condition, policy) cell at a time, as chunks
+    of TRIALS_COLUMNS; `conditions` are the run's, by id."""
     names = {policy.index: policy.value for policy in PolicyId}
     for start, cell in trials.cells():
         counts = cell.high_count.tolist()
@@ -252,35 +243,27 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...], fmt: st
             return [";".join(islice(texts, count)) for count in counts]
 
         n, condition = len(counts), conditions[int(trials.condition[start])]
-        yield [
-            [names[int(trials.policy[start])]] * n,
-            [value(condition.delta)] * n, [value(condition.patient_load)] * n,
-            column(trials.condition[start:start + n]), column(trials.trial[start:start + n]),
-            *(column(getattr(cell, name)) for name in MetricColumns.MISSION_FIELDS),
+        yield (names[int(trials.policy[start])], condition.delta, condition.patient_load), [
+            trials.condition[start:start + n], trials.trial[start:start + n],
+            *(getattr(cell, name) for name in MetricColumns.MISSION_FIELDS),
             *(joined(getattr(cell, name)) for name in MetricColumns.HIGH_FIELDS),
         ]
 
 
-def _rollup_rows(result: SweepResult) -> list[list]:
-    return [[r.policy.value, r.t_int_mean, r.rho, r.r_fail, r.w_mean,
-             r.mission_time, r.delay_median, r.delay_p90, r.delay_p95,
-             r.n_trials] for r in result.rollups]
+def _record_chunk(cls, records: tuple, *shared):
+    """`records`, instances of dataclass `cls`, as a chunk for `_write_table`:
+    the `shared` values, then one column per field of `cls`, in field order."""
+    return shared, [np.array([_json_value(getattr(r, f.name)) for r in records], dtype=object)
+                    for f in fields(cls)]
 
 
-def _pareto_rows(result: SweepResult) -> list[list]:
-    def rows_for(points: tuple[ParetoPoint, ...], front: tuple[ParetoPoint, ...],
-                 scope: str) -> list[list]:
-        on_front = {id(p) for p in front}
-        return [[scope, p.policy.value, p.delta, p.load, p.x, p.y, p.size,
-                 id(p) in on_front] for p in points]
-
-    return (rows_for(result.pareto_condition, result.front_condition, "condition")
-            + rows_for(result.pareto_pooled, result.front_pooled, "pooled"))
-
-
-def _stats_dict(stats) -> dict:
-    return {"mean": stats.mean, "std": stats.std,
-            "ci_lo": stats.ci_lo, "ci_hi": stats.ci_hi}
+def _pareto_chunk(points: tuple[ParetoPoint, ...], front: tuple[ParetoPoint, ...],
+                  scope: str):
+    """Pareto `points` of one `scope` as a chunk; a point is on the front if
+    it is one of the points of `front`."""
+    on_front = {id(p) for p in front}
+    shared, columns = _record_chunk(ParetoPoint, points, scope)
+    return shared, [*columns, np.array([id(p) in on_front for p in points], dtype=bool)]
 
 
 def _summary_payload(result: SweepResult) -> dict:
@@ -291,12 +274,12 @@ def _summary_payload(result: SweepResult) -> dict:
             "delta": s.delta,
             "load": s.load,
             "n_trials": s.n_trials,
-            "delay": {**_stats_dict(s.delay), "median": s.delay_median,
+            "delay": {**asdict(s.delay), "median": s.delay_median,
                       "p90": s.delay_p90, "p95": s.delay_p95,
                       "box": list(s.delay_box)},
-            "rho": _stats_dict(s.rho),
-            "r_fail": _stats_dict(s.r_fail),
-            "workload": {**_stats_dict(s.workload), "box": list(s.workload_box)},
+            "rho": asdict(s.rho),
+            "r_fail": asdict(s.r_fail),
+            "workload": {**asdict(s.workload), "box": list(s.workload_box)},
             "mean_duration": s.mean_duration,
         })
     return {"cells": cells}
@@ -309,8 +292,10 @@ def _write_summaries(result: SweepResult, fmt: str, out: Path) -> list[Path]:
     rollup_path = out / f"rollup.{fmt}"
     pareto_path = out / f"pareto.{fmt}"
     summary_path.write_text(_json_text(_summary_payload(result), indent=2), encoding="utf-8")
-    _write_table(rollup_path, ROLLUP_COLUMNS, [_value_chunk(_rollup_rows(result), fmt)], fmt)
-    _write_table(pareto_path, PARETO_COLUMNS, [_value_chunk(_pareto_rows(result), fmt)], fmt)
+    _write_table(rollup_path, ROLLUP_COLUMNS, [_record_chunk(PolicyRollup, result.rollups)], fmt)
+    _write_table(pareto_path, PARETO_COLUMNS, [
+        _pareto_chunk(result.pareto_condition, result.front_condition, "condition"),
+        _pareto_chunk(result.pareto_pooled, result.front_pooled, "pooled")], fmt)
     return [summary_path, rollup_path, pareto_path]
 
 
@@ -322,7 +307,7 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
     summaries = _write_summaries(result, fmt, out)
     trials_path = out / f"trials.{fmt}"
     _write_table(trials_path, TRIALS_COLUMNS,
-                 _trial_chunks(result.trials, result.config.conditions(), fmt), fmt)
+                 _trial_chunks(result.trials, result.config.conditions()), fmt)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(_json_text({
         "config": config_to_dict(result.config),
@@ -524,7 +509,8 @@ def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:
     which every check on an int column rejects."""
     dtype = np.int64 if kind is int else float
     try:
-        return np.array(list(map(kind, texts)), dtype=dtype), np.zeros(len(texts), dtype=bool)
+        return (np.fromiter(map(kind, texts), dtype, len(texts)),
+                np.zeros(len(texts), dtype=bool))
     except (ValueError, OverflowError):
         values, bad = np.zeros(len(texts), dtype=dtype), np.zeros(len(texts), dtype=bool)
     for i, text in enumerate(texts):

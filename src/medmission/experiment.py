@@ -62,9 +62,14 @@ MAX_PATIENT_LOAD = 1000   # nearest-neighbour planning is quadratic in the load
 DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
-# Patient slots (trials times largest load) of one cell. tracemalloc puts a
-# cell's peak at 181-210 bytes per slot, so 2**22 slots * 210 B is 0.8 GiB.
+# Patient slots of one cell: trials times the largest load plus the expected
+# intervals per mission. tracemalloc puts a cell's peak at 181-210 bytes per
+# patient, and a held interval costs 118 B (tracemalloc) to 143 B (RSS), so
+# 2**22 slots * 210 B is 0.8 GiB.
 MAX_CELL_SLOTS = 2 ** 22
+# Missions of one run. A result holds 183-217 bytes per mission, and `report`
+# peaks at about 1.9 KB per mission reading the trials table back, so near 2 GB.
+MAX_SWEEP_MISSIONS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -97,11 +102,6 @@ class SweepConfig:
             values = getattr(self, key)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{key}: must be nonempty, without duplicates")
-        slots = self.trials_per_condition * max(self.patient_loads)
-        if slots > MAX_CELL_SLOTS:
-            raise ValueError(f"trials_per_condition: {self.trials_per_condition!r} trials at "
-                             f"a largest load of {max(self.patient_loads)} make {slots} "
-                             f"patient slots per cell, over the cap of {MAX_CELL_SLOTS}")
         scenario = self.scenario_params
         if len(scenario.base_position) != 2:
             raise ValueError("scenario.base_position: must be a pair of numbers")
@@ -117,6 +117,19 @@ class SweepConfig:
                              f"localization.integrity_rate: {loc.integrity_rate!r} and "
                              f"platform.horizon: {horizon!r} expect {intervals:.3g} "
                              f"intervals per mission, over the cap of {MAX_INTERVALS_PER_MISSION}")
+        # Each expected interval is held like one more patient of the mission.
+        trials = self.trials_per_condition
+        slots = trials * (max(self.patient_loads) + intervals)
+        if slots > MAX_CELL_SLOTS:
+            raise ValueError(f"trials_per_condition: {trials!r} trials at a largest load of "
+                             f"{max(self.patient_loads)} and {intervals:.3g} expected intervals "
+                             f"per mission make {slots:.3g} patient slots per cell, over the "
+                             f"cap of {MAX_CELL_SLOTS}")
+        if self.total_missions > MAX_SWEEP_MISSIONS:
+            raise ValueError(f"trials_per_condition: {trials!r} trials in each of "
+                             f"{self.total_missions // trials} cells make "
+                             f"{self.total_missions} missions, over the cap of "
+                             f"{MAX_SWEEP_MISSIONS}")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
@@ -241,7 +254,10 @@ class ConditionSummary:
 
 @dataclass(frozen=True)
 class PolicyRollup:
-    """Whole-sweep aggregate per policy: means and delay quantiles of its trials."""
+    """Whole-sweep aggregate per policy: means and delay quantiles of its trials.
+
+    The field order is the column order of the rollup file.
+    """
 
     policy: PolicyId
     t_int_mean: float
@@ -260,7 +276,8 @@ class ParetoPoint:
     """One bubble of the delay/failure trade-off plot.
 
     `delta`/`load` are None for policy-pooled points. Bubble size is the
-    effective success rho * (1 - r_fail).
+    effective success rho * (1 - r_fail). The field order is the column
+    order of the pareto file, between its `scope` and `on_front` columns.
     """
 
     policy: PolicyId

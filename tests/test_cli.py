@@ -3,11 +3,13 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields
 from datetime import timedelta
@@ -102,6 +104,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "patient_load" in capsys.readouterr().err
 
 
+# Runs each field of which is in bounds, but which would ask for terabytes or
+# hours; no test runs them. One cell of 2**22 missions, each expecting 9,600
+# outage and integrity intervals that do not merge; and 2**19 trials in each
+# of 30 cells, 15,728,640 missions.
+_OVERSIZED = [
+    {"trials_per_condition": 2**22, "patient_loads": [1], "degradation_levels": [1.0],
+     "policies": ["pi2_auto"],
+     "localization": {"outage_rate_coeff": 8.0, "integrity_rate": 8.0,
+                      "outage_mean_duration": 1e-6, "integrity_mean_duration": 1e-6}},
+    {"trials_per_condition": 2**19, "patient_loads": [1, 2]},
+]
+
+
 @pytest.mark.parametrize("data, key", [
     ({"tau_c": float("nan")}, "tau_c"),
     ({"alpha": float("nan")}, "alpha"),
@@ -157,6 +172,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"platform": {"service_time": "nan"}}, "platform.service_time"),
     ({"platform": {"horizon": "inf"}}, "platform.horizon"),
     ({"scenario": {"base_position": ["inf", 0]}}, "scenario.base_position"),
+    *((data, "trials_per_condition") for data in _OVERSIZED),
 ])
 def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
     cfg = tmp_path / "sweep.json"
@@ -168,6 +184,21 @@ def test_config_holes_exit_2_and_name_the_key(tmp_path, capsys, data, key):
         assert f"{key}:" in err
         assert "policies[0]" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", _OVERSIZED)
+def test_an_oversized_run_is_refused_before_anything_is_allocated(tmp_path, capsys, data):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert run_cli(*command, "--config", str(cfg)) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert capsys.readouterr().err.count("trials_per_condition:") == 2
 
 
 # One key of a two-missions-per-policy config set to an arbitrary JSON value.
@@ -442,6 +473,51 @@ def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
                   for line in (tmp_path / "run" / f"{name}.jsonl").read_text().splitlines()]
     for text in texts:   # strict JSON: no NaN, Infinity or -Infinity token
         json.loads(text, parse_constant=_refuse_constant)
+
+
+# A run in which no patient is high-severity, so no delay is measured: the
+# rollup's delay columns are NaN and no condition or policy has a Pareto point.
+_NO_HIGH_SEVERITY = {"scenario": {"high_severity_threshold": 1.0}, "trials_per_condition": 3,
+                     "patient_loads": [2, 3], "degradation_levels": [0.0, 1.0]}
+_NO_HIGH_SEVERITY_DIGESTS = {
+    "csv": {
+        "trials.csv": "28341ee7850c282d77e5274681149d0613167b8968fc94554d0d45edbbe25bd1",
+        "summary.json": "06be2b8882dde9358daf0655c96478a2801fd90eefac212c03da0d832c23c734",
+        "rollup.csv": "808397e8e2b26f2168c8e58b590e3b4d590eeae1eedb6ad2cdb6b3280ab61912",
+        "pareto.csv": "336f08cfcd1b8bd7c384dc3d9fcb4661d78a2e25b60a01b61abb3e89c35e27e4",
+        "manifest.json": "200e214f901ba227b2199137578fa799361b9bff6692eb248b522218343566cd",
+    },
+    "jsonl": {
+        "trials.jsonl": "3f01ac21b73f08bc11a6652934c5f4630b4990772e7abc5f89339e28d8efeba7",
+        "summary.json": "06be2b8882dde9358daf0655c96478a2801fd90eefac212c03da0d832c23c734",
+        "rollup.jsonl": "1a892ea9084ca787523d2b303ba6b0098ce568b7d366c57e85ae3b037f9de635",
+        "pareto.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest.json": "200e214f901ba227b2199137578fa799361b9bff6692eb248b522218343566cd",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_NO_HIGH_SEVERITY_DIGESTS))
+def test_a_run_without_high_severity_patients_has_no_pareto_row(tmp_path, fmt):
+    cfg, out, redo = tmp_path / "sweep.json", tmp_path / "run", tmp_path / "redo"
+    cfg.write_text(json.dumps(_NO_HIGH_SEVERITY))
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
+    assert run_cli("report", "--in", str(out), "--out", str(redo), "--format", fmt) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert digests == _NO_HIGH_SEVERITY_DIGESTS[fmt]
+    for name in ("summary.json", f"rollup.{fmt}", f"pareto.{fmt}"):
+        assert read(redo / name) == read(out / name), name
+    pareto = (out / f"pareto.{fmt}").read_text()
+    assert pareto == ("" if fmt == "jsonl" else "scope,policy,delta,load,x,y,size,on_front\n")
+    if fmt == "csv":
+        rollups = list(csv.DictReader(io.StringIO((out / "rollup.csv").read_text())))
+    else:
+        rollups = [json.loads(line) for line in (out / "rollup.jsonl").read_text().splitlines()]
+    assert len(rollups) == 3
+    for rollup in rollups:
+        for name in ("t_int_mean", "delay_median", "delay_p90", "delay_p95"):
+            assert rollup[name] == ("nan" if fmt == "csv" else None), name
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
