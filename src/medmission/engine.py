@@ -27,21 +27,16 @@ The planned, pause-free visit times come from `leg_timelines`, which the
 sweep calls once per (condition, policy) cell over `(trials, load)` arrays
 and `run_mission` over a batch of one, on the columns and order row that
 `policy.plan_scenario` built, once, for `policy.plan_orders`. The caller
-draws each mission's interval schedules with `mission_schedules` (the sweep
-in its first pass over a cell, `run_mission` right after planning) and
-passes them in.
+draws the interval schedules and passes them in: `run_mission` one
+mission's `mission_schedules` right after planning, the sweep a whole
+cell's `cell_schedules`, as flat columns, after its first pass.
 
-Most missions end before any interval starts, and `cell_outcomes` gives
-those their outcome as columns, over the whole cell at once. A teleop
-mission whose first outage starts more than `_EPS` plus a relative margin
-after its pause-free end never pauses: its times are the left fold of
-each leg, assess and intervene time (`np.cumsum`), cut at the horizon. A
-supervised mission whose first outage or episode starts at or after its
-planned end, which is within the horizon, completes as planned with no
-alert, provided the healthy monitored trace is within the threshold (else
-a crossing may start at 0). Every other row, with a NaN or infinite time
-among them, runs the scalar mission loop (`_simulate`) on its own rows,
-and only those build crossing intervals.
+`cell_outcomes` gives a cell's missions their outcome as columns, over the
+whole cell at once and bit for bit as the mission loop (`_simulate`)
+would. Supervised missions find their threshold crossings, aborts, served
+patients and alerts with array passes; teleop missions fold their work
+with one `np.cumsum` per outage a mission meets. Only a teleop mission
+with a NaN or infinite planned time runs `_simulate` itself.
 
 Each mission loop fills a `MissionOutcome` as it runs: the duration, the
 abort flag, each patient's first intervention time and the counts of
@@ -63,9 +58,12 @@ import numpy as np
 
 from .localization import (
     DEFAULT_LOCALIZATION_PARAMS,
+    IntervalColumns,
     LocalizationParams,
+    integrity_intervals,
     integrity_schedule,
     merge_intervals,
+    outage_intervals,
     outage_schedule,
 )
 from .policy import (
@@ -259,6 +257,9 @@ def crossing_intervals(policy: PolicyId, delta: float,
 # Trace assembly.
 
 _EPS = 1e-9
+# Steps a teleop epoch folds after the first, which folds whole rows: a row
+# that meets many outages refolds at most this many steps per outage.
+_WINDOW = 64
 
 
 def mission_schedules(policy: PolicyId, delta: float, params: PlatformParams,
@@ -353,9 +354,29 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
     return depart, arrive, intervene, service
 
 
+def cell_schedules(policy: PolicyId, delta: float, params: PlatformParams, streams: list,
+                   loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                   ) -> tuple[IntervalColumns, IntervalColumns]:
+    """Each stream's `mission_schedules`, as the cell's flat outage and
+    episode columns (no episode for teleop).
+
+    Every outage schedule is drawn before any integrity schedule; each
+    mission reads only its own stream, so each stream is read in the order
+    `mission_schedules` reads it.
+    """
+    horizon = params.horizon
+    outages = IntervalColumns.of(outage_intervals(delta, horizon, stream, loc)
+                                 for stream in streams)
+    if policy is PolicyId.PI1_TELEOP:
+        return outages, IntervalColumns.of([()] * len(streams))
+    return outages, IntervalColumns.of(integrity_intervals(horizon, stream, loc)
+                                       for stream in streams)
+
+
 def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
                   depart: np.ndarray, arrive: np.ndarray, intervene: np.ndarray,
-                  service: float, schedules: list, streams: list,
+                  service: float, outages: IntervalColumns, episodes: IntervalColumns,
+                  streams: list,
                   params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
                   loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,86 +384,241 @@ def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
 
     `orders`, `depart`, `arrive` and `intervene` are the cell's
     ``(missions, load)`` visit orders and `leg_timelines`, with ``load >= 1``;
-    `schedules` holds each mission's `mission_schedules` and `streams` its
-    stream after them. Returns the duration, abort flag, task-switch and
-    control-action counts per mission, and each patient's first intervention
-    time by patient id (NaN if unserved). Rows the gate passes take the
-    pause-free closed form; the rest run `_simulate`, as `run_mission` would.
+    `outages` and `episodes` are its `cell_schedules` and `streams` each
+    mission's stream after them. Returns the duration, abort flag, task-switch
+    and control-action counts per mission, and each patient's first
+    intervention time by patient id (NaN if unserved), bit for bit as
+    `_simulate` gives them. Only a teleop mission with a NaN or infinite
+    planned time runs `_simulate` itself.
     """
-    first = np.array([min(outages[0][0] if outages else math.inf,
-                          episodes[0][0] if episodes else math.inf)
-                      for outages, episodes in schedules])
+    loop: list[int] = []
     if policy is PolicyId.PI1_TELEOP:
-        gate = _pause_free_teleop(depart, arrive, service, first, params)
+        duration, aborted, switches, actions, times, loop = _teleop_columns(
+            depart, arrive, service, outages, params)
     else:
-        gate = _pause_free_supervised(policy, delta, intervene, first, params, loc)
-    fast, duration, aborted, switches, actions, times = gate
+        duration, aborted, switches, actions, times = _supervised_columns(
+            policy, delta, depart, intervene, outages, episodes, streams, params, loc)
     served = np.full(orders.shape, math.nan)
-    rows = np.flatnonzero(fast)
-    served[rows[:, None], orders[rows]] = times[rows]
-    slow_trials, slow_ids, slow_times = [], [], []
-    for trial in np.flatnonzero(~fast).tolist():
+    served[np.arange(len(orders))[:, None], orders] = times
+    for trial in loop:
         outcome = _simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
                             arrive[trial].tolist(), intervene[trial].tolist(), service,
-                            *schedules[trial], params, streams[trial], loc, events=None)
+                            outages.mission(trial), (), params, streams[trial], loc,
+                            events=None)
         duration[trial], aborted[trial], served_at, switches[trial], actions[trial] = outcome
-        slow_trials += [trial] * len(served_at)
-        slow_ids += served_at
-        slow_times += served_at.values()
-    served[slow_trials, slow_ids] = slow_times
+        served[trial, list(served_at)] = list(served_at.values())
     return duration, aborted, switches, actions, served
 
 
-def _pause_free_teleop(depart, arrive, service, first, params):
-    """The gate and closed form of teleop missions that never pause.
+def _first_past(rows, starts, ends, limit, n):
+    """Per mission, the start plus `limit` of its first interval longer than
+    `limit` (inf if none), as `check_abort` judges and stamps it; `rows` are
+    the intervals' missions, in order."""
+    at = np.full(n, math.inf)
+    hit = np.flatnonzero(ends - starts > limit)
+    first = hit[np.diff(rows[hit], prepend=-1) != 0]
+    at[rows[first]] = starts[first] + limit
+    return at
 
-    `do_work` never pauses a mission whose first outage starts after its
-    last time plus `_EPS`: its times are then the left fold of each leg's
-    `arrive - depart`, the assess time and the rest of the service, which
-    `np.cumsum` takes in the same order. The relative margin keeps the gate
-    sound where an ulp of the end exceeds `_EPS`. Each visit starts with a
-    control action and switches to navigate, assess and intervene at its
-    start, arrival and assess end; the horizon cut keeps what is at or
-    under `terminal + _EPS`. Returns the mask of the rows it holds for and
-    their columns, with the times in visit order (NaN past the cut).
+
+def _supervised_columns(policy, delta, depart, intervene, outages, episodes, streams,
+                        params, loc):
+    """`_run_supervised` over a cell, as columns.
+
+    Crossings: each row is cut at 0, the horizon and every interval end; a
+    piece is judged, as `crossing_intervals` judges it, by the parity of
+    the ends at or before its start, and adjacent pieces above the threshold
+    join. The aborts, the served patients and the operator's alerts follow
+    `_run_supervised` rule by rule. The twin draws one suppression uniform
+    per alert before the terminal time, in alert order, with one
+    `stream.random(k)` per mission; no later draw is read.
     """
-    assess_dur = service * params.assess_fraction
-    steps = np.empty(depart.shape + (3,))
-    with np.errstate(over="ignore", invalid="ignore"):   # such rows run the loop
-        steps[:, :, 0] = arrive - depart
-        steps[:, :, 1] = assess_dur
-        steps[:, :, 2] = service - assess_dur
-        times = np.cumsum(steps.reshape(len(steps), -1), axis=1).reshape(steps.shape)
-        end = times[:, -1, 2]
-        fast = (np.isfinite(times).all(axis=(1, 2))
-                & (first > end + _EPS + np.abs(end) * 1e-12))
-    terminal = np.minimum(end, params.horizon)
-    cut = (terminal + _EPS)[:, None]
-    intervened = times[:, :, 2]
-    actions = 1 + (intervened[:, :-1] <= cut).sum(axis=1)   # the first visit starts at 0
-    switches = actions + (times[:, :, :2] <= cut[:, :, None]).sum(axis=(1, 2))
-    return (fast, terminal, end > params.horizon, switches, actions,
-            np.where(intervened <= cut, intervened, math.nan))
-
-
-def _pause_free_supervised(policy, delta, intervene, first, params, loc):
-    """The gate and closed form of supervised missions that meet no interval.
-
-    A mission whose first outage or episode starts at or after its finite
-    planned end, itself within the horizon, has no abort candidate before
-    that end and no alert to handle: it completes as planned, serves every
-    patient at its intervene time, switches once (to monitor) and acts
-    never. That needs the healthy monitored trace within the threshold,
-    or a crossing opens at 0; then no row holds. Returns the mask of the
-    rows it holds for and their columns, with the times in visit order.
-    """
-    natural_end = intervene[:, -1].copy()
-    healthy = monitored_trace(policy, delta, True, False, loc) <= params.uncertainty_threshold
-    fast = (healthy & np.isfinite(intervene).all(axis=1) & (first >= natural_end)
-            & (natural_end <= params.horizon))
     n = len(intervene)
-    return (fast, natural_end, np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64), intervene)
+    horizon, handling = params.horizon, params.alert_handling_time
+    natural_end = np.where(np.isnan(intervene[:, -1]), math.inf, intervene[:, -1])
+    o_rows, e_rows = outages.rows(), episodes.rows()
+    # above[gps up, in an episode]
+    above = np.array([[monitored_trace(policy, delta, gps_valid, episode, loc)
+                       > params.uncertainty_threshold for episode in (False, True)]
+                      for gps_valid in (False, True)])
+    everyone = np.arange(n)
+    times = np.concatenate([np.zeros(n), np.full(n, horizon), outages.starts, outages.ends,
+                            episodes.starts, episodes.ends])
+    rows = np.concatenate([everyone, everyone, o_rows, o_rows, e_rows, e_rows])
+    kinds = np.repeat([0, 1, 2], [2 * n, 2 * len(o_rows), 2 * len(e_rows)])
+    order = np.lexsort((times, rows))
+    times, rows, kinds = times[order], rows[order], kinds[order]
+    # Every row holds an even count of each kind, so parities run on across rows.
+    gps_up = np.cumsum(kinds == 1) % 2 == 0
+    in_episode = np.cumsum(kinds == 2) % 2 == 1
+    last = np.ones(len(times), dtype=bool)   # the last point at each distinct time
+    last[:-1] = (rows[1:] != rows[:-1]) | (times[1:] != times[:-1])
+    times, rows = times[last], rows[last]
+    up = above[gps_up[last].astype(int), in_episode[last].astype(int)]
+    up[:-1] &= rows[1:] == rows[:-1]   # a row's last cut opens no piece
+    up[-1] = False
+    opens, closes = up.copy(), up.copy()
+    opens[1:] &= ~up[:-1]
+    closes[:-1] &= ~up[1:]
+    c_rows, c_starts = rows[opens], times[opens]
+    c_ends = times[np.flatnonzero(closes) + 1]
+
+    abort_at = np.minimum(
+        _first_past(o_rows, outages.starts, outages.ends, params.comm_timeout_for(policy), n),
+        _first_past(c_rows, c_starts, c_ends, params.abort_grace, n))
+    abort_at = np.minimum(abort_at, np.where(natural_end > horizon, horizon, math.inf))
+    aborted = abort_at < natural_end
+    terminal = np.where(aborted, abort_at, natural_end)
+    reached = np.logical_and.accumulate(depart <= terminal[:, None], axis=1)
+    served = np.where(reached & (intervene <= terminal[:, None]), intervene, math.nan)
+
+    when = np.concatenate([outages.starts, c_starts])
+    who = np.concatenate([o_rows, c_rows])
+    early = when < terminal[who]
+    when, who = when[early], who[early]
+    order = np.lexsort((when, who))
+    when, who = when[order], who[order]
+    if policy is PolicyId.PI3_GEODT:
+        alerts = np.bincount(who, minlength=n)
+        draws = [streams[row].random(alerts[row]) for row in np.flatnonzero(alerts).tolist()]
+        kept = np.concatenate(draws) >= params.alert_suppression if draws else early[:0]
+        when, who = when[kept], who[kept]
+    handled = np.bincount(who, minlength=n)
+    release = when + handling
+    again = (who[1:] == who[:-1]) & (release[:-1] <= when[1:])
+    returns = np.bincount(who[1:][again], minlength=n)
+    final = np.flatnonzero(np.diff(who, append=n) != 0)   # each row's last alert
+    released = np.zeros(n, dtype=bool)
+    released[who[final]] = release[final] < terminal[who[final]]
+    monitoring = (handled == 0) | released
+    switches = 1 + (handled > 0) + 2 * returns + released + (aborted & monitoring)
+    return terminal, aborted, switches, handled + aborted, served
+
+
+def _teleop_columns(depart, arrive, service, outages, params):
+    """`_run_teleop` over a cell, as columns, one epoch per outage a row meets.
+
+    A visit is three steps of work: its leg, the assess time and the rest of
+    the service. In an epoch each active row folds its next steps (all of
+    them in the first epoch, then `_WINDOW`) from its time with one
+    `np.cumsum` of ``[t, rest of the step, later steps]``, `do_work`'s left
+    fold bit for bit, and stops at the first step with work where its next
+    outage starts within `_EPS` of the step's start or before the step's
+    work is done; a step without work is not checked. A row that folds
+    through its window without stopping goes on from the window's end.
+    Paused inside a step, the row moves to the outage start and pauses if
+    that is within `_EPS`, else folds on in the next epoch, as `do_work`
+    loops. A pause switches to recover, and aborts at the outage start
+    plus the timeout if the outage outlasts it, else resumes at its end
+    with a control action and a switch back. The counts keep what lies at
+    or under the terminal time plus `_EPS`, as `_run_teleop` cuts them.
+
+    Also returns the rows whose pause-free fold is not finite: those are
+    left to `_simulate`.
+    """
+    n, load = depart.shape
+    assess = service * params.assess_fraction
+    work = np.empty((n, load, 3))
+    with np.errstate(invalid="ignore"):
+        work[:, :, 0] = arrive - depart
+    work[:, :, 1] = assess
+    work[:, :, 2] = service - assess
+    work = work.reshape(n, -1)
+    steps = work.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop = ~np.isfinite(np.cumsum(work, axis=1)[:, -1])
+    o_starts = np.append(outages.starts, math.inf)
+    o_ends, timeout = outages.ends, params.comm_timeout_teleop
+    ends = np.full(work.shape, math.nan)   # each step's end, once done
+    finish = np.zeros(n)                   # the end, or the abort time
+    aborted = np.zeros(n, dtype=bool)
+    no_pause = (np.empty(0, dtype=np.int64), np.empty(0))
+    recover, resume = [no_pause], [no_pause]   # (rows, times) of the pauses' switches
+    rows = np.flatnonzero(~loop)
+    t, step, rest = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64), work[rows, 0]
+    nxt = np.cumsum(outages.counts) - outages.counts
+    last = (nxt + outages.counts)[rows]
+    nxt = nxt[rows]
+    width = steps   # the first epoch folds whole rows, later ones a window
+    while len(rows):
+        active = np.arange(len(rows))
+        meets = nxt < last
+        start = np.where(meets, o_starts[nxt], math.inf)
+        block = (step == step[0]).all()   # one block of columns, as in the first epoch
+        if block:
+            span = min(width, steps - step[0])
+            index = (rows, slice(step[0], step[0] + span))
+            window = work[index]
+        else:
+            span = width
+            cols = step[:, None] + np.arange(span)
+            inside = cols < steps   # past the last step a window takes no work
+            index = (rows[:, None], np.minimum(cols, steps - 1))
+            window = np.where(inside, work[index], 0.0)
+        offset = np.arange(span)
+        folds = np.empty((len(rows), span + 1))
+        folds[:, 0] = t
+        folds[:, 1:] = window
+        folds[:, 1] = rest
+        with np.errstate(over="ignore", invalid="ignore"):
+            clock = np.cumsum(folds, axis=1)
+            begin, todo = clock[:, :-1], folds[:, 1:]
+            gap = start[:, None] - begin
+            halt = (meets[:, None] & (todo > 0.0)
+                    & ((start[:, None] <= begin + _EPS) | ~(todo <= gap)))
+            halted = halt.any(axis=1)
+            at = np.where(halted, halt.argmax(axis=1), span)
+            j = np.minimum(at, span - 1)
+            begin, todo, gap = begin[active, j], todo[active, j], gap[active, j]
+            moved, left = begin + gap, todo - gap
+        if block:
+            ends[index] = np.where(offset < at[:, None], clock[:, 1:], math.nan)
+        else:
+            r, c = np.nonzero(inside & (offset < at[:, None]))
+            ends[rows[r], step[r] + c] = clock[r, c + 1]
+        through = ~halted & (step + span >= steps)
+        finish[rows[through]] = clock[through, -1]
+
+        # A halted row stands at its stop, before or inside the step; any
+        # other goes on from the window's end.
+        before = halted & (start <= begin + _EPS)
+        step = step + at
+        t = np.where(before, begin, np.where(halted, moved, clock[:, -1]))
+        rest = np.where(before, todo,
+                        np.where(halted, left, work[rows, np.minimum(step, steps - 1)]))
+        paused = before | (halted & (start <= t + _EPS))
+        recover.append((rows[paused], np.maximum(t, start)[paused]))
+        gives_up = paused.copy()   # a paused row meets an outage
+        gives_up[paused] = o_ends[nxt[paused]] - start[paused] > timeout
+        finish[rows[gives_up]] = start[gives_up] + timeout
+        aborted[rows[gives_up]] = True
+        back = paused & ~gives_up
+        t[back] = o_ends[nxt[back]]
+        resume.append((rows[back], t[back]))
+        nxt = nxt + back
+        go_on = ~gives_up & ~through
+        rows, t, step, rest, nxt, last = (
+            rows[go_on], t[go_on], step[go_on], rest[go_on], nxt[go_on], last[go_on])
+        width = min(width, _WINDOW)
+
+    horizon = params.horizon
+    aborted |= finish > horizon
+    terminal = np.minimum(finish, horizon)
+    cut = terminal + _EPS
+
+    def counted(events):
+        who, when = map(np.concatenate, zip(*events))
+        return np.bincount(who[when <= cut[who]], minlength=n)
+
+    begins = np.zeros((n, steps))
+    begins[:, 1:] = ends[:, :-1]
+    started = begins <= cut[:, None]
+    resumed = counted(resume)
+    switches = started.sum(axis=1) + counted(recover) + resumed
+    actions = started[:, 0::3].sum(axis=1) + resumed
+    done = ends[:, 2::3]
+    return (terminal, aborted, switches, actions,
+            np.where(done <= cut[:, None], done, math.nan), np.flatnonzero(loop).tolist())
 
 
 def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float],

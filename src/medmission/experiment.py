@@ -20,8 +20,8 @@ from .engine import (
     DEFAULT_PLATFORM_PARAMS,
     PlatformParams,
     cell_outcomes,
+    cell_schedules,
     leg_timelines,
-    mission_schedules,
 )
 from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
 from .metrics import (
@@ -67,9 +67,13 @@ MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # patient, and a held interval costs 118 B (tracemalloc) to 143 B (RSS), so
 # 2**22 slots * 210 B is 0.8 GiB.
 MAX_CELL_SLOTS = 2 ** 22
-# Missions of one run. A result holds 183-217 bytes per mission, and `report`
-# peaks at about 1.9 KB per mission reading the trials table back, so near 2 GB.
+# Missions and patients of one run. A result holds 183-217 bytes per mission.
+# Reading the trials table back, `report` peaks (tracemalloc) at about 910 B
+# per mission at load 1, where the per-mission cost rules, and 46-95 B per
+# patient at loads 40 to 1000, where the per-patient cost does. So 2**20
+# missions take about 1 GB and 2**24 patients 0.8-1.6 GB.
 MAX_SWEEP_MISSIONS = 2 ** 20
+MAX_SWEEP_PATIENTS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class SweepConfig:
         if not scenario.accessibility_low <= scenario.accessibility_high:
             raise ValueError(f"scenario.accessibility_low: {scenario.accessibility_low!r} must be "
                              f"<= scenario.accessibility_high: {scenario.accessibility_high!r}")
-        # Each outage or integrity interval costs the mission loop a step.
+        # Each outage a teleop mission meets costs it an epoch of `engine._WINDOW` steps.
         loc, horizon = self.localization, self.platform.horizon
         intervals = ((loc.outage_rate_coeff * max(self.degradation_levels)
                       + loc.integrity_rate) * horizon)
@@ -130,6 +134,11 @@ class SweepConfig:
                              f"{self.total_missions // trials} cells make "
                              f"{self.total_missions} missions, over the cap of "
                              f"{MAX_SWEEP_MISSIONS}")
+        patients = self.total_missions // len(self.patient_loads) * sum(self.patient_loads)
+        if patients > MAX_SWEEP_PATIENTS:
+            raise ValueError(f"trials_per_condition: {trials!r} trials per cell at loads "
+                             f"{list(self.patient_loads)} make {patients} patients, over "
+                             f"the cap of {MAX_SWEEP_PATIENTS}")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
@@ -439,11 +448,11 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
     # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
                             policy.index, n_trials)
-    # Pass 1: every trial's field draws into the cell's arrays, then the draws
-    # of its mission stream in their order: the operator's picks and the
-    # interval schedules. The stream is kept for the twin's alert-suppression
-    # draws. The field's unit uniforms are mapped to their ranges after the
-    # loop, once for the cell.
+    # Pass 1: every trial's field draws into the cell's arrays, then the
+    # operator's picks from its mission stream. The stream is kept for its
+    # interval schedules, drawn next into the cell's flat columns, and the
+    # twin's alert-suppression draws. The field's unit uniforms are mapped to
+    # their ranges after the loop, once for the cell.
     scenario_params, base = config.scenario_params, config.scenario_params.base_position
     delta, platform, loc = condition.delta, config.platform, config.localization
     teleop, error_rate = policy is PolicyId.PI1_TELEOP, config.operator_error_rate
@@ -451,7 +460,7 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
     severities = np.empty((n_trials, load))
     access = np.empty((n_trials, load))
     picks = np.full((n_trials, load), -1)   # -1: fly to the nearest patient
-    streams, schedules = [], []
+    streams = []
     for trial, (scenario_words, mission_words) in enumerate(
             zip(seeds[StreamPurpose.SCENARIO::2], seeds[StreamPurpose.MISSION::2])):
         draw_unit_field(seeded_stream(scenario_words), positions[trial],
@@ -459,9 +468,9 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
         stream = seeded_stream(mission_words)
         if teleop:
             picks[trial] = operator_picks(stream, load, error_rate)
-        schedules.append(mission_schedules(policy, delta, platform, stream, loc))
         streams.append(stream)
     scale_field(positions, access, scenario_params)
+    outages, episodes = cell_schedules(policy, delta, platform, streams, loc)
     # Then the cell's orders and planned timelines, one call each.
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     orders = plan_orders(policy, xs, ys, base, picks, severities,
@@ -472,7 +481,7 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
 
     duration, aborted, switches, actions, served = cell_outcomes(
         policy, delta, orders, depart, arrive, intervene, service,
-        schedules, streams, platform, loc)
+        outages, episodes, streams, platform, loc)
     return outcome_columns(duration, aborted, switches, actions, served,
                            high_severity_flags(severities, scenario_params),
                            config.tau_c, config.alpha, config.beta)

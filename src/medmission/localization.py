@@ -41,6 +41,37 @@ class IntegrityProfile:
     episodes: tuple[tuple[float, float], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class IntervalColumns:
+    """The interval lists of a batch of missions, flat: every mission's
+    ``[start, end)`` intervals in turn, and how many each mission has."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, schedules) -> IntervalColumns:
+        """The columns of per-mission interval tuples, in mission order."""
+        pairs: list[tuple[float, float]] = []
+        counts = []
+        for intervals in schedules:
+            pairs += intervals
+            counts.append(len(intervals))
+        starts, ends = np.array(pairs, dtype=float).reshape(-1, 2).T
+        return cls(starts, ends, np.array(counts, dtype=np.int64))
+
+    def rows(self) -> np.ndarray:
+        """The mission of each interval."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def mission(self, index: int) -> tuple[tuple[float, float], ...]:
+        """One mission's intervals as `(start, end)` pairs."""
+        stop = int(self.counts[:index + 1].sum())
+        start = stop - int(self.counts[index])
+        return tuple(zip(self.starts[start:stop].tolist(), self.ends[start:stop].tolist()))
+
+
 @dataclass(frozen=True)
 class LocalizationParams:
     # The std and integrity-inflation bounds keep each variance nonzero and finite:
@@ -113,18 +144,32 @@ def _interval_process(rate: float, mean_duration: float, horizon: float,
     return merge_intervals(raw) if len(raw) > 1 else tuple(raw)
 
 
-def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,
-                    params: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS) -> DegradationProfile:
-    """Sample the GNSS outage pattern for one mission.
+def outage_intervals(delta: float, horizon: float, stream: np.random.Generator,
+                     params: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                     ) -> tuple[tuple[float, float], ...]:
+    """A mission's GNSS outages, for a positive `horizon`.
 
     Onset rate scales linearly with delta, so delta = 0 yields no outages
     and the expected outage fraction is nondecreasing in delta.
     """
+    return _interval_process(params.outage_rate_coeff * delta,
+                             params.outage_mean_duration, horizon, stream)
+
+
+def integrity_intervals(horizon: float, stream: np.random.Generator,
+                        params: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
+                        ) -> tuple[tuple[float, float], ...]:
+    """A mission's integrity episodes, for a positive `horizon`."""
+    return _interval_process(params.integrity_rate, params.integrity_mean_duration,
+                             horizon, stream)
+
+
+def outage_schedule(delta: float, horizon: float, stream: np.random.Generator,
+                    params: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS) -> DegradationProfile:
+    """Sample the GNSS outage pattern for one mission (`outage_intervals`)."""
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    intervals = _interval_process(params.outage_rate_coeff * delta,
-                                  params.outage_mean_duration, horizon, stream)
-    return DegradationProfile(intervals)
+    return DegradationProfile(outage_intervals(delta, horizon, stream, params))
 
 
 def integrity_schedule(horizon: float, stream: np.random.Generator,
@@ -132,5 +177,4 @@ def integrity_schedule(horizon: float, stream: np.random.Generator,
     """Sample the onboard estimator's low-confidence episodes for one mission."""
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    return IntegrityProfile(_interval_process(params.integrity_rate,
-                                              params.integrity_mean_duration, horizon, stream))
+    return IntegrityProfile(integrity_intervals(horizon, stream, params))

@@ -106,14 +106,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 # Runs each field of which is in bounds, but which would ask for terabytes or
 # hours; no test runs them. One cell of 2**22 missions, each expecting 9,600
-# outage and integrity intervals that do not merge; and 2**19 trials in each
-# of 30 cells, 15,728,640 missions.
+# outage and integrity intervals that do not merge; 2**19 trials in each of
+# 30 cells, 15,728,640 missions; and 4,179 trials at load 1000 in each of 249
+# cells, 1,040,571 missions (under their cap) but 1,040,571,000 patients.
 _OVERSIZED = [
     {"trials_per_condition": 2**22, "patient_loads": [1], "degradation_levels": [1.0],
      "policies": ["pi2_auto"],
      "localization": {"outage_rate_coeff": 8.0, "integrity_rate": 8.0,
                       "outage_mean_duration": 1e-6, "integrity_mean_duration": 1e-6}},
     {"trials_per_condition": 2**19, "patient_loads": [1, 2]},
+    {"trials_per_condition": 4179, "patient_loads": [1000],
+     "degradation_levels": [i / 82 for i in range(83)]},
 ]
 
 

@@ -36,6 +36,7 @@ from medmission.engine import (
 from medmission.localization import (
     DEFAULT_LOCALIZATION_PARAMS,
     IntegrityProfile,
+    IntervalColumns,
     LocalizationParams,
 )
 from medmission.metrics import column_bundles, outcome_columns
@@ -588,7 +589,7 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
 
 
 # ---------------------------------------------------------------------------
-# The pause-free closed form of a cell against the scalar loop, at its gate.
+# A cell's column kernels against the scalar loop, row by row.
 
 def _timelines(legs, service):
     """Depart, arrive and intervene times of missions with these legs, laid
@@ -623,8 +624,8 @@ def _looped_rows(policy, legs, schedules, params, delta=0.5):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_simulate", recording)
         duration, aborted, switches, actions, served = engine.cell_outcomes(
-            policy, delta, orders, depart, arrive, intervene, service, schedules,
-            streams, params)
+            policy, delta, orders, depart, arrive, intervene, service,
+            *map(IntervalColumns.of, zip(*schedules)), streams, params)
     for trial in range(n):
         want = simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
                         arrive[trial].tolist(), intervene[trial].tolist(), service,
@@ -665,7 +666,7 @@ def test_teleop_gate_sends_rows_near_their_end_to_the_loop():
     schedules = [((((first, first + 1.0),) if first < math.inf else ()), ())
                  for first in firsts]
     looped = _looped_rows(PolicyId.PI1_TELEOP, [legs] * len(firsts), schedules, PARAMS)
-    assert looped == [0, 1, 2, 3, 4, 5, 6, 7, 10]
+    assert looped == []
 
 
 def test_teleop_fast_rows_take_the_horizon_cut():
@@ -691,14 +692,77 @@ def test_supervised_gate_starts_at_the_planned_end(policy):
                  ((), ()), ((), ()), ((), ())]
     rows = [legs] * 5 + [[2.0, math.nan, 1.0], [2.0, math.inf, 1.0], [700.0, 1.0, 1.0]]
     looped = _looped_rows(policy, rows, schedules, PARAMS)
-    assert looped == [1, 3, 5, 6, 7]
+    assert looped == []
 
 
 @pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
 def test_supervised_rows_all_run_the_loop_over_a_zero_threshold(policy):
     params = replace(PARAMS, uncertainty_threshold=0.0)
     legs = [[2.0, 3.5, 1.25], [1.0, 1.0, 1.0]]
-    assert _looped_rows(policy, legs, [((), ())] * 2, params) == [0, 1]
+    assert _looped_rows(policy, legs, [((), ())] * 2, params) == []
+
+
+_SPANS = st.sampled_from([0.0, 1e-10, 0.25, 1.0, 2.0, 3.0, 6.0, 12.0, 40.0])
+
+
+@st.composite
+def _intervals(draw, origin, horizon):
+    """Sorted, disjoint intervals from `origin`, cut at the horizon: touching,
+    empty, at 0 or at the horizon, long or short in any order."""
+    intervals, t = [], origin
+    for gap, length in draw(st.lists(st.tuples(_SPANS, _SPANS), max_size=7)):
+        start = min(t + gap, horizon)
+        t = min(start + length, horizon)
+        intervals.append((start, t))
+    return tuple(intervals)
+
+
+@st.composite
+def _cells(draw):
+    """A hand-built cell: its policy, legs, schedules, parameters and level.
+
+    A far cell has its intervals past 1e10 under a horizon of 1e11, where an
+    ulp of a time exceeds `_EPS`, and legs long enough to reach them.
+    """
+    policy = draw(st.sampled_from(list(PolicyId)))
+    far = draw(st.booleans())
+    horizon = 1e11 if far else draw(st.sampled_from([25.0, 600.0]))
+    origin, scale = (1e10, 1e9) if far else (0.0, 1.0)
+    timeout = draw(st.sampled_from([3.0, 0.0, 30.0]))
+    params = replace(PARAMS, horizon=horizon,
+                     uncertainty_threshold=draw(st.sampled_from([400.0, 100.0, 0.0])),
+                     abort_grace=draw(st.sampled_from([2.0, 0.0])),
+                     comm_timeout_teleop=timeout, comm_timeout_auto=timeout,
+                     comm_timeout_dt=timeout,
+                     assess_fraction=draw(st.sampled_from([0.4, 0.0, 1.0])))
+    load, n = draw(st.one_of(st.integers(1, 4), st.just(25))), draw(st.integers(1, 5))
+    leg = st.one_of(st.floats(0.0, 30.0).map(lambda x: x * scale),
+                    st.sampled_from([0.0, math.nan, math.inf]))
+    legs = draw(st.lists(st.lists(leg, min_size=load, max_size=load), min_size=n, max_size=n))
+    schedules = [(draw(_intervals(origin, horizon)),
+                  () if policy is PolicyId.PI1_TELEOP else draw(_intervals(origin, horizon)))
+                 for _ in range(n)]
+    return policy, legs, schedules, params, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+# An outage at 15000000001.675402 met from 5038000004.285714: the step's
+# start plus the gap rounds 2 ulp (1.9e-6) below the outage start, so the row
+# folds on to it before it pauses, as `do_work` loops.
+_FAR_START = 15000000001.675402
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell=_cells())
+@example(cell=(PolicyId.PI1_TELEOP, [[5.038e9, 2e10]], [(((_FAR_START, _FAR_START + 2.0),), ())],
+               replace(PARAMS, horizon=1e11), 0.5))
+# Paused in its first step, the row folds its other 74 steps over two
+# windows after the first epoch.
+@example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [(((0.5, 1.5),), ())], PARAMS, 0.5))
+def test_cell_outcomes_equal_the_mission_loop_row_by_row(cell):
+    policy, legs, schedules, params, delta = cell
+    looped = _looped_rows(policy, legs, schedules, params, delta)
+    assert looped == [trial for trial, row in enumerate(legs)
+                      if policy is PolicyId.PI1_TELEOP and not np.isfinite(row).all()]
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

@@ -326,8 +326,8 @@ def test_sweep_records_equal_the_trial_by_trial_replay(config):
 
 
 def test_default_sweep_runs_the_mission_loop_on_few_missions(monkeypatch):
-    # Most missions end before any interval starts and take the closed form;
-    # 5,302 of the 15,000 run the scalar loop.
+    # Every default mission's outcome is computed as columns; only a teleop
+    # mission with a NaN or infinite planned time runs the scalar loop.
     simulate, calls = engine._simulate, []
 
     def counted(*args, **kwargs):
@@ -336,7 +336,7 @@ def test_default_sweep_runs_the_mission_loop_on_few_missions(monkeypatch):
 
     monkeypatch.setattr(engine, "_simulate", counted)
     run_sweep(SweepConfig())
-    assert 0 < len(calls) <= 0.4 * SweepConfig().total_missions
+    assert calls == []
 
 
 def test_config_validation_names_the_offending_key():
