@@ -35,23 +35,21 @@ cell's `cell_schedules`, as flat columns, after its first pass.
 whole cell at once and bit for bit as the mission loop (`_simulate`)
 would. Supervised missions find their threshold crossings, aborts, served
 patients and alerts with array passes; teleop missions fold their work
-with one `np.cumsum` per outage a mission meets. Only a teleop mission
-with a NaN or infinite planned time runs `_simulate` itself.
+with one `np.cumsum` per outage a mission meets. The sweep runs no
+mission loop and builds no event log.
 
-Each mission loop fills a `MissionOutcome` as it runs: the duration, the
-abort flag, each patient's first intervention time and the counts of
-operator task switches and control actions, which is all `metrics` reads
-off a mission. It logs `MissionEvent`s only when its caller passes a list
-to log into: `run_mission` does, for replay, tests and demos, and
-`metrics.trial_metrics` reads that log as the oracle of the outcome. The
-sweep passes none, so it builds no event log.
+The mission loop runs one mission for `run_mission`, for replay, tests
+and demos. It logs its `MissionEvent`s, which `metrics.trial_metrics`
+reads as the oracle of the outcome, and returns a `MissionOutcome`: the
+duration, the abort flag, each patient's first intervention time and the
+counts of operator task switches and control actions in the log.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -114,10 +112,7 @@ class MissionTrace:
 
 
 class MissionOutcome(NamedTuple):
-    """What the metrics read off one mission, counted while it runs.
-
-    The counts are of the events the mission's log holds, or would hold.
-    """
+    """What the metrics read off one mission; the counts are of its log's events."""
 
     duration: float
     aborted: bool
@@ -160,29 +155,28 @@ DEFAULT_PLATFORM_PARAMS = PlatformParams()
 class OperatorView:
     """The operator's active task and control actions.
 
-    Each task change and each control action is timed; when `events` is a
-    list it is also logged there, as a task_switch or an
-    operator_intervention event.
+    Each task change is logged in `events` as a task_switch event, and
+    each control action as an operator_intervention event.
     """
 
-    events: list[MissionEvent] | None
+    events: list[MissionEvent]
     task_label: str | None = None
-    switch_times: list[float] = field(default_factory=list)
-    action_times: list[float] = field(default_factory=list)
 
     def switch(self, label: str, time: float) -> None:
         if label not in TASK_ALPHABET:
             raise ValueError(f"unknown task label {label!r}")
         if label != self.task_label:
             self.task_label = label
-            self.switch_times.append(time)
-            if self.events is not None:
-                self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
+            self.events.append(MissionEvent(time, TASK_SWITCH, None, label))
 
     def act(self, time: float) -> None:
-        self.action_times.append(time)
-        if self.events is not None:
-            self.events.append(MissionEvent(time, OPERATOR_INTERVENTION))
+        self.events.append(MissionEvent(time, OPERATOR_INTERVENTION))
+
+
+def _operator_counts(events: list[MissionEvent]) -> tuple[int, int]:
+    """The task switches and the control actions among `events`."""
+    kinds = [event.kind for event in events]
+    return kinds.count(TASK_SWITCH), kinds.count(OPERATOR_INTERVENTION)
 
 
 def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
@@ -388,25 +382,17 @@ def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
     mission's stream after them. Returns the duration, abort flag, task-switch
     and control-action counts per mission, and each patient's first
     intervention time by patient id (NaN if unserved), bit for bit as
-    `_simulate` gives them. Only a teleop mission with a NaN or infinite
-    planned time runs `_simulate` itself.
+    `_simulate` gives them, for every mission: NaN and infinite planned
+    times included.
     """
-    loop: list[int] = []
     if policy is PolicyId.PI1_TELEOP:
-        duration, aborted, switches, actions, times, loop = _teleop_columns(
+        duration, aborted, switches, actions, times = _teleop_columns(
             depart, arrive, service, outages, params)
     else:
         duration, aborted, switches, actions, times = _supervised_columns(
             policy, delta, depart, intervene, outages, episodes, streams, params, loc)
     served = np.full(orders.shape, math.nan)
     served[np.arange(len(orders))[:, None], orders] = times
-    for trial in loop:
-        outcome = _simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
-                            arrive[trial].tolist(), intervene[trial].tolist(), service,
-                            outages.mission(trial), (), params, streams[trial], loc,
-                            events=None)
-        duration[trial], aborted[trial], served_at, switches[trial], actions[trial] = outcome
-        served[trial, list(served_at)] = list(served_at.values())
     return duration, aborted, switches, actions, served
 
 
@@ -499,22 +485,22 @@ def _teleop_columns(depart, arrive, service, outages, params):
     """`_run_teleop` over a cell, as columns, one epoch per outage a row meets.
 
     A visit is three steps of work: its leg, the assess time and the rest of
-    the service. In an epoch each active row folds its next steps (all of
-    them in the first epoch, then `_WINDOW`) from its time with one
-    `np.cumsum` of ``[t, rest of the step, later steps]``, `do_work`'s left
-    fold bit for bit, and stops at the first step with work where its next
-    outage starts within `_EPS` of the step's start or before the step's
-    work is done; a step without work is not checked. A row that folds
-    through its window without stopping goes on from the window's end.
-    Paused inside a step, the row moves to the outage start and pauses if
-    that is within `_EPS`, else folds on in the next epoch, as `do_work`
-    loops. A pause switches to recover, and aborts at the outage start
-    plus the timeout if the outage outlasts it, else resumes at its end
-    with a control action and a switch back. The counts keep what lies at
-    or under the terminal time plus `_EPS`, as `_run_teleop` cuts them.
-
-    Also returns the rows whose pause-free fold is not finite: those are
-    left to `_simulate`.
+    the service; a NaN step (an infinite time less another) is infinite, as
+    `do_work` reads it. In an epoch each active row folds its next steps
+    (all of them in the first epoch, then `_WINDOW`; none past its last)
+    from its time with one `np.cumsum` of ``[t, rest of the step, later
+    steps]``, `do_work`'s left fold bit for bit, and stops at the first
+    step with work where its next outage starts within `_EPS` of the
+    step's start or before the step's work is done; a step without work is
+    not checked. A row that folds through its window without stopping goes
+    on from the window's end. Paused inside a step, the row moves to the
+    outage start and pauses if that is within `_EPS`, else folds on in the
+    next epoch, as `do_work` loops. A pause switches to recover, and aborts
+    at the outage start plus the timeout if the outage outlasts it, else
+    resumes at its end with a control action and a switch back. An
+    infinite step pauses at every outage left, all at finite times, before
+    its row's time turns infinite. The counts keep what lies at or under
+    the terminal time plus `_EPS`, as `_run_teleop` cuts them.
     """
     n, load = depart.shape
     assess = service * params.assess_fraction
@@ -524,9 +510,8 @@ def _teleop_columns(depart, arrive, service, outages, params):
     work[:, :, 1] = assess
     work[:, :, 2] = service - assess
     work = work.reshape(n, -1)
+    work[np.isnan(work)] = math.inf
     steps = work.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        loop = ~np.isfinite(np.cumsum(work, axis=1)[:, -1])
     o_starts = np.append(outages.starts, math.inf)
     o_ends, timeout = outages.ends, params.comm_timeout_teleop
     ends = np.full(work.shape, math.nan)   # each step's end, once done
@@ -534,31 +519,23 @@ def _teleop_columns(depart, arrive, service, outages, params):
     aborted = np.zeros(n, dtype=bool)
     no_pause = (np.empty(0, dtype=np.int64), np.empty(0))
     recover, resume = [no_pause], [no_pause]   # (rows, times) of the pauses' switches
-    rows = np.flatnonzero(~loop)
-    t, step, rest = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64), work[rows, 0]
+    rows = np.arange(n)
+    t, step, rest = np.zeros(n), np.zeros(n, dtype=np.int64), work[:, 0]
     nxt = np.cumsum(outages.counts) - outages.counts
-    last = (nxt + outages.counts)[rows]
-    nxt = nxt[rows]
+    last = nxt + outages.counts
     width = steps   # the first epoch folds whole rows, later ones a window
     while len(rows):
         active = np.arange(len(rows))
         meets = nxt < last
         start = np.where(meets, o_starts[nxt], math.inf)
-        block = (step == step[0]).all()   # one block of columns, as in the first epoch
-        if block:
-            span = min(width, steps - step[0])
-            index = (rows, slice(step[0], step[0] + span))
-            window = work[index]
-        else:
-            span = width
-            cols = step[:, None] + np.arange(span)
-            inside = cols < steps   # past the last step a window takes no work
-            index = (rows[:, None], np.minimum(cols, steps - 1))
-            window = np.where(inside, work[index], 0.0)
+        span = min(width, steps - step.min())
         offset = np.arange(span)
+        cols = step[:, None] + offset
+        inside = cols < steps   # past the last step a window takes no work
+        flat = rows[:, None] * steps + np.minimum(cols, steps - 1)   # in `work` and `ends`
         folds = np.empty((len(rows), span + 1))
         folds[:, 0] = t
-        folds[:, 1:] = window
+        folds[:, 1:] = np.where(inside, work.take(flat), 0.0)
         folds[:, 1] = rest
         with np.errstate(over="ignore", invalid="ignore"):
             clock = np.cumsum(folds, axis=1)
@@ -571,11 +548,8 @@ def _teleop_columns(depart, arrive, service, outages, params):
             j = np.minimum(at, span - 1)
             begin, todo, gap = begin[active, j], todo[active, j], gap[active, j]
             moved, left = begin + gap, todo - gap
-        if block:
-            ends[index] = np.where(offset < at[:, None], clock[:, 1:], math.nan)
-        else:
-            r, c = np.nonzero(inside & (offset < at[:, None]))
-            ends[rows[r], step[r] + c] = clock[r, c + 1]
+        folded = inside & (offset < at[:, None])
+        ends.put(flat[folded], clock[:, 1:][folded])
         through = ~halted & (step + span >= steps)
         finish[rows[through]] = clock[through, -1]
 
@@ -617,8 +591,7 @@ def _teleop_columns(depart, arrive, service, outages, params):
     switches = started.sum(axis=1) + counted(recover) + resumed
     actions = started[:, 0::3].sum(axis=1) + resumed
     done = ends[:, 2::3]
-    return (terminal, aborted, switches, actions,
-            np.where(done <= cut[:, None], done, math.nan), np.flatnonzero(loop).tolist())
+    return terminal, aborted, switches, actions, np.where(done <= cut[:, None], done, math.nan)
 
 
 def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float],
@@ -627,16 +600,13 @@ def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float
               episodes: tuple[tuple[float, float], ...],
               params: PlatformParams, stream: np.random.Generator,
               loc: LocalizationParams,
-              events: list[MissionEvent] | None) -> MissionOutcome:
-    """Execute one mission along its planned rows and return what the
-    metrics read off it.
+              events: list[MissionEvent]) -> MissionOutcome:
+    """Execute one mission along its planned rows, log its events into
+    `events` and return what the metrics read off it.
 
     The rows are one mission's `leg_timelines`: the visited ids, and their
     depart, arrive and intervene times. `outages` and `episodes` are its
-    `mission_schedules`, and `stream` the mission stream after them. Its
-    events are logged into `events` when that is a list; the sweep passes
-    None and builds no log. The stream is drawn from in the same order
-    either way, so both give the same mission.
+    `mission_schedules`, and `stream` the mission stream after them.
     """
     if policy is PolicyId.PI1_TELEOP:
         return _run_teleop(ids, depart, arrive, service, outages, params, events)
@@ -667,24 +637,21 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
     aborted = abort_at < natural_end
     terminal = abort_at if aborted else natural_end
 
-    logged = events is not None
     activity: list[MissionEvent] = []
     served: dict[int, float] = {}
     for pid, t_depart, t_arrive, t_intervene in zip(ids, depart, arrive, intervene):
         if not t_depart <= terminal:   # a NaN departure follows a NaN leg
             break
+        activity.append(MissionEvent(t_depart, DEPART, pid))
+        if t_arrive <= terminal:
+            activity.append(MissionEvent(t_arrive, ARRIVE, pid))
         if t_intervene <= terminal:
             served.setdefault(pid, t_intervene)
-        if logged:
-            activity.append(MissionEvent(t_depart, DEPART, pid))
-            if t_arrive <= terminal:
-                activity.append(MissionEvent(t_arrive, ARRIVE, pid))
-            if t_intervene <= terminal:
-                activity.append(MissionEvent(t_intervene, INTERVENE, pid))
+            activity.append(MissionEvent(t_intervene, INTERVENE, pid))
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
     # alerts; the twin autonomously resolves a share of them.
-    ops: list[MissionEvent] | None = [] if logged else None
+    ops: list[MissionEvent] = []
     view = OperatorView(ops)
     view.switch(TASK_MONITOR, 0.0)
 
@@ -713,11 +680,9 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
         # event follows it, so the stable sort puts these two last.
         view.switch(TASK_ASSESS, terminal)
         view.act(terminal)
-    if logged:
-        events += sorted(activity + ops, key=lambda e: e.time)
-        events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
-    return MissionOutcome(terminal, aborted, served, len(view.switch_times),
-                          len(view.action_times))
+    events += sorted(activity + ops, key=lambda e: e.time)
+    events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
+    return MissionOutcome(terminal, aborted, served, *_operator_counts(ops))
 
 
 def _run_teleop(ids, depart, arrive, service, outages, params, events):
@@ -729,7 +694,6 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
     the events kept at the terminal time are a prefix of those produced,
     and the outcome counts that prefix.
     """
-    logged = events is not None
     view = OperatorView(events)
     served: dict[int, float] = {}
     policy = PolicyId.PI1_TELEOP
@@ -773,13 +737,11 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
     for pid, t_depart, t_arrive in zip(ids, depart, arrive):
         view.act(t)
         view.switch(TASK_NAVIGATE, t)
-        if logged:
-            events.append(MissionEvent(t, DEPART, pid))
+        events.append(MissionEvent(t, DEPART, pid))
         t, aborted = do_work(t, t_arrive - t_depart, TASK_NAVIGATE)
         if aborted:
             break
-        if logged:
-            events.append(MissionEvent(t, ARRIVE, pid))
+        events.append(MissionEvent(t, ARRIVE, pid))
         view.switch(TASK_ASSESS, t)
         t, aborted = do_work(t, assess_dur, TASK_ASSESS)
         if aborted:
@@ -789,8 +751,7 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
         if aborted:
             break
         served.setdefault(pid, t)
-        if logged:
-            events.append(MissionEvent(t, INTERVENE, pid))
+        events.append(MissionEvent(t, INTERVENE, pid))
 
     terminal = t
     if terminal > params.horizon:
@@ -798,10 +759,8 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
         aborted = True
 
     cut = terminal + _EPS
-    if logged:
-        events[:] = [e for e in events if e.time <= cut]
-        events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
+    events[:] = [e for e in events if e.time <= cut]
+    events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
     return MissionOutcome(terminal, aborted,
                           {pid: time for pid, time in served.items() if time <= cut},
-                          bisect_right(view.switch_times, cut),
-                          bisect_right(view.action_times, cut))
+                          *_operator_counts(events))

@@ -65,12 +65,6 @@ class IntervalColumns:
         """The mission of each interval."""
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
-    def mission(self, index: int) -> tuple[tuple[float, float], ...]:
-        """One mission's intervals as `(start, end)` pairs."""
-        stop = int(self.counts[:index + 1].sum())
-        start = stop - int(self.counts[index])
-        return tuple(zip(self.starts[start:stop].tolist(), self.ends[start:stop].tolist()))
-
 
 @dataclass(frozen=True)
 class LocalizationParams:

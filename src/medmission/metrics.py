@@ -2,14 +2,14 @@
 
 A mission's metric bundle comes from one of two sources with the same
 arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
-`run_mission` returns it; it is the oracle. `outcome_columns` reads what
-the mission loops of a whole batch counted as they ran (`MissionOutcome`),
-and the field's high-severity flags instead of a `Scenario`; that is what
-the sweep uses, so it builds no event log, no patients and no per-mission
-bundle. `column_bundles` turns its columns back into `TrialMetrics` for
-readers that want them. High-severity patients never reached before the
-mission ends contribute a censored delay equal to the mission duration;
-dropping them instead would reward aborting early.
+`run_mission` returns it; it is the oracle. `outcome_columns` reads a whole
+batch's `MissionOutcome` fields as columns, as `engine.cell_outcomes`
+gives them, and the field's high-severity flags instead of a `Scenario`;
+that is what the sweep uses, so it builds no event log, no patients and no
+per-mission bundle. `column_bundles` turns its columns back into
+`TrialMetrics` for readers that want them. High-severity patients never
+reached before the mission ends contribute a censored delay equal to the
+mission duration; dropping them instead would reward aborting early.
 """
 
 from __future__ import annotations
@@ -234,7 +234,8 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
                     beta: float = DEFAULT_BETA) -> MetricColumns:
     """The bundles `trial_metrics` extracts from a batch of missions' traces.
 
-    The first four arrays hold each mission's `MissionOutcome` counts.
+    The first four arrays hold each mission's `MissionOutcome` fields, as
+    `engine.cell_outcomes` gives them.
     `intervene` is the ``(missions, load)`` first intervene time by patient
     id, NaN for a patient the mission never served; `high` flags the
     high-severity patients the same way; every patient is detected at

@@ -503,7 +503,7 @@ def test_teleop_abort_cuts_the_no_timeout_run_at_the_first_long_outage(
 
 
 # ---------------------------------------------------------------------------
-# The sweep's metrics, counted in the mission loop, against the logged trace.
+# The sweep's metric kernel on the mission loop's outcome, against its log.
 
 _TIMEOUTS = sorted({PARAMS.comm_timeout_for(policy) for policy in PolicyId})
 _LENGTHS = st.one_of(st.sampled_from(_TIMEOUTS),
@@ -576,7 +576,7 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
         outcome = engine._simulate(policy, delta, list(visits), depart[0].tolist(),
                                    arrive[0].tolist(), intervene[0].tolist(), service,
                                    *schedules, params, stream, DEFAULT_LOCALIZATION_PARAMS,
-                                   events=None)
+                                   events=[])
     # The sweep's metric kernel on a batch of one mission; ids are the columns.
     served = np.full((1, load), math.nan)
     served[0, list(outcome.intervene_times)] = list(outcome.intervene_times.values())
@@ -604,9 +604,9 @@ def _timelines(legs, service):
     return depart, arrive, intervene
 
 
-def _looped_rows(policy, legs, schedules, params, delta=0.5):
-    """Run a hand-built cell through `cell_outcomes`, hold each row to
-    `_simulate` on the same schedules and return the rows that ran it."""
+def _check_rows_against_the_loop(policy, legs, schedules, params, delta=0.5):
+    """Run a hand-built cell through `cell_outcomes` and hold each row to
+    `_simulate` on the same schedules."""
     service = params.service_time
     if policy is PolicyId.PI1_TELEOP:
         service /= params.teleop_speed_factor
@@ -614,29 +614,19 @@ def _looped_rows(policy, legs, schedules, params, delta=0.5):
     n, load = depart.shape
     orders = np.tile(np.arange(load)[::-1], (n, 1))   # ids differ from visit order
     streams = [np.random.default_rng(trial) for trial in range(n)]
-    looped = []
-    simulate = engine._simulate
-
-    def recording(*args, **kwargs):
-        looped.extend(trial for trial, s in enumerate(streams) if s is args[10])
-        return simulate(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_simulate", recording)
-        duration, aborted, switches, actions, served = engine.cell_outcomes(
-            policy, delta, orders, depart, arrive, intervene, service,
-            *map(IntervalColumns.of, zip(*schedules)), streams, params)
+    duration, aborted, switches, actions, served = engine.cell_outcomes(
+        policy, delta, orders, depart, arrive, intervene, service,
+        *map(IntervalColumns.of, zip(*schedules)), streams, params)
     for trial in range(n):
-        want = simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
-                        arrive[trial].tolist(), intervene[trial].tolist(), service,
-                        *schedules[trial], params, np.random.default_rng(trial),
-                        DEFAULT_LOCALIZATION_PARAMS, events=None)
+        want = engine._simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
+                                arrive[trial].tolist(), intervene[trial].tolist(), service,
+                                *schedules[trial], params, np.random.default_rng(trial),
+                                DEFAULT_LOCALIZATION_PARAMS, events=[])
         got = {pid: t.hex() for pid, t in enumerate(served[trial].tolist()) if t == t}
         assert float(duration[trial]).hex() == want.duration.hex(), trial
         assert (aborted[trial], switches[trial], actions[trial]) == (
             want.aborted, want.task_switches, want.operator_interventions), trial
         assert got == {pid: t.hex() for pid, t in want.intervene_times.items()}, trial
-    return looped
 
 
 def _teleop_end(legs, params):
@@ -657,33 +647,31 @@ def _ulps(x, k):
     return x
 
 
-def test_teleop_gate_sends_rows_near_their_end_to_the_loop():
+def test_teleop_rows_with_an_outage_near_their_end_equal_the_loop():
     legs = [2.0, 3.5, 1.25]
     end = _teleop_end(legs, PARAMS)
-    gate = end + engine._EPS + abs(end) * 1e-12
+    past = end + engine._EPS + abs(end) * 1e-12
     firsts = ([_ulps(end + engine._EPS, k) for k in range(-3, 4)]
-              + [gate, _ulps(gate, 1), end + 1.0, end - 1.0, math.inf])
+              + [past, _ulps(past, 1), end + 1.0, end - 1.0, math.inf])
     schedules = [((((first, first + 1.0),) if first < math.inf else ()), ())
                  for first in firsts]
-    looped = _looped_rows(PolicyId.PI1_TELEOP, [legs] * len(firsts), schedules, PARAMS)
-    assert looped == []
+    _check_rows_against_the_loop(PolicyId.PI1_TELEOP, [legs] * len(firsts), schedules, PARAMS)
 
 
 def test_teleop_fast_rows_take_the_horizon_cut():
     params = replace(PARAMS, horizon=25.0)
     legs = [[2.0, 3.5, 1.25], [9.0, 8.0, 7.0], [0.0, 30.0, 1.0], [30.0, 1.0, 1.0]]
     assert min(_teleop_end(row, params) for row in legs[1:]) > params.horizon
-    assert _looped_rows(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), params) == []
+    _check_rows_against_the_loop(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), params)
 
 
-def test_teleop_nan_and_infinite_legs_run_the_loop():
+def test_teleop_nan_and_infinite_legs_equal_the_loop():
     legs = [[2.0, math.inf, 1.0], [math.nan, 1.0, 1.0], [2.0, 1.0, math.inf], [2.0, 1.0, 1.0]]
-    looped = _looped_rows(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), PARAMS)
-    assert looped == [0, 1, 2]
+    _check_rows_against_the_loop(PolicyId.PI1_TELEOP, legs, [((), ())] * len(legs), PARAMS)
 
 
 @pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
-def test_supervised_gate_starts_at_the_planned_end(policy):
+def test_supervised_rows_with_an_interval_at_the_planned_end_equal_the_loop(policy):
     legs = [2.0, 3.5, 1.25]
     end = _timelines([legs], PARAMS.service_time)[2][0, -1]
     before = math.nextafter(end, 0.0)
@@ -691,15 +679,14 @@ def test_supervised_gate_starts_at_the_planned_end(policy):
     schedules = [outage(end), outage(before), episode(end), episode(before), ((), ()),
                  ((), ()), ((), ()), ((), ())]
     rows = [legs] * 5 + [[2.0, math.nan, 1.0], [2.0, math.inf, 1.0], [700.0, 1.0, 1.0]]
-    looped = _looped_rows(policy, rows, schedules, PARAMS)
-    assert looped == []
+    _check_rows_against_the_loop(policy, rows, schedules, PARAMS)
 
 
 @pytest.mark.parametrize("policy", [PolicyId.PI2_AUTO, PolicyId.PI3_GEODT])
-def test_supervised_rows_all_run_the_loop_over_a_zero_threshold(policy):
+def test_supervised_rows_over_a_zero_threshold_equal_the_loop(policy):
     params = replace(PARAMS, uncertainty_threshold=0.0)
     legs = [[2.0, 3.5, 1.25], [1.0, 1.0, 1.0]]
-    assert _looped_rows(policy, legs, [((), ())] * 2, params) == []
+    _check_rows_against_the_loop(policy, legs, [((), ())] * 2, params)
 
 
 _SPANS = st.sampled_from([0.0, 1e-10, 0.25, 1.0, 2.0, 3.0, 6.0, 12.0, 40.0])
@@ -722,14 +709,17 @@ def _cells(draw):
     """A hand-built cell: its policy, legs, schedules, parameters and level.
 
     A far cell has its intervals past 1e10 under a horizon of 1e11, where an
-    ulp of a time exceeds `_EPS`, and legs long enough to reach them.
+    ulp of a time exceeds `_EPS`, and legs long enough to reach them. A zero
+    or infinite service time gives steps without work, infinite steps and
+    NaN ones (``inf * 0`` and ``inf - inf``), as NaN and infinite legs do.
     """
     policy = draw(st.sampled_from(list(PolicyId)))
     far = draw(st.booleans())
     horizon = 1e11 if far else draw(st.sampled_from([25.0, 600.0]))
     origin, scale = (1e10, 1e9) if far else (0.0, 1.0)
-    timeout = draw(st.sampled_from([3.0, 0.0, 30.0]))
+    timeout = draw(st.sampled_from([3.0, 0.0, 30.0, math.inf]))
     params = replace(PARAMS, horizon=horizon,
+                     service_time=draw(st.sampled_from([1.5, 0.0, math.inf])),
                      uncertainty_threshold=draw(st.sampled_from([400.0, 100.0, 0.0])),
                      abort_grace=draw(st.sampled_from([2.0, 0.0])),
                      comm_timeout_teleop=timeout, comm_timeout_auto=timeout,
@@ -759,10 +749,7 @@ _FAR_START = 15000000001.675402
 # windows after the first epoch.
 @example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [(((0.5, 1.5),), ())], PARAMS, 0.5))
 def test_cell_outcomes_equal_the_mission_loop_row_by_row(cell):
-    policy, legs, schedules, params, delta = cell
-    looped = _looped_rows(policy, legs, schedules, params, delta)
-    assert looped == [trial for trial, row in enumerate(legs)
-                      if policy is PolicyId.PI1_TELEOP and not np.isfinite(row).all()]
+    _check_rows_against_the_loop(*cell)
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

@@ -325,9 +325,15 @@ def test_sweep_records_equal_the_trial_by_trial_replay(config):
     assert run_sweep(config).records == replayed_records(config)
 
 
-def test_default_sweep_runs_the_mission_loop_on_few_missions(monkeypatch):
-    # Every default mission's outcome is computed as columns; only a teleop
-    # mission with a NaN or infinite planned time runs the scalar loop.
+@pytest.mark.parametrize("config", [
+    SweepConfig(),
+    # A subnormal cruise speed makes every teleop row's planned time infinite.
+    SweepConfig(trials_per_condition=4, patient_loads=(3,), degradation_levels=(0.5, 1.0),
+                platform=PlatformParams(cruise_speed=5e-324)),
+], ids=["default", "infinite_legs"])
+def test_the_sweep_runs_no_mission_loop(monkeypatch, config):
+    # Every mission's outcome is computed as columns, NaN and infinite
+    # planned times included: the scalar loop is the replay path only.
     simulate, calls = engine._simulate, []
 
     def counted(*args, **kwargs):
@@ -335,7 +341,7 @@ def test_default_sweep_runs_the_mission_loop_on_few_missions(monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_simulate", counted)
-    run_sweep(SweepConfig())
+    run_sweep(config)
     assert calls == []
 
 
