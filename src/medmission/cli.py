@@ -566,6 +566,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"workers: must be at least 1, got {args.workers!r}")
     config = parse_config(args)
     log.info("running %d missions (%d cells x %d trials)", config.total_missions,
              len(config.conditions()) * len(config.policies),
@@ -618,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes")
+                       help="parallel worker processes, at least 1")
     run_p.set_defaults(func=_cmd_run)
 
     report_p = sub.add_parser("report",

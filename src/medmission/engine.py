@@ -27,22 +27,23 @@ The planned, pause-free visit times come from `leg_timelines`, which the
 sweep calls once per (condition, policy) cell over `(trials, load)` arrays
 and `run_mission` over a batch of one, on the columns and order row that
 `policy.plan_scenario` built, once, for `policy.plan_orders`. The caller
-draws the interval schedules and passes them in: `run_mission` one
-mission's `mission_schedules` right after planning, the sweep a whole
-cell's `cell_schedules`, as flat columns, after its first pass.
+draws each mission's interval schedules with `mission_schedules` and
+passes them in: `run_mission` right after planning, the sweep for every
+mission of a cell after its first pass, as flat columns.
 
 `cell_outcomes` gives a cell's missions their outcome as columns, over the
-whole cell at once and bit for bit as the mission loop (`_simulate`)
-would. Supervised missions find their threshold crossings, aborts, served
+whole cell at once and bit for bit as the mission loop (`_simulate`) logs
+it: the duration, the abort flag, each patient's first intervention time
+and the counts of operator task switches and control actions.
+Supervised missions find their threshold crossings, aborts, served
 patients and alerts with array passes; teleop missions fold their work
 with one `np.cumsum` per outage a mission meets. The sweep runs no
 mission loop and builds no event log.
 
 The mission loop runs one mission for `run_mission`, for replay, tests
-and demos. It logs its `MissionEvent`s, which `metrics.trial_metrics`
-reads as the oracle of the outcome, and returns a `MissionOutcome`: the
-duration, the abort flag, each patient's first intervention time and the
-counts of operator task switches and control actions in the log.
+and demos. Its only output is its log of `MissionEvent`s, which ends with
+an `ABORT` or `COMPLETE` event at the terminal time and which
+`metrics.trial_metrics` reads as the oracle of the outcome.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ from .localization import (
     IntervalColumns,
     LocalizationParams,
     integrity_intervals,
-    integrity_schedule,
     merge_intervals,
     outage_intervals,
-    outage_schedule,
 )
 from .policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
@@ -109,16 +108,6 @@ class MissionTrace:
     events: tuple[MissionEvent, ...]
     duration: float
     aborted: bool
-
-
-class MissionOutcome(NamedTuple):
-    """What the metrics read off one mission; the counts are of its log's events."""
-
-    duration: float
-    aborted: bool
-    intervene_times: dict[int, float]   # first INTERVENE time per patient
-    task_switches: int                  # TASK_SWITCH events
-    operator_interventions: int         # OPERATOR_INTERVENTION events
 
 
 @dataclass(frozen=True)
@@ -171,12 +160,6 @@ class OperatorView:
 
     def act(self, time: float) -> None:
         self.events.append(MissionEvent(time, OPERATOR_INTERVENTION))
-
-
-def _operator_counts(events: list[MissionEvent]) -> tuple[int, int]:
-    """The task switches and the control actions among `events`."""
-    kinds = [event.kind for event in events]
-    return kinds.count(TASK_SWITCH), kinds.count(OPERATOR_INTERVENTION)
 
 
 def _uncertainty_penalty(pose_variance: float, params: PlatformParams) -> float:
@@ -261,12 +244,13 @@ def mission_schedules(policy: PolicyId, delta: float, params: PlatformParams,
                       loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
                       ) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
     """A mission's outages and integrity episodes, drawn from its stream after
-    the plan's draws: the outage schedule, then the integrity schedule
-    (autonomy and twin only: nothing in a teleop mission reads it)."""
-    outages = outage_schedule(delta, params.horizon, stream, loc).outages
+    the plan's draws: the outages, then the integrity episodes (autonomy and
+    twin only: nothing in a teleop mission reads them). The sweep and
+    `run_mission` both draw them here."""
+    outages = outage_intervals(delta, params.horizon, stream, loc)
     if policy is PolicyId.PI1_TELEOP:
         return outages, ()
-    return outages, integrity_schedule(params.horizon, stream, loc).episodes
+    return outages, integrity_intervals(params.horizon, stream, loc)
 
 
 def run_mission(scenario: Scenario, policy: PolicyId,
@@ -282,6 +266,8 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     then `mission_schedules`, then alert-suppression draws (twin policy
     only). Identical inputs give bit-identical traces.
     """
+    if params.horizon <= 0.0:
+        raise ValueError("horizon must be positive")
     if stream is None:
         stream = np.random.default_rng(0)
     delta = scenario.condition.delta
@@ -291,12 +277,12 @@ def run_mission(scenario: Scenario, policy: PolicyId,
     depart, arrive, intervene, service = leg_timelines(
         xs, ys, access, order, scenario.base_position, policy, delta, params, loc)
     events: list[MissionEvent] = []
-    outcome = _simulate(policy, delta, list(visits), depart[0].tolist(), arrive[0].tolist(),
-                        intervene[0].tolist(), service, outages, episodes, params, stream,
-                        loc, events)
+    _simulate(policy, delta, list(visits), depart[0].tolist(), arrive[0].tolist(),
+              intervene[0].tolist(), service, outages, episodes, params, stream, loc, events)
+    end = events[-1]   # ABORT or COMPLETE, at the terminal time
     return MissionTrace(policy=policy, condition=scenario.condition,
                         trial_index=trial_index, events=tuple(events),
-                        duration=outcome.duration, aborted=outcome.aborted)
+                        duration=end.time, aborted=end.kind == ABORT)
 
 
 def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
@@ -348,25 +334,6 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
     return depart, arrive, intervene, service
 
 
-def cell_schedules(policy: PolicyId, delta: float, params: PlatformParams, streams: list,
-                   loc: LocalizationParams = DEFAULT_LOCALIZATION_PARAMS,
-                   ) -> tuple[IntervalColumns, IntervalColumns]:
-    """Each stream's `mission_schedules`, as the cell's flat outage and
-    episode columns (no episode for teleop).
-
-    Every outage schedule is drawn before any integrity schedule; each
-    mission reads only its own stream, so each stream is read in the order
-    `mission_schedules` reads it.
-    """
-    horizon = params.horizon
-    outages = IntervalColumns.of(outage_intervals(delta, horizon, stream, loc)
-                                 for stream in streams)
-    if policy is PolicyId.PI1_TELEOP:
-        return outages, IntervalColumns.of([()] * len(streams))
-    return outages, IntervalColumns.of(integrity_intervals(horizon, stream, loc)
-                                       for stream in streams)
-
-
 def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
                   depart: np.ndarray, arrive: np.ndarray, intervene: np.ndarray,
                   service: float, outages: IntervalColumns, episodes: IntervalColumns,
@@ -378,12 +345,12 @@ def cell_outcomes(policy: PolicyId, delta: float, orders: np.ndarray,
 
     `orders`, `depart`, `arrive` and `intervene` are the cell's
     ``(missions, load)`` visit orders and `leg_timelines`, with ``load >= 1``;
-    `outages` and `episodes` are its `cell_schedules` and `streams` each
-    mission's stream after them. Returns the duration, abort flag, task-switch
-    and control-action counts per mission, and each patient's first
-    intervention time by patient id (NaN if unserved), bit for bit as
-    `_simulate` gives them, for every mission: NaN and infinite planned
-    times included.
+    `outages` and `episodes` are its missions' `mission_schedules` as flat
+    columns and `streams` each mission's stream after them. Returns the
+    duration, abort flag, task-switch and control-action counts per
+    mission, and each patient's first intervention time by patient id (NaN
+    if unserved), bit for bit as `_simulate` logs them, for every mission:
+    NaN and infinite planned times included.
     """
     if policy is PolicyId.PI1_TELEOP:
         duration, aborted, switches, actions, times = _teleop_columns(
@@ -600,20 +567,21 @@ def _simulate(policy: PolicyId, delta: float, ids: list[int], depart: list[float
               episodes: tuple[tuple[float, float], ...],
               params: PlatformParams, stream: np.random.Generator,
               loc: LocalizationParams,
-              events: list[MissionEvent]) -> MissionOutcome:
-    """Execute one mission along its planned rows, log its events into
-    `events` and return what the metrics read off it.
+              events: list[MissionEvent]) -> None:
+    """Execute one mission along its planned rows and log its events into
+    `events`, the last an `ABORT` or `COMPLETE` at the terminal time.
 
     The rows are one mission's `leg_timelines`: the visited ids, and their
     depart, arrive and intervene times. `outages` and `episodes` are its
     `mission_schedules`, and `stream` the mission stream after them.
     """
     if policy is PolicyId.PI1_TELEOP:
-        return _run_teleop(ids, depart, arrive, service, outages, params, events)
-    crossings = crossing_intervals(policy, delta, outages, episodes,
-                                   params.horizon, params, loc)
-    return _run_supervised(policy, ids, depart, arrive, intervene,
-                           outages, crossings, params, stream, events)
+        _run_teleop(ids, depart, arrive, service, outages, params, events)
+    else:
+        crossings = crossing_intervals(policy, delta, outages, episodes,
+                                       params.horizon, params, loc)
+        _run_supervised(policy, ids, depart, arrive, intervene,
+                        outages, crossings, params, stream, events)
 
 
 def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
@@ -638,7 +606,6 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
     terminal = abort_at if aborted else natural_end
 
     activity: list[MissionEvent] = []
-    served: dict[int, float] = {}
     for pid, t_depart, t_arrive, t_intervene in zip(ids, depart, arrive, intervene):
         if not t_depart <= terminal:   # a NaN departure follows a NaN leg
             break
@@ -646,7 +613,6 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
         if t_arrive <= terminal:
             activity.append(MissionEvent(t_arrive, ARRIVE, pid))
         if t_intervene <= terminal:
-            served.setdefault(pid, t_intervene)
             activity.append(MissionEvent(t_intervene, INTERVENE, pid))
 
     # Supervisory operator: monitor baseline, react to link and uncertainty
@@ -682,7 +648,6 @@ def _run_supervised(policy, ids, depart, arrive, intervene, outages, crossings,
         view.act(terminal)
     events += sorted(activity + ops, key=lambda e: e.time)
     events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
-    return MissionOutcome(terminal, aborted, served, *_operator_counts(ops))
 
 
 def _run_teleop(ids, depart, arrive, service, outages, params, events):
@@ -691,11 +656,10 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
     The operator flies every leg by hand (one control action per leg),
     walks through navigate/assess/intervene phases per visit, and switches
     to recovery whenever the link drops. Event times never decrease, so
-    the events kept at the terminal time are a prefix of those produced,
-    and the outcome counts that prefix.
+    the events the log keeps at the terminal time are a prefix of those
+    produced.
     """
     view = OperatorView(events)
-    served: dict[int, float] = {}
     policy = PolicyId.PI1_TELEOP
 
     assess_dur = service * params.assess_fraction
@@ -750,7 +714,6 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
         t, aborted = do_work(t, intervene_dur, TASK_INTERVENE)
         if aborted:
             break
-        served.setdefault(pid, t)
         events.append(MissionEvent(t, INTERVENE, pid))
 
     terminal = t
@@ -758,9 +721,5 @@ def _run_teleop(ids, depart, arrive, service, outages, params, events):
         terminal = params.horizon
         aborted = True
 
-    cut = terminal + _EPS
-    events[:] = [e for e in events if e.time <= cut]
+    events[:] = [e for e in events if e.time <= terminal + _EPS]
     events.append(MissionEvent(terminal, ABORT if aborted else COMPLETE))
-    return MissionOutcome(terminal, aborted,
-                          {pid: time for pid, time in served.items() if time <= cut},
-                          *_operator_counts(events))

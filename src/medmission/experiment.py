@@ -20,10 +20,10 @@ from .engine import (
     DEFAULT_PLATFORM_PARAMS,
     PlatformParams,
     cell_outcomes,
-    cell_schedules,
     leg_timelines,
+    mission_schedules,
 )
-from .localization import DEFAULT_LOCALIZATION_PARAMS, LocalizationParams
+from .localization import DEFAULT_LOCALIZATION_PARAMS, IntervalColumns, LocalizationParams
 from .metrics import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -450,9 +450,9 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
                             policy.index, n_trials)
     # Pass 1: every trial's field draws into the cell's arrays, then the
     # operator's picks from its mission stream. The stream is kept for its
-    # interval schedules, drawn next into the cell's flat columns, and the
-    # twin's alert-suppression draws. The field's unit uniforms are mapped to
-    # their ranges after the loop, once for the cell.
+    # `mission_schedules`, drawn after the loop into the cell's flat columns,
+    # and the twin's alert-suppression draws. The field's unit uniforms are
+    # mapped to their ranges after the loop, once for the cell.
     scenario_params, base = config.scenario_params, config.scenario_params.base_position
     delta, platform, loc = condition.delta, config.platform, config.localization
     teleop, error_rate = policy is PolicyId.PI1_TELEOP, config.operator_error_rate
@@ -470,7 +470,8 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
             picks[trial] = operator_picks(stream, load, error_rate)
         streams.append(stream)
     scale_field(positions, access, scenario_params)
-    outages, episodes = cell_schedules(policy, delta, platform, streams, loc)
+    schedules = [mission_schedules(policy, delta, platform, stream, loc) for stream in streams]
+    outages, episodes = map(IntervalColumns.of, zip(*schedules))
     # Then the cell's orders and planned timelines, one call each.
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     orders = plan_orders(policy, xs, ys, base, picks, severities,

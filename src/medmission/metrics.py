@@ -2,9 +2,9 @@
 
 A mission's metric bundle comes from one of two sources with the same
 arithmetic. `trial_metrics` scans the event log of a `MissionTrace`, as
-`run_mission` returns it; it is the oracle. `outcome_columns` reads a whole
-batch's `MissionOutcome` fields as columns, as `engine.cell_outcomes`
-gives them, and the field's high-severity flags instead of a `Scenario`;
+`run_mission` returns it; it is the oracle. `outcome_columns` reads what
+a log holds as a whole batch's columns, as `engine.cell_outcomes` gives
+them, and the field's high-severity flags instead of a `Scenario`;
 that is what the sweep uses, so it builds no event log, no patients and no
 per-mission bundle. `column_bundles` turns its columns back into
 `TrialMetrics` for readers that want them. High-severity patients never
@@ -234,8 +234,9 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
                     beta: float = DEFAULT_BETA) -> MetricColumns:
     """The bundles `trial_metrics` extracts from a batch of missions' traces.
 
-    The first four arrays hold each mission's `MissionOutcome` fields, as
-    `engine.cell_outcomes` gives them.
+    The first four arrays hold each mission's duration, abort flag and
+    counts of task switches and control actions, as `engine.cell_outcomes`
+    gives them.
     `intervene` is the ``(missions, load)`` first intervene time by patient
     id, NaN for a patient the mission never served; `high` flags the
     high-severity patients the same way; every patient is detected at

@@ -413,6 +413,14 @@ def test_workers_do_not_change_the_bytes(tmp_path):
         assert read(out1 / name) == read(out2 / name)
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2_and_name_the_key(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert run_cli("run", *FAST_FLAGS, "--out", str(out), "--workers", workers) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jsonl_format(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", *FAST_FLAGS, "--format", "jsonl", "--out", str(out)) == 0

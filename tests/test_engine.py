@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import medmission.engine as engine
 from medmission import (
     Condition,
-    DegradationProfile,
     Patient,
     PlatformParams,
     PolicyId,
@@ -35,17 +34,11 @@ from medmission.engine import (
 )
 from medmission.localization import (
     DEFAULT_LOCALIZATION_PARAMS,
-    IntegrityProfile,
     IntervalColumns,
     LocalizationParams,
 )
 from medmission.metrics import column_bundles, outcome_columns
-from medmission.policy import (
-    DEFAULT_OPERATOR_ERROR_RATE,
-    DEFAULT_TRIAGE_WEIGHTS,
-    order_heuristic,
-    plan_scenario,
-)
+from medmission.policy import order_heuristic
 
 PARAMS = PlatformParams()
 BASE = (0.0, 0.0)
@@ -379,23 +372,23 @@ def test_empty_plan_completes_immediately():
 
 def _fixed_outages(intervals):
     def fake(delta, horizon, stream, params=None):
-        return DegradationProfile(outages=tuple(intervals))
+        return tuple(intervals)
     return fake
 
 
 def _fixed_episodes(intervals):
     def fake(horizon, stream, params=None):
-        return IntegrityProfile(episodes=tuple(intervals))
+        return tuple(intervals)
     return fake
 
 
 def _no_episodes(horizon, stream, params=None):
-    return IntegrityProfile(episodes=())
+    return ()
 
 
 def test_teleop_pauses_during_a_short_outage(monkeypatch):
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([(1.0, 3.0)]))
-    monkeypatch.setattr(engine, "integrity_schedule", _no_episodes)
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([(1.0, 3.0)]))
+    monkeypatch.setattr(engine, "integrity_intervals", _no_episodes)
     scenario = make_scenario([(1000.0, 0.0)], delta=0.5)
     trace = run_mission(scenario, PolicyId.PI1_TELEOP, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC,
@@ -404,7 +397,7 @@ def test_teleop_pauses_during_a_short_outage(monkeypatch):
                         stream=np.random.default_rng(0), loc=QUIET_LOC,
                         error_rate=0.0)
     # Same mission without the outage, for reference.
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([]))
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([]))
     baseline = run_mission(scenario, PolicyId.PI1_TELEOP, PARAMS,
                            stream=np.random.default_rng(0), loc=QUIET_LOC,
                            error_rate=0.0)
@@ -418,8 +411,8 @@ def test_teleop_pauses_during_a_short_outage(monkeypatch):
 
 
 def test_teleop_aborts_when_an_outage_outlasts_the_timeout(monkeypatch):
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([(2.0, 9.0)]))
-    monkeypatch.setattr(engine, "integrity_schedule", _no_episodes)
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([(2.0, 9.0)]))
+    monkeypatch.setattr(engine, "integrity_intervals", _no_episodes)
     scenario = make_scenario([(1000.0, 0.0), (2000.0, 0.0)], delta=0.8)
     trace = run_mission(scenario, PolicyId.PI1_TELEOP, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC,
@@ -433,8 +426,8 @@ def test_teleop_aborts_when_an_outage_outlasts_the_timeout(monkeypatch):
 def test_teleop_mission_with_infinite_legs_ends_at_the_horizon(monkeypatch):
     # A subnormal cruise speed makes every leg infinite, so the second leg's
     # planned work is inf - inf = NaN; the mission must still end, by abort.
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([(1.0, 2.0)]))
-    monkeypatch.setattr(engine, "integrity_schedule", _no_episodes)
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([(1.0, 2.0)]))
+    monkeypatch.setattr(engine, "integrity_intervals", _no_episodes)
     scenario = make_scenario([(1000.0, 0.0), (2000.0, 0.0)], delta=0.5)
     params = replace(PARAMS, cruise_speed=5e-324)
     trace = run_mission(scenario, PolicyId.PI1_TELEOP, params,
@@ -487,8 +480,8 @@ def test_teleop_abort_cuts_the_no_timeout_run_at_the_first_long_outage(
                            stream=np.random.default_rng(seed), loc=QUIET_LOC)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
-        mp.setattr(engine, "integrity_schedule", _no_episodes)
+        mp.setattr(engine, "outage_intervals", _fixed_outages(outages))
+        mp.setattr(engine, "integrity_intervals", _no_episodes)
         trace = run(params)
         unbounded = run(replace(params, comm_timeout_teleop=math.inf))
 
@@ -504,6 +497,19 @@ def test_teleop_abort_cuts_the_no_timeout_run_at_the_first_long_outage(
 
 # ---------------------------------------------------------------------------
 # The sweep's metric kernel on the mission loop's outcome, against its log.
+
+def _logged_outcome(events):
+    """What the metrics read off a mission's log: the last event's time and
+    whether it is an abort, each patient's first intervention time, and the
+    counts of task switches and control actions."""
+    kinds = [event.kind for event in events]
+    intervene_times = {}
+    for event in events:
+        if event.kind == INTERVENE:
+            intervene_times.setdefault(event.patient_id, event.time)
+    return (events[-1].time, events[-1].kind == ABORT, intervene_times,
+            kinds.count(TASK_SWITCH), kinds.count(OPERATOR_INTERVENTION))
+
 
 _TIMEOUTS = sorted({PARAMS.comm_timeout_for(policy) for policy in PolicyId})
 _LENGTHS = st.one_of(st.sampled_from(_TIMEOUTS),
@@ -565,24 +571,14 @@ def test_sweep_metrics_equal_trial_metrics_of_the_logged_trace(
     params = replace(PARAMS, horizon=horizon)
     with pytest.MonkeyPatch.context() as mp:
         if outages is not None:
-            mp.setattr(engine, "outage_schedule", _fixed_outages(outages))
+            mp.setattr(engine, "outage_intervals", _fixed_outages(outages))
         trace = run_mission(scenario, policy, params, stream=np.random.default_rng(seed))
-        stream = np.random.default_rng(seed)
-        visits, (xs, ys, _, _, access), order = plan_scenario(
-            scenario, policy, DEFAULT_TRIAGE_WEIGHTS, stream, DEFAULT_OPERATOR_ERROR_RATE)
-        schedules = engine.mission_schedules(policy, delta, params, stream)
-        depart, arrive, intervene, service = engine.leg_timelines(
-            xs, ys, access, order, scenario.base_position, policy, delta, params)
-        outcome = engine._simulate(policy, delta, list(visits), depart[0].tolist(),
-                                   arrive[0].tolist(), intervene[0].tolist(), service,
-                                   *schedules, params, stream, DEFAULT_LOCALIZATION_PARAMS,
-                                   events=[])
+    duration, aborted, intervene_times, switches, actions = _logged_outcome(trace.events)
     # The sweep's metric kernel on a batch of one mission; ids are the columns.
     served = np.full((1, load), math.nan)
-    served[0, list(outcome.intervene_times)] = list(outcome.intervene_times.values())
+    served[0, list(intervene_times)] = list(intervene_times.values())
     columns = outcome_columns(
-        np.array([outcome.duration]), np.array([outcome.aborted]),
-        np.array([outcome.task_switches]), np.array([outcome.operator_interventions]),
+        np.array([duration]), np.array([aborted]), np.array([switches]), np.array([actions]),
         served, np.array([[p.high_severity for p in scenario.patients]]), tau_c, alpha, beta)
     assert (column_bundles(columns, [load])
             == [trial_metrics(trace, scenario, tau_c, alpha, beta)])
@@ -606,7 +602,7 @@ def _timelines(legs, service):
 
 def _check_rows_against_the_loop(policy, legs, schedules, params, delta=0.5):
     """Run a hand-built cell through `cell_outcomes` and hold each row to
-    `_simulate` on the same schedules."""
+    the log `_simulate` writes on the same schedules."""
     service = params.service_time
     if policy is PolicyId.PI1_TELEOP:
         service /= params.teleop_speed_factor
@@ -618,15 +614,17 @@ def _check_rows_against_the_loop(policy, legs, schedules, params, delta=0.5):
         policy, delta, orders, depart, arrive, intervene, service,
         *map(IntervalColumns.of, zip(*schedules)), streams, params)
     for trial in range(n):
-        want = engine._simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
-                                arrive[trial].tolist(), intervene[trial].tolist(), service,
-                                *schedules[trial], params, np.random.default_rng(trial),
-                                DEFAULT_LOCALIZATION_PARAMS, events=[])
+        events = []
+        engine._simulate(policy, delta, orders[trial].tolist(), depart[trial].tolist(),
+                         arrive[trial].tolist(), intervene[trial].tolist(), service,
+                         *schedules[trial], params, np.random.default_rng(trial),
+                         DEFAULT_LOCALIZATION_PARAMS, events)
+        end, ended_by_abort, times, want_switches, want_actions = _logged_outcome(events)
         got = {pid: t.hex() for pid, t in enumerate(served[trial].tolist()) if t == t}
-        assert float(duration[trial]).hex() == want.duration.hex(), trial
+        assert float(duration[trial]).hex() == end.hex(), trial
         assert (aborted[trial], switches[trial], actions[trial]) == (
-            want.aborted, want.task_switches, want.operator_interventions), trial
-        assert got == {pid: t.hex() for pid, t in want.intervene_times.items()}, trial
+            ended_by_abort, want_switches, want_actions), trial
+        assert got == {pid: t.hex() for pid, t in times.items()}, trial
 
 
 def _teleop_end(legs, params):
@@ -748,13 +746,17 @@ _FAR_START = 15000000001.675402
 # Paused in its first step, the row folds its other 74 steps over two
 # windows after the first epoch.
 @example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [(((0.5, 1.5),), ())], PARAMS, 0.5))
+# A row flown past the horizon meets an outage inside the teleop cut: the
+# log keeps the switch it brings, as the kernel counts it.
+@example(cell=(PolicyId.PI1_TELEOP, [[30.0]], [(((_CUT, 26.0),), ())],
+               replace(PARAMS, horizon=25.0), 0.5))
 def test_cell_outcomes_equal_the_mission_loop_row_by_row(cell):
     _check_rows_against_the_loop(*cell)
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([(1.0, 4.0)]))
-    monkeypatch.setattr(engine, "integrity_schedule", _no_episodes)
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([(1.0, 4.0)]))
+    monkeypatch.setattr(engine, "integrity_intervals", _no_episodes)
     scenario = make_scenario([(1000.0, 0.0)], delta=0.8)
     trace = run_mission(scenario, PolicyId.PI2_AUTO, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC)
@@ -764,8 +766,8 @@ def test_autonomous_missions_fly_through_outages(monkeypatch):
 
 
 def test_autonomous_aborts_after_a_sustained_threshold_crossing(monkeypatch):
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([]))
-    monkeypatch.setattr(engine, "integrity_schedule", _fixed_episodes([(1.0, 6.0)]))
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([]))
+    monkeypatch.setattr(engine, "integrity_intervals", _fixed_episodes([(1.0, 6.0)]))
     scenario = make_scenario([(3000.0, 0.0)])
     trace = run_mission(scenario, PolicyId.PI2_AUTO, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC)
@@ -774,8 +776,8 @@ def test_autonomous_aborts_after_a_sustained_threshold_crossing(monkeypatch):
 
 
 def test_twin_policy_shrugs_off_the_same_episode(monkeypatch):
-    monkeypatch.setattr(engine, "outage_schedule", _fixed_outages([]))
-    monkeypatch.setattr(engine, "integrity_schedule", _fixed_episodes([(1.0, 6.0)]))
+    monkeypatch.setattr(engine, "outage_intervals", _fixed_outages([]))
+    monkeypatch.setattr(engine, "integrity_intervals", _fixed_episodes([(1.0, 6.0)]))
     scenario = make_scenario([(3000.0, 0.0)])
     trace = run_mission(scenario, PolicyId.PI3_GEODT, PARAMS,
                         stream=np.random.default_rng(0), loc=QUIET_LOC)
@@ -796,9 +798,9 @@ def test_supervised_abort_needs_an_interval_longer_than_its_limit(
     for length, aborts in ((limit, False), (math.nextafter(limit, math.inf), True)):
         interval = [(start, start + length)]
         assert interval[0][1] - start == length
-        monkeypatch.setattr(engine, "outage_schedule",
+        monkeypatch.setattr(engine, "outage_intervals",
                             _fixed_outages(interval if kind == "outage" else []))
-        monkeypatch.setattr(engine, "integrity_schedule",
+        monkeypatch.setattr(engine, "integrity_intervals",
                             _fixed_episodes(interval if kind == "episode" else []))
         trace = run_mission(scenario, policy, PARAMS,
                             stream=np.random.default_rng(0), loc=QUIET_LOC)
@@ -822,6 +824,15 @@ def test_horizon_cap_forces_an_abort():
 
 # ---------------------------------------------------------------------------
 # Operator event model.
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+@pytest.mark.parametrize("policy", list(PolicyId))
+def test_a_non_positive_horizon_is_rejected(policy, horizon):
+    scenario = make_scenario([(1000.0, 0.0)])
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        run_mission(scenario, policy, replace(PARAMS, horizon=horizon),
+                    stream=np.random.default_rng(0))
+
 
 def test_supervisory_mission_with_no_alerts_has_zero_rates():
     scenario = make_scenario([(1000.0, 0.0), (2000.0, 0.0)])
