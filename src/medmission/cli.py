@@ -499,7 +499,8 @@ def _trial_table(name: str, columns: dict[str, list[str]],
         metrics=MetricColumns(
             aborted=aborted, duration=floats["duration"], served=served, rho=rho,
             lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
-            workload=floats["workload"], high_count=ids_n, high_ids=high_ids,
+            workload=floats["workload"], high_count=ids_n,
+            high_ids=high_ids.astype(MetricColumns.ID_DTYPE),
             high_delays=high_delays, high_censored=high_censored)).take(order)
 
 

@@ -234,8 +234,8 @@ def crossing_intervals(policy: PolicyId, delta: float,
 # Trace assembly.
 
 _EPS = 1e-9
-# Steps a teleop epoch folds after the first, which folds whole rows: a row
-# that meets many outages refolds at most this many steps per outage.
+# Steps a teleop epoch folds: a row that meets many outages refolds at most
+# this many steps per outage.
 _WINDOW = 64
 
 
@@ -453,32 +453,33 @@ def _teleop_columns(depart, arrive, service, outages, params):
 
     A visit is three steps of work: its leg, the assess time and the rest of
     the service; a NaN step (an infinite time less another) is infinite, as
-    `do_work` reads it. In an epoch each active row folds its next steps
-    (all of them in the first epoch, then `_WINDOW`; none past its last)
-    from its time with one `np.cumsum` of ``[t, rest of the step, later
-    steps]``, `do_work`'s left fold bit for bit, and stops at the first
-    step with work where its next outage starts within `_EPS` of the
-    step's start or before the step's work is done; a step without work is
-    not checked. A row that folds through its window without stopping goes
-    on from the window's end. Paused inside a step, the row moves to the
-    outage start and pauses if that is within `_EPS`, else folds on in the
-    next epoch, as `do_work` loops. A pause switches to recover, and aborts
-    at the outage start plus the timeout if the outage outlasts it, else
-    resumes at its end with a control action and a switch back. An
-    infinite step pauses at every outage left, all at finite times, before
-    its row's time turns infinite. The counts keep what lies at or under
-    the terminal time plus `_EPS`, as `_run_teleop` cuts them.
+    `do_work` reads it. Past its last step each row holds one zero step: a
+    gather past the end reads it, and a scatter past the end lands where
+    nothing reads. In every epoch each active row folds its next `_WINDOW`
+    steps at most from its time with one `np.cumsum` of ``[t, rest of the
+    step, later steps]``, `do_work`'s left fold bit for bit, and stops at
+    the first step with work where its next outage starts within `_EPS` of
+    the step's start or before the step's work is done; a step without work
+    is not checked. A row that folds through its window without stopping
+    goes on from the window's end.
+    Paused inside a step, the row moves to the outage start and pauses if
+    that is within `_EPS`, else folds on in the next epoch, as `do_work`
+    loops. A pause switches to recover, and aborts at the outage start plus
+    the timeout if the outage outlasts it, else resumes at its end with a
+    control action and a switch back. An infinite step pauses at every
+    outage left, all at finite times, before its row's time turns infinite.
+    The counts keep what lies at or under the terminal time plus `_EPS`, as
+    `_run_teleop` cuts them.
     """
     n, load = depart.shape
+    steps = 3 * load
     assess = service * params.assess_fraction
-    work = np.empty((n, load, 3))
+    work = np.zeros((n, steps + 1))
     with np.errstate(invalid="ignore"):
-        work[:, :, 0] = arrive - depart
-    work[:, :, 1] = assess
-    work[:, :, 2] = service - assess
-    work = work.reshape(n, -1)
+        work[:, 0:steps:3] = arrive - depart
+    work[:, 1:steps:3] = assess
+    work[:, 2:steps:3] = service - assess
     work[np.isnan(work)] = math.inf
-    steps = work.shape[1]
     o_starts = np.append(outages.starts, math.inf)
     o_ends, timeout = outages.ends, params.comm_timeout_teleop
     ends = np.full(work.shape, math.nan)   # each step's end, once done
@@ -490,19 +491,16 @@ def _teleop_columns(depart, arrive, service, outages, params):
     t, step, rest = np.zeros(n), np.zeros(n, dtype=np.int64), work[:, 0]
     nxt = np.cumsum(outages.counts) - outages.counts
     last = nxt + outages.counts
-    width = steps   # the first epoch folds whole rows, later ones a window
     while len(rows):
         active = np.arange(len(rows))
         meets = nxt < last
         start = np.where(meets, o_starts[nxt], math.inf)
-        span = min(width, steps - step.min())
+        span = min(_WINDOW, steps - step.min())
         offset = np.arange(span)
-        cols = step[:, None] + offset
-        inside = cols < steps   # past the last step a window takes no work
-        flat = rows[:, None] * steps + np.minimum(cols, steps - 1)   # in `work` and `ends`
+        flat = rows[:, None] * (steps + 1) + np.minimum(step[:, None] + offset, steps)
         folds = np.empty((len(rows), span + 1))
         folds[:, 0] = t
-        folds[:, 1:] = np.where(inside, work.take(flat), 0.0)
+        folds[:, 1:] = work.take(flat)
         folds[:, 1] = rest
         with np.errstate(over="ignore", invalid="ignore"):
             clock = np.cumsum(folds, axis=1)
@@ -515,7 +513,7 @@ def _teleop_columns(depart, arrive, service, outages, params):
             j = np.minimum(at, span - 1)
             begin, todo, gap = begin[active, j], todo[active, j], gap[active, j]
             moved, left = begin + gap, todo - gap
-        folded = inside & (offset < at[:, None])
+        folded = offset < at[:, None]
         ends.put(flat[folded], clock[:, 1:][folded])
         through = ~halted & (step + span >= steps)
         finish[rows[through]] = clock[through, -1]
@@ -526,7 +524,7 @@ def _teleop_columns(depart, arrive, service, outages, params):
         step = step + at
         t = np.where(before, begin, np.where(halted, moved, clock[:, -1]))
         rest = np.where(before, todo,
-                        np.where(halted, left, work[rows, np.minimum(step, steps - 1)]))
+                        np.where(halted, left, work[rows, np.minimum(step, steps)]))
         paused = before | (halted & (start <= t + _EPS))
         recover.append((rows[paused], np.maximum(t, start)[paused]))
         gives_up = paused.copy()   # a paused row meets an outage
@@ -540,7 +538,6 @@ def _teleop_columns(depart, arrive, service, outages, params):
         go_on = ~gives_up & ~through
         rows, t, step, rest, nxt, last = (
             rows[go_on], t[go_on], step[go_on], rest[go_on], nxt[go_on], last[go_on])
-        width = min(width, _WINDOW)
 
     horizon = params.horizon
     aborted |= finish > horizon
@@ -551,13 +548,12 @@ def _teleop_columns(depart, arrive, service, outages, params):
         who, when = map(np.concatenate, zip(*events))
         return np.bincount(who[when <= cut[who]], minlength=n)
 
-    begins = np.zeros((n, steps))
-    begins[:, 1:] = ends[:, :-1]
-    started = begins <= cut[:, None]
+    started = np.ones((n, steps), dtype=bool)
+    started[:, 1:] = ends[:, :steps - 1] <= cut[:, None]
     resumed = counted(resume)
     switches = started.sum(axis=1) + counted(recover) + resumed
     actions = started[:, 0::3].sum(axis=1) + resumed
-    done = ends[:, 2::3]
+    done = ends[:, 2:steps:3]
     return terminal, aborted, switches, actions, np.where(done <= cut[:, None], done, math.nan)
 
 

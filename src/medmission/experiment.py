@@ -224,7 +224,7 @@ class TrialTable:
             lambda_int=column((m.lambda_int for m in bundles), float),
             workload=column((m.workload for m in bundles), float),
             high_count=column((len(m.high_severity_delays) for m in bundles), np.int64),
-            high_ids=column((d.patient_id for d in delays), np.int64),
+            high_ids=column((d.patient_id for d in delays), MetricColumns.ID_DTYPE),
             high_delays=column((d.delay for d in delays), float),
             high_censored=column((d.censored for d in delays), bool))
         return cls(policy=column((r.policy.index for r in records), np.int64),
@@ -493,14 +493,15 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     """Execute the full sweep and aggregate it.
 
     `workers` > 1 fans the (condition, policy) cells out to a process
-    pool of at most one worker per cell. Each cell returns only its metric
-    columns; they are joined in `(condition, policy.index)` order and keyed
-    here, so the result does not depend on the degree of parallelism.
+    pool of at most one worker per cell. The cells go out, and each returns
+    only its metric columns, in `(condition, policy.index)` order; the
+    columns are joined and keyed here, so the result does not depend on the
+    degree of parallelism.
     """
     config.validate()
     conditions, policies = zip(*[(condition, policy)
                                  for condition in config.conditions()
-                                 for policy in config.policies])
+                                 for policy in sorted(config.policies, key=lambda p: p.index)])
     configs = [config] * len(policies)
 
     if workers <= 1:
@@ -509,14 +510,12 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
         with ProcessPoolExecutor(max_workers=min(workers, len(policies))) as pool:
             cells = list(pool.map(_run_cell, configs, conditions, policies))
 
-    order = sorted(range(len(cells)),
-                   key=lambda i: (conditions[i].condition_id, policies[i].index))
     n = config.trials_per_condition
     trials = TrialTable(
-        policy=np.repeat([policies[i].index for i in order], n),
-        condition=np.repeat([conditions[i].condition_id for i in order], n),
-        trial=np.tile(np.arange(n), len(order)),
-        metrics=MetricColumns._make(map(np.concatenate, zip(*[cells[i] for i in order]))))
+        policy=np.repeat([policy.index for policy in policies], n),
+        condition=np.repeat([condition.condition_id for condition in conditions], n),
+        trial=np.tile(np.arange(n), len(cells)),
+        metrics=MetricColumns._make(map(np.concatenate, zip(*cells))))
     return aggregate(config, trials)
 
 

@@ -205,6 +205,7 @@ class MetricColumns(NamedTuple):
     MISSION_FIELDS = ("aborted", "duration", "served", "rho", "lambda_sw", "lambda_int",
                       "workload")
     HIGH_FIELDS = ("high_ids", "high_delays", "high_censored")
+    ID_DTYPE = np.int16   # of `high_ids`: holds every id under the largest load allowed
 
     def _pick(self, rows, flat) -> MetricColumns:
         """The per-mission fields indexed by `rows`, the flat ones by `flat`."""
@@ -263,7 +264,7 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
         rho=served / intervene.shape[1],
         lambda_sw=lambda_sw, lambda_int=lambda_int,
         workload=work,
-        high_count=np.count_nonzero(high, axis=1), high_ids=ids,
+        high_count=np.count_nonzero(high, axis=1), high_ids=ids.astype(MetricColumns.ID_DTYPE),
         high_delays=np.where(censored, duration[rows] - DETECT_TIME, waited[rows, ids]),
         high_censored=censored)
 

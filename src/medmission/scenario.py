@@ -261,20 +261,6 @@ def scale_field(positions: np.ndarray, access: np.ndarray,
               "scenario.accessibility_low")
 
 
-def draw_field(n: int, stream: np.random.Generator,
-               params: ScenarioParams = DEFAULT_SCENARIO_PARAMS
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random draws of an `n`-patient field, in their fixed order.
-
-    Returns the ``(n, 2)`` positions, then the severities and the
-    accessibilities; `build_scenario` turns them into the `Scenario`.
-    """
-    positions, severities, access = np.empty((n, 2)), np.empty(n), np.empty(n)
-    draw_unit_field(stream, positions, severities, access, params)
-    scale_field(positions, access, params)
-    return positions, severities, access
-
-
 DETECT_TIME = 0.0   # minutes; every patient is known at mission start
 
 
@@ -291,31 +277,22 @@ def high_severity_flags(severities: np.ndarray,
     return severities >= params.high_severity_threshold
 
 
-def build_scenario(condition: Condition, positions: np.ndarray,
-                   severities: np.ndarray, access: np.ndarray,
-                   params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
-    """The `Scenario` of drawn field arrays; patient ids are the row indices."""
-    patients = tuple([
-        Patient(i, (x, y), sev, DETECT_TIME, ttc, acc, high)
-        for i, ((x, y), sev, ttc, acc, high) in enumerate(zip(
-            positions.tolist(), severities.tolist(),
-            criticality_times(severities, params).tolist(), access.tolist(),
-            high_severity_flags(severities, params).tolist()))])
-    return Scenario(
-        condition=condition,
-        patients=patients,
-        base_position=params.base_position,
-        area_extent=params.area_extent,
-    )
-
-
 def generate_scenario(condition: Condition, stream: np.random.Generator,
                       params: ScenarioParams = DEFAULT_SCENARIO_PARAMS) -> Scenario:
     """Sample a patient field for one condition.
 
     Draw order is fixed (positions, severities, accessibilities) so the
     result is bit-identical for a given stream state. All patients are
-    detected at t = 0.
+    detected at t = 0; patient ids are the row indices.
     """
-    return build_scenario(condition, *draw_field(condition.patient_load, stream, params),
-                          params)
+    n = condition.patient_load
+    positions, severities, access = np.empty((n, 2)), np.empty(n), np.empty(n)
+    draw_unit_field(stream, positions, severities, access, params)
+    scale_field(positions, access, params)
+    patients = tuple([
+        Patient(i, (x, y), sev, DETECT_TIME, ttc, acc, high)
+        for i, ((x, y), sev, ttc, acc, high) in enumerate(zip(
+            positions.tolist(), severities.tolist(),
+            criticality_times(severities, params).tolist(), access.tolist(),
+            high_severity_flags(severities, params).tolist()))])
+    return Scenario(condition, patients, params.base_position, params.area_extent)

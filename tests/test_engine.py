@@ -1,6 +1,7 @@
 """Mission execution: travel, pauses, aborts, events, and trace invariants."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import medmission.engine as engine
+import medmission.experiment as experiment
 from medmission import (
     Condition,
     Patient,
     PlatformParams,
     PolicyId,
     Scenario,
+    SweepConfig,
     TriageWeights,
     check_abort,
     generate_scenario,
@@ -744,14 +747,45 @@ _FAR_START = 15000000001.675402
 @example(cell=(PolicyId.PI1_TELEOP, [[5.038e9, 2e10]], [(((_FAR_START, _FAR_START + 2.0),), ())],
                replace(PARAMS, horizon=1e11), 0.5))
 # Paused in its first step, the row folds its other 74 steps over two
-# windows after the first epoch.
+# windows.
 @example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [(((0.5, 1.5),), ())], PARAMS, 0.5))
+# With no outage the row folds its 75 steps over two windows from step 0.
+@example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [((), ())], PARAMS, 0.5))
+# The outage opens inside step 65 (112.0 to 113.7), past the first window.
+@example(cell=(PolicyId.PI1_TELEOP, [[1.0] * 25], [(((112.5, 113.5),), ())], PARAMS, 0.5))
+# Row 0 pauses in its first step and row 1 in its third, so the next window
+# runs past row 1's last step: it must fold the zero step there.
+@example(cell=(PolicyId.PI1_TELEOP, [[1.0], [1.0]], [(((0.5, 1.5),), ()), (((2.0, 3.0),), ())],
+               PARAMS, 0.5))
 # A row flown past the horizon meets an outage inside the teleop cut: the
 # log keeps the switch it brings, as the kernel counts it.
 @example(cell=(PolicyId.PI1_TELEOP, [[30.0]], [(((_CUT, 26.0),), ())],
                replace(PARAMS, horizon=25.0), 0.5))
 def test_cell_outcomes_equal_the_mission_loop_row_by_row(cell):
     _check_rows_against_the_loop(*cell)
+
+
+def test_the_teleop_kernel_holds_one_window_of_temporaries(monkeypatch):
+    # A default 250-trial load-40 teleop cell at delta 1. Every epoch folds at
+    # most `_WINDOW` steps, so the kernel's tracemalloc peak above its entry
+    # (1,252,876 B) does not grow with its rows' length; a first epoch that
+    # folds whole rows peaks at 2.11 MB on this cell.
+    config = SweepConfig()
+    condition = config.conditions()[-1]
+    assert (condition.delta, condition.patient_load) == (1.0, 40)
+    kernel, peaks = engine._teleop_columns, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return kernel(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(engine, "_teleop_columns", traced)
+    experiment._run_cell(config, condition, PolicyId.PI1_TELEOP)
+    assert len(peaks) == 1 and peaks[0] < 1_566_000   # 1,252,876 B + 25%
 
 
 def test_autonomous_missions_fly_through_outages(monkeypatch):

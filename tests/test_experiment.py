@@ -118,7 +118,7 @@ def test_the_default_cells_ship_only_their_metric_columns():
     cells = [experiment._run_cell(config, condition, policy)
              for condition in config.conditions() for policy in config.policies]
     assert all(type(cell) is MetricColumns for cell in cells)
-    assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_959_380   # 1,920,961 + 2%
+    assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_590_558   # 1,559,371 + 2%
 
 
 def test_sweep_is_reproducible():

@@ -19,7 +19,6 @@ from medmission import (
 from medmission.scenario import (
     MAX_TRIALS_PER_CELL,
     cell_seed_words,
-    draw_field,
     draw_unit_field,
     scale_field,
     seeded_stream,
@@ -189,16 +188,19 @@ def test_the_split_field_draw_is_uniform_beta_uniform_to_the_bit(seed, load, tri
         assert _same_bits((positions[t], severities[t], access[t]), want[t])
     assert ([s.bit_generator.random_raw() for s in news]
             == [s.bit_generator.random_raw() for s in olds])
-    # The replay's way: draw_field on one stream.
+    # The replay's way: generate_scenario on one stream.
     old, new = stream(trials), stream(trials)
-    assert _same_bits(draw_field(load, new, params), _uniform_beta_uniform(load, old, params))
+    patients = generate_scenario(Condition(0, 0.0, load), new, params).patients
+    got = tuple(np.array([getattr(p, key) for p in patients])
+                for key in ("position", "severity", "accessibility"))
+    assert _same_bits(got, _uniform_beta_uniform(load, old, params))
     assert new.bit_generator.random_raw() == old.bit_generator.random_raw()
 
 
 def test_an_empty_accessibility_range_still_raises():
     params = ScenarioParams(accessibility_low=0.9, accessibility_high=0.5)
     with pytest.raises(ValueError, match="scenario.accessibility_low"):
-        draw_field(3, np.random.default_rng(0), params)
+        generate_scenario(Condition(0, 0.0, 3), np.random.default_rng(0), params)
 
 
 def test_severity_mean_matches_the_beta_distribution():
