@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import math
@@ -54,6 +53,7 @@ TRIALS_COLUMNS = ["policy", "delta", "load", "condition", "trial",
                   "high_sev_ids", "high_sev_delays", "high_sev_censored"]
 ROLLUP_COLUMNS = [f.name for f in fields(PolicyRollup)]
 PARETO_COLUMNS = ["scope", *(f.name for f in fields(ParetoPoint)), "on_front"]
+_POLICY_NAMES = {policy.index: policy.value for policy in PolicyId}
 
 
 class ConfigError(ValueError):
@@ -234,7 +234,6 @@ def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
 def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
     """The trials table, one (condition, policy) cell at a time, as chunks
     of TRIALS_COLUMNS; `conditions` are the run's, by id."""
-    names = {policy.index: policy.value for policy in PolicyId}
     for start, cell in trials.cells():
         counts = cell.high_count.tolist()
 
@@ -243,7 +242,8 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
             return [";".join(islice(texts, count)) for count in counts]
 
         n, condition = len(counts), conditions[int(trials.condition[start])]
-        yield (names[int(trials.policy[start])], condition.delta, condition.patient_load), [
+        policy = _POLICY_NAMES[int(trials.policy[start])]
+        yield (policy, condition.delta, condition.patient_load), [
             trials.condition[start:start + n], trials.trial[start:start + n],
             *(getattr(cell, name) for name in MetricColumns.MISSION_FIELDS),
             *(joined(getattr(cell, name)) for name in MetricColumns.HIGH_FIELDS),
@@ -322,6 +322,11 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 # ---------------------------------------------------------------------------
 # Reading a previous run back for the `report` subcommand.
 
+# Rows of a trials table read at a time: each block's fields are parsed into
+# typed columns and let go before the next block is read.
+_BLOCK_ROWS = 2048
+
+
 def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     """Read a trials table back, as CSV or (for a `.jsonl` path) JSON lines.
 
@@ -331,66 +336,152 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     row that does not parse or is no new trial of `config` raises
     ConfigError naming the file, the first such row in file order and,
     from the first check that row fails, the column.
+
+    The rows are read in blocks (`_table_blocks`), and each block is
+    checked and parsed into typed columns (`_block_table`) before the next
+    is read, so only one block's fields are held as text. A block with a
+    bad row ends the reading: no later row can be the one named.
     """
     path = Path(trials_path)
-    header = TRIALS_COLUMNS
-    rows: list = []
-    flat = None   # every row's fields in turn, each row as wide as the header
-    fault = None   # what is wrong with the row after `rows`, which cannot be read
+    stop: list[str] = []   # what is wrong with the row after those read, which cannot be read
     with open(path, newline="", encoding="utf-8") as fh:
+        blocks = _table_blocks(fh, path.suffix == ".jsonl", stop)
+        header = next(blocks, TRIALS_COLUMNS)   # one that cannot be read misses no column
+        missing = [c for c in TRIALS_COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
+        width = len(header)
+        index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+        # Each column's pieces, from an empty block first, which gives its dtype.
+        parts = [[column] for column in _columns(
+            _block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, 0)[0])]
+        rows, faults, split = 0, [], 0
+        for block in blocks:
+            piece, faults, split = _block_table(
+                {c: block[index[c]::width] for c in TRIALS_COLUMNS}, config, rows)
+            del block
+            for part, column in zip(parts, _columns(piece)):
+                part.append(column)
+            rows += len(piece)
+            if faults:
+                break
+            del piece
+    # Each column is joined and its pieces let go before the next is joined.
+    policy, condition, trial, *metrics = (np.concatenate(parts.pop(0)) for _ in range(len(parts)))
+    table = TrialTable(policy, condition, trial, MetricColumns(*metrics))
+    order = np.lexsort((trial, policy, condition))   # stable, so copies stay in file order
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = ((np.diff(condition[order]) == 0) & (np.diff(policy[order]) == 0)
+                           & (np.diff(trial[order]) == 0))
+    if repeated.any():   # its row's policy is one, or an earlier check names the row
+        i = int(repeated.argmax())
+        faults.insert(split, (i, lambda i: f"trial: {trial[i]} of condition {condition[i]} "
+                                           f"under {_POLICY_NAMES[int(policy[i])]} appears twice",
+                              i))
+    if faults:
+        # The first check of the first row; only there are the values it reads parsed.
+        row, message, i = min(faults, key=lambda fault: fault[0])
+        raise ConfigError(f"{path.name}: row {row + 1}: {message(i)}")
+    if stop:
+        raise ConfigError(f"{path.name}: row {len(table) + 1}{stop[0]}")
+    # A table already in order, as `emit_reports` writes it, is not copied.
+    return table if (np.diff(order) == 1).all() else table.take(order)
+
+
+def _columns(table: TrialTable) -> tuple[np.ndarray, ...]:
+    """The arrays of `table`, in the order TrialTable and MetricColumns take them."""
+    return (table.policy, table.condition, table.trial, *table.metrics)
+
+
+def _table_blocks(fh, jsonl: bool, stop: list[str]):
+    """The header of open trials file `fh`, then each block of its rows as
+    one list of fields, each row as wide as the header: the one row source
+    of CSV and JSON lines. A row that cannot be read ends the rows, and
+    what is wrong with it goes to `stop`."""
+    try:
+        yield from _jsonl_blocks(fh) if jsonl else _csv_blocks(fh)
+    except KeyError as exc:   # a JSON-lines record without that column
+        stop.append(f" has no {exc.args[0]} column")
+    except (ValueError, RecursionError, csv.Error) as exc:
+        stop.append(f": {exc}")
+
+
+def _blocks(items):
+    """The items of iterator `items` in lists of up to _BLOCK_ROWS. An error
+    in `items` is raised after a list of the items before it."""
+    while True:
+        block = []
         try:
-            if path.suffix == ".jsonl":
-                rows.extend(map(_jsonl_row, fh))
-            else:
-                try:
-                    text = fh.read()
-                except UnicodeDecodeError:   # csv.reader reads the rows before it
-                    fh.seek(0)
-                    text = None
-                plain = None if text is None else _plain_fields(text)
-                if plain is None:
-                    reader = csv.reader(fh if text is None else io.StringIO(text, newline=""))
-                    header = next(reader, [])
-                    rows.extend(filter(None, reader))   # blank lines hold no row
-                else:
-                    header, flat = plain
-                del text, plain
-        except KeyError as exc:   # a JSON-lines record without that column
-            fault = f" has no {exc.args[0]} column"
-        except (ValueError, RecursionError, csv.Error) as exc:
-            fault = f": {exc}"
-    missing = [c for c in TRIALS_COLUMNS if c not in header]
-    if missing:
-        raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-    width = len(header)
-    if flat is None:   # a short row's missing values read as empty
-        flat = list(chain.from_iterable(
-            row[:width] + [""] * (width - len(row)) for row in rows))
-    index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
-    columns = {c: flat[index[c]::width] for c in TRIALS_COLUMNS}
-    del flat
-    table = _trial_table(path.name, columns, config)
-    if fault is not None:
-        raise ConfigError(f"{path.name}: row {len(rows) + 1}{fault}")
-    return table
+            block.extend(islice(items, _BLOCK_ROWS))
+        except (KeyError, ValueError, RecursionError, csv.Error):   # a row that cannot be read
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
 
 
-def _plain_fields(text: str) -> tuple[list[str], list[str]] | None:
-    """The header and the fields of every row in turn of CSV `text`, split
-    on `\\n` and `,` where that is what csv.reader would read: the text
-    holds no `"`, CR or NUL, no line is longer than the field size limit,
-    and every line but a blank one is as wide as the first; else None."""
-    if '"' in text or "\r" in text or "\0" in text:
+def _csv_blocks(fh):
+    """The header row of CSV file `fh`, then blocks of its other rows, blank
+    ones dropped, each as its fields with every row as wide as the header:
+    what csv.reader reads. A block's lines are split on `,` while they are
+    plain (`_plain_fields`); the first block that is not hands its lines
+    and the rest of the file to one csv.reader, so a quoted line break may
+    span two blocks."""
+    head = list(islice(fh, 1))   # the header line, as wide as its own fields
+    header = _plain_fields(head, head[0].count(",") + 1 if head else 0)
+    lines = _blocks(fh)
+    if header is not None:
+        yield header
+        for head in lines:   # `head` is then the lines csv.reader starts at
+            fields = _plain_fields(head, len(header))
+            if fields is None:
+                break
+            del head
+            yield fields
+            del fields
+        else:
+            return
+    rows = csv.reader(chain(head, chain.from_iterable(lines)))
+    del head
+    if header is None:
+        header = next(rows, [])
+        yield header
+    for block in _blocks(filter(None, rows)):   # blank lines hold no row
+        yield _row_fields(block, len(header))
+        del block
+
+
+def _plain_fields(lines: list[str], width: int) -> list[str] | None:
+    """The fields of the rows of CSV `lines` in turn, blank lines dropped and
+    each row cut or padded to `width`, split on `\\n` and `,` where that is
+    what csv.reader would read: the lines hold no `"`, CR or NUL and none
+    is longer than the field size limit; else None."""
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
         return None
-    lines = text.split("\n")   # not splitlines, which also splits on \x0b, \x1c, ...
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = lines[0].split(",")   # a blank one misses every column, as csv.reader's []
-    body = list(filter(None, lines[1:]))   # blank lines hold no row
-    del lines
-    if set(map(str.count, body, repeat(","))) - {len(header) - 1}:
-        return None
-    return header, ",".join(body).split(",") if body else []
+    body = list(filter(None, text.split("\n")))   # not splitlines, which also splits on \x0b, ...
+    del text
+    if set(map(str.count, body, repeat(","))) == {width - 1}:
+        return ",".join(body).split(",")
+    return _row_fields([line.split(",") for line in body], width)   # a short or long row
+
+
+def _row_fields(rows, width: int) -> list[str]:
+    """The fields of `rows` in turn, each row cut or padded with empty fields
+    to `width`."""
+    return list(chain.from_iterable(row[:width] + [""] * (width - len(row)) for row in rows))
+
+
+def _jsonl_blocks(fh):
+    """TRIALS_COLUMNS, then blocks of the JSON-lines records of `fh`, each as
+    its records' fields (`_jsonl_row`) in turn."""
+    yield TRIALS_COLUMNS
+    for block in _blocks(map(_jsonl_row, fh)):
+        yield list(chain.from_iterable(block))
+        del block
 
 
 def _jsonl_row(line: str) -> list[str]:
@@ -403,16 +494,19 @@ def _jsonl_row(line: str) -> list[str]:
     return [_fmt(math.nan if record[c] is None else record[c]) for c in TRIALS_COLUMNS]
 
 
-def _trial_table(name: str, columns: dict[str, list[str]],
-                 config: SweepConfig) -> TrialTable:
-    """The trials `columns` hold, in canonical order.
+def _block_table(columns: dict[str, list[str]], config: SweepConfig,
+                 first: int) -> tuple[TrialTable, list[tuple], int]:
+    """The trials of a block of rows, whose `columns` hold its texts and
+    whose first row is row `first` of the file (from 0), in file order; the
+    faults of its rows; and where among them the duplicate check's goes.
 
-    The checks run on whole columns, each marking the rows it rejects, in
-    the order one row is checked. If any row fails, ConfigError names file
-    `name`, the first row in file order that fails a check, and the message
-    of the first check that row fails. A value that does not parse fails
-    its own check and reads as 0 in the later ones, none of which can then
-    be the first check its row fails.
+    Every check here reads one row at a time. The checks run on whole
+    columns, each marking the rows it rejects, in the order one row is
+    checked. A fault is a check's first rejected row, in the file, and the
+    message of that check as a function of the index of the value
+    rejected, and that index. A value that does not parse fails its own
+    check and reads as 0 in the later ones, none of which can then be the
+    first check its row fails.
     """
     faults: list[tuple] = []   # each failing check's first row, message and index
 
@@ -422,7 +516,7 @@ def _trial_table(name: str, columns: dict[str, list[str]],
         if bad.any():
             i = int(bad.argmax())
             row = i if counts is None else int(np.searchsorted(np.cumsum(counts), i, "right"))
-            faults.append((row, message, i))
+            faults.append((first + row, message, i))
 
     def parsed(column: str, kind: type, texts=None, counts=None) -> np.ndarray:
         texts = columns[column] if texts is None else texts
@@ -453,7 +547,7 @@ def _trial_table(name: str, columns: dict[str, list[str]],
     load, served = parsed("load", int), parsed("served", int)
     aborted = flags("aborted")
     floats = {c: parsed(c, float) for c in ("lambda_sw", "lambda_int", "workload", "duration")}
-    policy_index = {policy.value: policy.index for policy in PolicyId}
+    policy_index = {name: index for index, name in _POLICY_NAMES.items()}
     policy = np.array([policy_index.get(v, -1) for v in columns["policy"]], dtype=np.int64)
     check(policy < 0, lambda i: f"policy: {columns['policy'][i]!r} is not a policy")
     delta, condition, trial = (parsed("delta", float), parsed("condition", int),
@@ -474,12 +568,7 @@ def _trial_table(name: str, columns: dict[str, list[str]],
     check((trial < 0) | (trial >= config.trials_per_condition),
           lambda i: f"trial: {whole('trial', i)} is outside "
                     f"[0, {config.trials_per_condition})")
-    order = np.lexsort((trial, policy, condition))   # stable, so copies stay in file order
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[1:]] = ((np.diff(condition[order]) == 0) & (np.diff(policy[order]) == 0)
-                           & (np.diff(trial[order]) == 0))
-    check(repeated, lambda i: f"trial: {trial[i]} of condition {condition[i]} "
-                              f"under {columns['policy'][i]} appears twice")
+    split = len(faults)   # the duplicate check, which reads every row, comes here
     check((served < 0) | (served > load),
           lambda i: f"served: {whole('served', i)} is outside [0, {load[i]}]")
     rho = parsed("rho", float)
@@ -490,10 +579,6 @@ def _trial_table(name: str, columns: dict[str, list[str]],
     row_load = np.repeat(load, ids_n)
     check((high_ids < 0) | (high_ids >= row_load),
           lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
-    if faults:
-        # The first check of the first row; only there are the values it reads parsed.
-        row, message, i = min(faults, key=lambda fault: fault[0])
-        raise ConfigError(f"{name}: row {row + 1}: {message(i)}")
     return TrialTable(
         policy=policy, condition=condition, trial=trial,
         metrics=MetricColumns(
@@ -501,7 +586,7 @@ def _trial_table(name: str, columns: dict[str, list[str]],
             lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
             workload=floats["workload"], high_count=ids_n,
             high_ids=high_ids.astype(MetricColumns.ID_DTYPE),
-            high_delays=high_delays, high_censored=high_censored)).take(order)
+            high_delays=high_delays, high_censored=high_censored)), faults, split
 
 
 def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:
@@ -588,12 +673,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError("manifest.json: config: must be an object")
     config = config_from_dict(manifest["config"])
+    rows = manifest.get("trial_rows")
+    if not isinstance(rows, int) or isinstance(rows, bool):
+        raise ConfigError(f"trial_rows: must be an int, got {rows!r}")
     trials_path = indir / "trials.csv"
     if not trials_path.exists() and (indir / "trials.jsonl").exists():
         trials_path = indir / "trials.jsonl"
     trials = load_trials(trials_path, config)
-    if manifest.get("trial_rows") != len(trials):
-        raise ConfigError(f"trial_rows: manifest says {manifest.get('trial_rows')!r}, "
+    if rows != len(trials):
+        raise ConfigError(f"trial_rows: manifest says {rows!r}, "
                           f"{trials_path.name} holds {len(trials)} rows")
     for policy in config.policies:
         if not (trials.policy == policy.index).any():   # its rollup would be over no trial

@@ -68,10 +68,12 @@ MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # 2**22 slots * 210 B is 0.8 GiB.
 MAX_CELL_SLOTS = 2 ** 22
 # Missions and patients of one run. A result holds 183-217 bytes per mission.
-# Reading the trials table back, `report` peaks (tracemalloc) at about 910 B
-# per mission at load 1, where the per-mission cost rules, and 46-95 B per
-# patient at loads 40 to 1000, where the per-patient cost does. So 2**20
-# missions take about 1 GB and 2**24 patients 0.8-1.6 GB.
+# Reading the trials table back, `report` holds the table and the text of
+# one block of rows (`cli._BLOCK_ROWS`). Its tracemalloc peak is about 115 B
+# per mission on 60,000 missions at load 1 (83 B for each mission past
+# 36,000) and 21 B per patient on the default protocol. The table is 2.5-4.3
+# B per patient at loads 40 to 1000, and a row's text 41 KB at load 1000. So
+# 2**20 missions take about 0.1 GB, and 2**24 patients under 0.2 GB.
 MAX_SWEEP_MISSIONS = 2 ** 20
 MAX_SWEEP_PATIENTS = 2 ** 24
 

@@ -11,7 +11,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
@@ -574,6 +574,21 @@ def test_report_rejects_a_table_that_disagrees_with_the_manifest(tmp_path, capsy
     assert "23 rows" in err
 
 
+@pytest.mark.parametrize("rows", [True, 1.0, "1", None])
+def test_report_requires_trial_rows_to_be_an_int(tmp_path, capsys, rows):
+    out = tmp_path / "run"
+    assert run_cli("run", "--trials", "1", "--deltas", "0", "--loads", "5",
+                   "--policies", "pi1_teleop", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["trial_rows"] == 1
+    manifest["trial_rows"] = rows
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo")) == 2
+    assert f"config error: trial_rows: must be an int, got {rows!r}" in capsys.readouterr().err
+    assert not (tmp_path / "redo").exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("kept, named", [(("pi1_teleop", "pi2_auto"), "pi3_geodt"),
                                          ((), "pi1_teleop")])
@@ -792,6 +807,10 @@ def _two_policy_run():
     return header, rows, config_from_dict(manifest["config"])
 
 
+# The block size and a few rows, so that a block boundary falls anywhere in a
+# small run's table.
+_BLOCK_SIZES = st.sampled_from([cli._BLOCK_ROWS, 1, 2, 3, 5])
+
 _CELL_TEXTS = ["", "0", "1", "2", "-1", "3", "5", "99", "0.0", "-0.0", "0.5", "nan", "inf",
                "1e400", " 3", "3_0", "x", "0;1", "1;;2", ";", "1;0;1", "pi1_teleop",
                "pi2_auto", "pi3_geodt", "9" * 30]
@@ -813,6 +832,7 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             rows[i][j] = other[j]
         else:
             rows[i] = list(other)
+    block_rows = data.draw(_BLOCK_SIZES)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.csv"
 
@@ -820,7 +840,8 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             """load_trials on the header and the first `n` rows."""
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows([header, *rows[:n]])
-            return cli.load_trials(path, config)
+            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+                return cli.load_trials(path, config)
 
         try:
             table = load(len(rows))
@@ -950,12 +971,74 @@ def test_the_bulk_reader_reads_what_csv_reader_reads(data):
         return tuple((c.dtype.str, c.view(np.int64).tolist() if c.dtype == float
                       else c.tolist()) for c in columns)
 
+    block_rows = data.draw(_BLOCK_SIZES)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.csv"
         path.write_bytes(text.encode("utf-8"))
-        bulk = load(path)
-        with mock.patch.object(cli, "_plain_fields", lambda text: None):
-            assert load(path) == bulk
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            bulk = load(path)
+        with mock.patch.object(cli, "_plain_fields", lambda lines, width: None):
+            assert load(path) == bulk   # csv.reader reads the whole file
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt):
+    # A small run's rows, copied under new trial numbers to 2 and 10 blocks.
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    config = config_from_dict(json.loads((out / "manifest.json").read_text())["config"])
+    lines = (out / f"trials.{fmt}").read_text(encoding="utf-8").splitlines()
+    head, body = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
+    trials = config.trials_per_condition
+
+    def renumbered(line: str, copy: int) -> str:
+        if fmt == "jsonl":
+            record = json.loads(line)
+            record["trial"] += copy * trials
+            return json.dumps(record)
+        values = line.split(",")
+        k = cli.TRIALS_COLUMNS.index("trial")
+        values[k] = str(int(values[k]) + copy * trials)
+        return ",".join(values)
+
+    transients = []
+    for blocks in (2, 10):
+        copies = -(-blocks * cli._BLOCK_ROWS // len(body))
+        path = tmp_path / f"trials{blocks}.{fmt}"
+        path.write_text("".join(f"{line}\n" for line in head + [
+            renumbered(line, copy) for copy in range(copies) for line in body]),
+            encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = cli.load_trials(path, replace(config, trials_per_condition=copies * trials))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == copies * len(body)
+        columns = (table.policy, table.condition, table.trial, *table.metrics)
+        transients.append(peak - sum(column.nbytes for column in columns))
+    # About 1.3 KB per row of a block (tracemalloc); the table's own bytes
+    # grow fivefold between the two sizes.
+    assert max(transients) < 2_000 * cli._BLOCK_ROWS, transients
+    assert transients[1] - transients[0] < 1_000_000, transients
+
+
+@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 1, 3])
+def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_rows):
+    # The duplicate check reads every row, but it still comes after the trial
+    # check and before the served check of the row it names.
+    header, rows, config = _two_policy_run()
+    served = header.index("served")
+    later = [*rows[1], ""][:len(header)]
+    later[served] = "99"
+    path = tmp_path / "trials.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows[:5], later])
+    with (mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
+          pytest.raises(cli.ConfigError) as exc):
+        cli.load_trials(path, config)
+    assert re.fullmatch(r"trials\.csv: row 6: trial: \d+ of condition \d+ under pi\w+ "
+                        r"appears twice", str(exc.value)), str(exc.value)
 
 
 def test_a_repeated_trials_column_reads_its_last_copy(tmp_path):
@@ -995,9 +1078,11 @@ def test_a_trials_file_that_is_not_utf8_names_the_row_csv_reader_stops_at(tmp_pa
             for row in reader:
                 rows += bool(row)
     assert rows > 0
-    with pytest.raises(cli.ConfigError) as exc:
-        cli.load_trials(path, config)
-    assert str(exc.value) == f"trials.csv: row {rows + 1}: {stop.value}"
+    for block_rows in (cli._BLOCK_ROWS, 1, 2, 3, 5):   # the byte in any place in a block
+        with (mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
+              pytest.raises(cli.ConfigError) as exc):
+            cli.load_trials(path, config)
+        assert str(exc.value) == f"trials.csv: row {rows + 1}: {stop.value}"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
