@@ -232,10 +232,11 @@ def _write_table(path: Path, columns: list[str], chunks, fmt: str) -> None:
 
 
 def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
-    """The trials table, one (condition, policy) cell at a time, as chunks
-    of TRIALS_COLUMNS; `conditions` are the run's, by id."""
-    for start, cell in trials.cells():
-        counts = cell.high_count.tolist()
+    """The trials table, one trial block of a (condition, policy) cell at a
+    time (`TrialTable.blocks`), as chunks of TRIALS_COLUMNS; `conditions`
+    are the run's, by id."""
+    for start, block in trials.blocks():
+        counts = block.high_count.tolist()
 
         def joined(values: np.ndarray) -> list[str]:
             texts = iter(_text_column(values))
@@ -245,8 +246,8 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
         policy = _POLICY_NAMES[int(trials.policy[start])]
         yield (policy, condition.delta, condition.patient_load), [
             trials.condition[start:start + n], trials.trial[start:start + n],
-            *(getattr(cell, name) for name in MetricColumns.MISSION_FIELDS),
-            *(joined(getattr(cell, name)) for name in MetricColumns.HIGH_FIELDS),
+            *(getattr(block, name) for name in MetricColumns.MISSION_FIELDS),
+            *(joined(getattr(block, name)) for name in MetricColumns.HIGH_FIELDS),
         ]
 
 
@@ -322,9 +323,12 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 # ---------------------------------------------------------------------------
 # Reading a previous run back for the `report` subcommand.
 
-# Rows of a trials table read at a time: each block's fields are parsed into
-# typed columns and let go before the next block is read.
-_BLOCK_ROWS = 2048
+# Text of a trials table read at a time, in characters (bytes, in the ASCII
+# the writer writes): each block's fields are parsed into typed columns and
+# let go before the next block is read. A block ends at the row that brings
+# its text to this size, so a block's fields never outgrow it by more than
+# one row, whatever the patient load; 1 gives one row per block.
+_BLOCK_BYTES = 128 * 1024
 
 
 def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
@@ -352,13 +356,14 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
             raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
         width = len(header)
         index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+        conditions = config.conditions()
         # Each column's pieces, from an empty block first, which gives its dtype.
         parts = [[column] for column in _columns(
-            _block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, 0)[0])]
+            _block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, conditions, 0)[0])]
         rows, faults, split = 0, [], 0
         for block in blocks:
             piece, faults, split = _block_table(
-                {c: block[index[c]::width] for c in TRIALS_COLUMNS}, config, rows)
+                {c: block[index[c]::width] for c in TRIALS_COLUMNS}, config, conditions, rows)
             del block
             for part, column in zip(parts, _columns(piece)):
                 part.append(column)
@@ -406,20 +411,29 @@ def _table_blocks(fh, jsonl: bool, stop: list[str]):
         stop.append(f": {exc}")
 
 
-def _blocks(items):
-    """The items of iterator `items` in lists of up to _BLOCK_ROWS. An error
-    in `items` is raised after a list of the items before it."""
-    while True:
-        block = []
-        try:
-            block.extend(islice(items, _BLOCK_ROWS))
-        except (KeyError, ValueError, RecursionError, csv.Error):   # a row that cannot be read
-            if block:
+def _blocks(items, size=len):
+    """The items of iterator `items` in lists, each ending at the item that
+    brings the `size` of its items to _BLOCK_BYTES. An error in `items` is
+    raised after a list of the items before it."""
+    block, held = [], 0
+    try:
+        for item in items:
+            block.append(item)
+            held += size(item)
+            if held >= _BLOCK_BYTES:
                 yield block
-            raise
-        if not block:
-            return
+                block, held = [], 0
+    except (KeyError, ValueError, RecursionError, csv.Error):   # a row that cannot be read
+        if block:
+            yield block
+        raise
+    if block:
         yield block
+
+
+def _row_size(fields: list[str]) -> int:
+    """The characters of a row of `fields`: each field's and a separator's after it."""
+    return len(fields) + sum(map(len, fields))
 
 
 def _csv_blocks(fh):
@@ -448,7 +462,7 @@ def _csv_blocks(fh):
     if header is None:
         header = next(rows, [])
         yield header
-    for block in _blocks(filter(None, rows)):   # blank lines hold no row
+    for block in _blocks(filter(None, rows), _row_size):   # blank lines hold no row
         yield _row_fields(block, len(header))
         del block
 
@@ -479,7 +493,7 @@ def _jsonl_blocks(fh):
     """TRIALS_COLUMNS, then blocks of the JSON-lines records of `fh`, each as
     its records' fields (`_jsonl_row`) in turn."""
     yield TRIALS_COLUMNS
-    for block in _blocks(map(_jsonl_row, fh)):
+    for block in _blocks(map(_jsonl_row, fh), _row_size):
         yield list(chain.from_iterable(block))
         del block
 
@@ -495,10 +509,12 @@ def _jsonl_row(line: str) -> list[str]:
 
 
 def _block_table(columns: dict[str, list[str]], config: SweepConfig,
+                 conditions: tuple[Condition, ...],
                  first: int) -> tuple[TrialTable, list[tuple], int]:
     """The trials of a block of rows, whose `columns` hold its texts and
     whose first row is row `first` of the file (from 0), in file order; the
     faults of its rows; and where among them the duplicate check's goes.
+    `conditions` are `config.conditions()`, built once for the table.
 
     Every check here reads one row at a time. The checks run on whole
     columns, each marking the rows it rejects, in the order one row is
@@ -552,9 +568,10 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     check(policy < 0, lambda i: f"policy: {columns['policy'][i]!r} is not a policy")
     delta, condition, trial = (parsed("delta", float), parsed("condition", int),
                                parsed("trial", int))
-    check(~np.isin(policy, [p.index for p in config.policies]),
+    of_run = np.zeros(len(_POLICY_NAMES) + 1, dtype=bool)   # the last entry is -1's, no policy
+    of_run[[p.index for p in config.policies]] = True
+    check(~of_run[policy],
           lambda i: f"policy: {columns['policy'][i]!r} is not a policy of the run")
-    conditions = config.conditions()
     check((condition < 0) | (condition >= len(conditions)),
           lambda i: f"condition: {whole('condition', i)} is not a condition id "
                     f"of the run, 0 to {len(conditions) - 1}")

@@ -63,17 +63,20 @@ DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # Patient slots of one cell: trials times the largest load plus the expected
-# intervals per mission. tracemalloc puts a cell's peak at 181-210 bytes per
-# patient, and a held interval costs 118 B (tracemalloc) to 143 B (RSS), so
-# 2**22 slots * 210 B is 0.8 GiB.
+# intervals per mission. A cell runs as trial blocks (`_TRIAL_BLOCK`), and
+# tracemalloc puts a 256-trial block's peak at 177-229 bytes per patient
+# (loads 40 to 1000) and 164-243 B per expected interval (load 5, 1,000 per
+# mission). So a task holds at most 256 * (1000 * 229 + 10_000 * 243) B,
+# about 0.7 GB, however many trials its cell has.
 MAX_CELL_SLOTS = 2 ** 22
 # Missions and patients of one run. A result holds 183-217 bytes per mission.
-# Reading the trials table back, `report` holds the table and the text of
-# one block of rows (`cli._BLOCK_ROWS`). Its tracemalloc peak is about 115 B
-# per mission on 60,000 missions at load 1 (83 B for each mission past
-# 36,000) and 21 B per patient on the default protocol. The table is 2.5-4.3
-# B per patient at loads 40 to 1000, and a row's text 41 KB at load 1000. So
-# 2**20 missions take about 0.1 GB, and 2**24 patients under 0.2 GB.
+# Reading the trials table back, `report` holds the table and one block of
+# text (`cli._BLOCK_BYTES`), which parses into under 2 MB at any load. Its
+# tracemalloc peak is 114 B per mission on 60,000 missions at load 1 (85 B
+# for each mission past 30,000), 11.5 B per patient on the default protocol
+# and 13.9 B per patient on 120 missions at load 1000. The table is 2.5-4.3
+# B per patient at loads 40 to 1000. So 2**20 missions take about 0.1 GB,
+# and 2**24 patients under 0.1 GB.
 MAX_SWEEP_MISSIONS = 2 ** 20
 MAX_SWEEP_PATIENTS = 2 ** 24
 
@@ -192,9 +195,23 @@ class TrialTable:
 
     def cells(self) -> list[tuple[int, MetricColumns]]:
         """Each (condition, policy) cell's first row and its metric columns, as views."""
+        return self._runs(self._cell_starts())
+
+    def blocks(self) -> list[tuple[int, MetricColumns]]:
+        """As `cells`, with each cell cut into runs of at most `_TRIAL_BLOCK`
+        rows: the trial blocks the sweep runs as one task each."""
+        starts = self._cell_starts()
+        return self._runs([row for start, stop in zip(starts, [*starts[1:], len(self)])
+                           for row in range(start, stop, _TRIAL_BLOCK)])
+
+    def _cell_starts(self) -> list[int]:
         change = (np.diff(self.condition) != 0) | (np.diff(self.policy) != 0)
-        bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(self)]
-        return list(zip(bounds, self.metrics.split(bounds))) if len(self) else []
+        return [0, *(np.flatnonzero(change) + 1).tolist()] if len(self) else []
+
+    def _runs(self, starts: list[int]) -> list[tuple[int, MetricColumns]]:
+        """The first row and the metric columns, as views, of each run of rows
+        from one of `starts` to the next (or the end)."""
+        return list(zip(starts, self.metrics.split([*starts, len(self)])))
 
     def records(self, conditions: tuple[Condition, ...]) -> tuple[TrialRecord, ...]:
         """One `TrialRecord` per row; `conditions` are the run's, by id."""
@@ -445,16 +462,27 @@ def pareto_front(points) -> list:
 # ---------------------------------------------------------------------------
 # Sweep execution.
 
-def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> MetricColumns:
-    n_trials, load = config.trials_per_condition, condition.patient_load
-    # Rows 2*trial + purpose: the seeds derive_stream would build one by one.
+# Trials of one sweep task: a (condition, policy) cell runs as blocks of at
+# most this many trials, each with its own seed words, streams and arrays,
+# so a task's memory does not grow with `trials_per_condition`. The default
+# protocol's 250-trial cells are one block each.
+_TRIAL_BLOCK = 256
+
+
+def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId,
+              first: int) -> MetricColumns:
+    """The metric columns of one block of a cell: its trials from `first`
+    on, at most `_TRIAL_BLOCK` of them."""
+    n_trials = min(_TRIAL_BLOCK, config.trials_per_condition - first)
+    load = condition.patient_load
+    # Rows 2*(trial - first) + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
-                            policy.index, n_trials)
-    # Pass 1: every trial's field draws into the cell's arrays, then the
+                            policy.index, n_trials, first)
+    # Pass 1: every trial's field draws into the block's arrays, then the
     # operator's picks from its mission stream. The stream is kept for its
-    # `mission_schedules`, drawn after the loop into the cell's flat columns,
+    # `mission_schedules`, drawn after the loop into the block's flat columns,
     # and the twin's alert-suppression draws. The field's unit uniforms are
-    # mapped to their ranges after the loop, once for the cell.
+    # mapped to their ranges after the loop, once for the block.
     scenario_params, base = config.scenario_params, config.scenario_params.base_position
     delta, platform, loc = condition.delta, config.platform, config.localization
     teleop, error_rate = policy is PolicyId.PI1_TELEOP, config.operator_error_rate
@@ -474,7 +502,7 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId) -> Me
     scale_field(positions, access, scenario_params)
     schedules = [mission_schedules(policy, delta, platform, stream, loc) for stream in streams]
     outages, episodes = map(IntervalColumns.of, zip(*schedules))
-    # Then the cell's orders and planned timelines, one call each.
+    # Then the block's orders and planned timelines, one call each.
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     orders = plan_orders(policy, xs, ys, base, picks, severities,
                          criticality_times(severities, scenario_params), access,
@@ -494,30 +522,37 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
               workers: int = 1) -> SweepResult:
     """Execute the full sweep and aggregate it.
 
-    `workers` > 1 fans the (condition, policy) cells out to a process
-    pool of at most one worker per cell. The cells go out, and each returns
-    only its metric columns, in `(condition, policy.index)` order; the
-    columns are joined and keyed here, so the result does not depend on the
-    degree of parallelism.
+    The tasks are the trial blocks of the (condition, policy) cells
+    (`_run_cell`), in `(condition, policy.index, trial)` order. `workers` > 1
+    fans them out to a process pool of at most one worker per task. Each
+    returns only its metric columns; the columns are joined in submission
+    order and keyed here, so the result does not depend on the degree of
+    parallelism.
     """
     config.validate()
-    conditions, policies = zip(*[(condition, policy)
-                                 for condition in config.conditions()
-                                 for policy in sorted(config.policies, key=lambda p: p.index)])
-    configs = [config] * len(policies)
+    n = config.trials_per_condition
+    conditions, policies, firsts = zip(*[
+        (condition, policy, first)
+        for condition in config.conditions()
+        for policy in sorted(config.policies, key=lambda p: p.index)
+        for first in range(0, n, _TRIAL_BLOCK)])
+    configs = [config] * len(firsts)
 
     if workers <= 1:
-        cells = list(map(_run_cell, configs, conditions, policies))
+        blocks = list(map(_run_cell, configs, conditions, policies, firsts))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(policies))) as pool:
-            cells = list(pool.map(_run_cell, configs, conditions, policies))
+        with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
+            blocks = list(pool.map(_run_cell, configs, conditions, policies, firsts))
 
-    n = config.trials_per_condition
+    # Each field's pieces are joined and let go before the next field is joined.
+    pieces = [list(field) for field in zip(*blocks)]
+    del blocks
+    rows = np.minimum(_TRIAL_BLOCK, n - np.array(firsts))
     trials = TrialTable(
-        policy=np.repeat([policy.index for policy in policies], n),
-        condition=np.repeat([condition.condition_id for condition in conditions], n),
-        trial=np.tile(np.arange(n), len(cells)),
-        metrics=MetricColumns._make(map(np.concatenate, zip(*cells))))
+        policy=np.repeat([policy.index for policy in policies], rows),
+        condition=np.repeat([condition.condition_id for condition in conditions], rows),
+        trial=np.tile(np.arange(n), len(config.conditions()) * len(config.policies)),
+        metrics=MetricColumns._make(np.concatenate(pieces.pop(0)) for _ in range(len(pieces))))
     return aggregate(config, trials)
 
 

@@ -156,24 +156,25 @@ def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
 
 
 def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
-                    n_trials: int) -> np.ndarray:
-    """PCG64 seed words of every stream of one (condition, policy) cell.
+                    n_trials: int, first: int = 0) -> np.ndarray:
+    """PCG64 seed words of the streams of trials `first` to
+    ``first + n_trials - 1`` of one (condition, policy) cell.
 
     Returns a ``(2 * n_trials, 4)`` uint64 array whose row
-    ``2 * trial + purpose`` holds exactly the words the PCG64 of
+    ``2 * (trial - first) + purpose`` holds exactly the words the PCG64 of
     ``derive_stream(master_seed, condition_index, trial, policy_index,
     purpose)`` is seeded from; ``seeded_stream`` turns a row into that
-    stream. Trial indices must each fit one uint32 word, so a cell of more
-    than ``MAX_TRIALS_PER_CELL`` trials raises ValueError.
+    stream. Trial indices must each fit one uint32 word, so trials past
+    ``MAX_TRIALS_PER_CELL`` raise ValueError.
     """
-    if not 0 <= n_trials <= MAX_TRIALS_PER_CELL:
-        raise ValueError(f"n_trials must be in [0, {MAX_TRIALS_PER_CELL}], "
-                         f"got {n_trials}")
+    if min(first, n_trials) < 0 or first + n_trials > MAX_TRIALS_PER_CELL:
+        raise ValueError(f"first and n_trials must be nonnegative, with first + n_trials "
+                         f"at most {MAX_TRIALS_PER_CELL}, got {first} and {n_trials}")
     master = _uint32_words(master_seed)
     # A spawn key makes SeedSequence pad the master words to the pool size.
     shared = master + [0] * (_POOL_SIZE - len(master)) + _uint32_words(condition_index)
     # From the trial index on, each word and the pool are uint32 columns.
-    per_trial = ([np.arange(n_trials).astype(np.uint32)[:, None]]
+    per_trial = ([np.arange(first, first + n_trials).astype(np.uint32)[:, None]]
                  + [np.full(1, word, dtype=np.uint32)
                     for word in _uint32_words(policy_index)]
                  + [np.array([int(p) for p in StreamPurpose], dtype=np.uint32)])

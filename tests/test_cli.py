@@ -807,9 +807,10 @@ def _two_policy_run():
     return header, rows, config_from_dict(manifest["config"])
 
 
-# The block size and a few rows, so that a block boundary falls anywhere in a
-# small run's table.
-_BLOCK_SIZES = st.sampled_from([cli._BLOCK_ROWS, 1, 2, 3, 5])
+# The block size, one row (any size up to a row's text) and a few rows of a
+# small run's table (59 to 148 characters each), so that a block boundary
+# falls anywhere in it.
+_BLOCK_SIZES = st.sampled_from([cli._BLOCK_BYTES, 1, 150, 300, 600])
 
 _CELL_TEXTS = ["", "0", "1", "2", "-1", "3", "5", "99", "0.0", "-0.0", "0.5", "nan", "inf",
                "1e400", " 3", "3_0", "x", "0;1", "1;;2", ";", "1;0;1", "pi1_teleop",
@@ -832,7 +833,7 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             rows[i][j] = other[j]
         else:
             rows[i] = list(other)
-    block_rows = data.draw(_BLOCK_SIZES)
+    block_bytes = data.draw(_BLOCK_SIZES)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.csv"
 
@@ -840,7 +841,7 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             """load_trials on the header and the first `n` rows."""
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows([header, *rows[:n]])
-            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
                 return cli.load_trials(path, config)
 
         try:
@@ -884,6 +885,27 @@ def test_report_tables_are_what_csv_writer_writes(tmp_path):
         csv.writer(again, lineterminator="\n").writerows(
             line.split(",") for line in text.splitlines())
         assert again.getvalue() == text, name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_writing_a_cell_holds_one_trial_block_of_text_at_a_time(tmp_path, fmt):
+    # One cell of 512 and of 5,120 trials: the writer renders a trial block
+    # at a time, so its transient does not grow with the cell. Rendering the
+    # whole 5,120-trial cell at once held 4.7 MB as CSV.
+    transients = []
+    for trials in (512, 5_120):
+        result = run_sweep(SweepConfig(degradation_levels=(1.0,), patient_loads=(5,),
+                                       policies=(PolicyId.PI2_AUTO,),
+                                       trials_per_condition=trials))
+        tracemalloc.start()
+        try:
+            cli.emit_reports(result, fmt, tmp_path / f"{fmt}{trials}")
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        transients.append(peak - current)
+    assert max(transients) < 1_000_000, transients
+    assert transients[1] - transients[0] < 200_000, transients
 
 
 @functools.lru_cache(maxsize=None)
@@ -971,21 +993,30 @@ def test_the_bulk_reader_reads_what_csv_reader_reads(data):
         return tuple((c.dtype.str, c.view(np.int64).tolist() if c.dtype == float
                       else c.tolist()) for c in columns)
 
-    block_rows = data.draw(_BLOCK_SIZES)
+    block_bytes = data.draw(_BLOCK_SIZES)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
             bulk = load(path)
         with mock.patch.object(cli, "_plain_fields", lambda lines, width: None):
             assert load(path) == bulk   # csv.reader reads the whole file
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt):
-    # A small run's rows, copied under new trial numbers to 2 and 10 blocks.
+_LOAD_1000_FLAGS = ["--deltas", "1", "--loads", "1000", "--policies", "pi2_auto",
+                    "--trials", "4", "--seed", "7"]
+
+
+@pytest.mark.parametrize("fmt, flags", [("csv", FAST_FLAGS), ("jsonl", FAST_FLAGS),
+                                        ("csv", _LOAD_1000_FLAGS)],
+                         ids=["csv", "jsonl", "load1000"])
+def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt, flags):
+    # A run's rows, copied under new trial numbers to 2 and 10 blocks. A
+    # load-1000 row holds about 3.7 KB of text and 300 list entries, each
+    # parsed from its own `str`, so blocks sized in rows held 41 KB per such
+    # row and grew with the table.
     out = tmp_path / "run"
-    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    assert run_cli("run", *flags, "--format", fmt, "--out", str(out)) == 0
     config = config_from_dict(json.loads((out / "manifest.json").read_text())["config"])
     lines = (out / f"trials.{fmt}").read_text(encoding="utf-8").splitlines()
     head, body = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
@@ -1001,9 +1032,9 @@ def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt):
         values[k] = str(int(values[k]) + copy * trials)
         return ",".join(values)
 
-    transients = []
+    transients, text = [], sum(len(line) + 1 for line in body)
     for blocks in (2, 10):
-        copies = -(-blocks * cli._BLOCK_ROWS // len(body))
+        copies = -(-blocks * cli._BLOCK_BYTES // text)
         path = tmp_path / f"trials{blocks}.{fmt}"
         path.write_text("".join(f"{line}\n" for line in head + [
             renumbered(line, copy) for copy in range(copies) for line in body]),
@@ -1017,14 +1048,14 @@ def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt):
         assert len(table) == copies * len(body)
         columns = (table.policy, table.condition, table.trial, *table.metrics)
         transients.append(peak - sum(column.nbytes for column in columns))
-    # About 1.3 KB per row of a block (tracemalloc); the table's own bytes
-    # grow fivefold between the two sizes.
-    assert max(transients) < 2_000 * cli._BLOCK_ROWS, transients
+    # About 8 to 13 bytes per character of a block (tracemalloc); the table's
+    # own bytes grow fivefold between the two sizes.
+    assert max(transients) < 16 * cli._BLOCK_BYTES, transients
     assert transients[1] - transients[0] < 1_000_000, transients
 
 
-@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 1, 3])
-def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_rows):
+@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_bytes):
     # The duplicate check reads every row, but it still comes after the trial
     # check and before the served check of the row it names.
     header, rows, config = _two_policy_run()
@@ -1034,7 +1065,7 @@ def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_rows)
     path = tmp_path / "trials.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows[:5], later])
-    with (mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
+    with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
           pytest.raises(cli.ConfigError) as exc):
         cli.load_trials(path, config)
     assert re.fullmatch(r"trials\.csv: row 6: trial: \d+ of condition \d+ under pi\w+ "
@@ -1078,8 +1109,8 @@ def test_a_trials_file_that_is_not_utf8_names_the_row_csv_reader_stops_at(tmp_pa
             for row in reader:
                 rows += bool(row)
     assert rows > 0
-    for block_rows in (cli._BLOCK_ROWS, 1, 2, 3, 5):   # the byte in any place in a block
-        with (mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
+    for block_bytes in (cli._BLOCK_BYTES, 1, 150, 300, 600):   # the byte anywhere in a block
+        with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
               pytest.raises(cli.ConfigError) as exc):
             cli.load_trials(path, config)
         assert str(exc.value) == f"trials.csv: row {rows + 1}: {stop.value}"

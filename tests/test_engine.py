@@ -784,7 +784,7 @@ def test_the_teleop_kernel_holds_one_window_of_temporaries(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(engine, "_teleop_columns", traced)
-    experiment._run_cell(config, condition, PolicyId.PI1_TELEOP)
+    experiment._run_cell(config, condition, PolicyId.PI1_TELEOP, 0)   # the whole cell
     assert len(peaks) == 1 and peaks[0] < 1_566_000   # 1,252,876 B + 25%
 
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,10 +116,58 @@ def test_the_default_cells_ship_only_their_metric_columns():
     # A pool worker pickles its cell back to the parent, which keys the rows;
     # a per-row copy of a cell constant would show here.
     config = SweepConfig()
-    cells = [experiment._run_cell(config, condition, policy)
+    # Each default cell is one trial block, from trial 0.
+    cells = [experiment._run_cell(config, condition, policy, 0)
              for condition in config.conditions() for policy in config.policies]
     assert all(type(cell) is MetricColumns for cell in cells)
     assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_590_558   # 1,559,371 + 2%
+
+
+_BLOCKED = SweepConfig(master_seed=7, degradation_levels=(0.0, 1.0), patient_loads=(3, 6),
+                      trials_per_condition=7)
+
+
+def _sweep_bytes(config: SweepConfig, workers: int) -> tuple:
+    """A sweep's records, summaries and rollups, and the bytes of its five report files."""
+    result = run_sweep(config, workers=workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = emit_reports(result, "csv", tmp)
+        files = {path.name: path.read_bytes() for path in paths}
+    return result.records, result.summaries, result.rollups, files
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", [1, 3, experiment._TRIAL_BLOCK])
+def test_trial_blocks_leave_no_trace_in_the_output(monkeypatch, block, workers):
+    # Seven trials per cell run as blocks of 1, 3 (3 + 3 + 1) or one block.
+    # The pool's workers are forked, so they see the patched block size.
+    expected = _sweep_bytes(_BLOCKED, 1)
+    monkeypatch.setattr(experiment, "_TRIAL_BLOCK", block)
+    assert _sweep_bytes(_BLOCKED, workers) == expected
+
+
+@pytest.mark.parametrize("policy", [PolicyId.PI1_TELEOP, PolicyId.PI3_GEODT])
+def test_a_cells_tasks_hold_memory_that_does_not_grow_with_its_trials(policy):
+    # One load-5 cell at delta 1, run block by block as the sweep runs it. Its
+    # tracemalloc peak, less the columns the blocks return, is one block's:
+    # run as one task, the teleop cell held 5.2 MB at 2,000 trials and 52 MB
+    # at 20,000.
+    transients = []
+    for trials in (2_000, 20_000):
+        config = SweepConfig(degradation_levels=(1.0,), patient_loads=(5,),
+                             trials_per_condition=trials)
+        condition = config.conditions()[0]
+        tracemalloc.start()
+        try:
+            blocks = [experiment._run_cell(config, condition, policy, first)
+                      for first in range(0, trials, experiment._TRIAL_BLOCK)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(block.duration) for block in blocks) == trials
+        transients.append(peak - sum(column.nbytes for block in blocks for column in block))
+    assert max(transients) < 1_000_000, transients
+    assert transients[1] - transients[0] < 1_000_000, transients
 
 
 def test_sweep_is_reproducible():

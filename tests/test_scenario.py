@@ -63,16 +63,18 @@ master_seeds = st.one_of(
 @given(seed=master_seeds,
        condition=st.one_of(st.integers(0, 63), st.integers(2**32, 2**40)),
        policy=st.one_of(st.integers(0, 2), st.integers(3, 2**36)),
-       n_trials=st.integers(1, 5))
+       n_trials=st.integers(1, 5),
+       first=st.one_of(st.just(0), st.integers(1, 2**20), st.integers(2**32 - 5, 2**32 - 1)))
 def test_cell_seed_words_give_the_streams_derive_stream_gives(seed, condition, policy,
-                                                               n_trials):
-    words = cell_seed_words(seed, condition, policy, n_trials)
+                                                               n_trials, first):
+    n_trials = min(n_trials, MAX_TRIALS_PER_CELL - first)   # up to the last trial a cell holds
+    words = cell_seed_words(seed, condition, policy, n_trials, first)
     assert words.shape == (2 * n_trials, 4)
     assert words.dtype == np.uint64
     for trial in range(n_trials):
         for purpose in StreamPurpose:
             got = seeded_stream(words[2 * trial + purpose])
-            want = derive_stream(seed, condition, trial, policy, purpose)
+            want = derive_stream(seed, condition, first + trial, policy, purpose)
             assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.random(4), want.random(4))
             assert got.integers(1 << 63) == want.integers(1 << 63)
@@ -83,6 +85,12 @@ def test_cell_seed_words_reject_trial_indices_beyond_one_word():
     # hash; it must refuse before allocating anything.
     with pytest.raises(ValueError, match="n_trials"):
         cell_seed_words(MASTER, 0, 0, MAX_TRIALS_PER_CELL + 1)
+    # So must a block whose last trial is past the last index of one word.
+    for n_trials, first in ((2, MAX_TRIALS_PER_CELL - 1), (1, MAX_TRIALS_PER_CELL),
+                            (1, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="first"):
+            cell_seed_words(MASTER, 0, 0, n_trials, first)
+    assert cell_seed_words(MASTER, 0, 0, 1, MAX_TRIALS_PER_CELL - 1).shape == (2, 4)
     with pytest.raises(ValueError):
         cell_seed_words(-1, 0, 0, 1)
 
