@@ -39,7 +39,7 @@ from .experiment import (
     aggregate,
     run_sweep,
 )
-from .metrics import MetricColumns
+from .metrics import MetricColumns, join_columns
 from .policy import PolicyId
 from .scenario import Condition
 from .schema import json_key
@@ -53,7 +53,7 @@ TRIALS_COLUMNS = ["policy", "delta", "load", "condition", "trial",
                   "high_sev_ids", "high_sev_delays", "high_sev_censored"]
 ROLLUP_COLUMNS = [f.name for f in fields(PolicyRollup)]
 PARETO_COLUMNS = ["scope", *(f.name for f in fields(ParetoPoint)), "on_front"]
-_POLICY_NAMES = {policy.index: policy.value for policy in PolicyId}
+_POLICY_NAMES = [policy.value for policy in PolicyId]   # by `PolicyId.index`
 
 
 class ConfigError(ValueError):
@@ -357,22 +357,19 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
         width = len(header)
         index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
         conditions = config.conditions()
-        # Each column's pieces, from an empty block first, which gives its dtype.
-        parts = [[column] for column in _columns(
-            _block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, conditions, 0)[0])]
+        # The blocks' columns, after an empty block's, which give their dtypes.
+        pieces = [_block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, conditions, 0)[0]]
         rows, faults, split = 0, [], 0
         for block in blocks:
             piece, faults, split = _block_table(
                 {c: block[index[c]::width] for c in TRIALS_COLUMNS}, config, conditions, rows)
             del block
-            for part, column in zip(parts, _columns(piece)):
-                part.append(column)
-            rows += len(piece)
+            pieces.append(piece)
+            rows += len(piece[0])
             if faults:
                 break
             del piece
-    # Each column is joined and its pieces let go before the next is joined.
-    policy, condition, trial, *metrics = (np.concatenate(parts.pop(0)) for _ in range(len(parts)))
+    policy, condition, trial, *metrics = join_columns(pieces)
     table = TrialTable(policy, condition, trial, MetricColumns(*metrics))
     order = np.lexsort((trial, policy, condition))   # stable, so copies stay in file order
     repeated = np.zeros(len(order), dtype=bool)
@@ -391,11 +388,6 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
         raise ConfigError(f"{path.name}: row {len(table) + 1}{stop[0]}")
     # A table already in order, as `emit_reports` writes it, is not copied.
     return table if (np.diff(order) == 1).all() else table.take(order)
-
-
-def _columns(table: TrialTable) -> tuple[np.ndarray, ...]:
-    """The arrays of `table`, in the order TrialTable and MetricColumns take them."""
-    return (table.policy, table.condition, table.trial, *table.metrics)
 
 
 def _table_blocks(fh, jsonl: bool, stop: list[str]):
@@ -510,10 +502,11 @@ def _jsonl_row(line: str) -> list[str]:
 
 def _block_table(columns: dict[str, list[str]], config: SweepConfig,
                  conditions: tuple[Condition, ...],
-                 first: int) -> tuple[TrialTable, list[tuple], int]:
+                 first: int) -> tuple[tuple[np.ndarray, ...], list[tuple], int]:
     """The trials of a block of rows, whose `columns` hold its texts and
-    whose first row is row `first` of the file (from 0), in file order; the
-    faults of its rows; and where among them the duplicate check's goes.
+    whose first row is row `first` of the file (from 0), in file order, as
+    columns in the order TrialTable and MetricColumns take them; the faults
+    of its rows; and where among them the duplicate check's goes.
     `conditions` are `config.conditions()`, built once for the table.
 
     Every check here reads one row at a time. The checks run on whole
@@ -563,7 +556,7 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     load, served = parsed("load", int), parsed("served", int)
     aborted = flags("aborted")
     floats = {c: parsed(c, float) for c in ("lambda_sw", "lambda_int", "workload", "duration")}
-    policy_index = {name: index for index, name in _POLICY_NAMES.items()}
+    policy_index = {name: index for index, name in enumerate(_POLICY_NAMES)}
     policy = np.array([policy_index.get(v, -1) for v in columns["policy"]], dtype=np.int64)
     check(policy < 0, lambda i: f"policy: {columns['policy'][i]!r} is not a policy")
     delta, condition, trial = (parsed("delta", float), parsed("condition", int),
@@ -596,14 +589,12 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     row_load = np.repeat(load, ids_n)
     check((high_ids < 0) | (high_ids >= row_load),
           lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
-    return TrialTable(
-        policy=policy, condition=condition, trial=trial,
-        metrics=MetricColumns(
-            aborted=aborted, duration=floats["duration"], served=served, rho=rho,
-            lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
-            workload=floats["workload"], high_count=ids_n,
-            high_ids=high_ids.astype(MetricColumns.ID_DTYPE),
-            high_delays=high_delays, high_censored=high_censored)), faults, split
+    return (policy, condition, trial, *MetricColumns(
+        aborted=aborted, duration=floats["duration"], served=served, rho=rho,
+        lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
+        workload=floats["workload"], high_count=ids_n,
+        high_ids=high_ids.astype(MetricColumns.ID_DTYPE),
+        high_delays=high_delays, high_censored=high_censored)), faults, split
 
 
 def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:
@@ -693,9 +684,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = manifest.get("trial_rows")
     if not isinstance(rows, int) or isinstance(rows, bool):
         raise ConfigError(f"trial_rows: must be an int, got {rows!r}")
-    trials_path = indir / "trials.csv"
-    if not trials_path.exists() and (indir / "trials.jsonl").exists():
-        trials_path = indir / "trials.jsonl"
+    tables = [path for path in (indir / "trials.csv", indir / "trials.jsonl") if path.exists()]
+    if len(tables) > 1:   # from two runs, and manifest.json is of one of them
+        raise ConfigError(f"trials.csv and trials.jsonl: both are in {indir}; keep only "
+                          "the trials table of the run that wrote manifest.json")
+    trials_path = tables[0] if tables else indir / "trials.csv"
     trials = load_trials(trials_path, config)
     if rows != len(trials):
         raise ConfigError(f"trial_rows: manifest says {rows!r}, "
@@ -726,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes, at least 1")
+                       help="parallel worker processes, at least 1; at most one "
+                            "per trial block and per CPU is started")
     run_p.set_defaults(func=_cmd_run)
 
     report_p = sub.add_parser("report",

@@ -9,6 +9,7 @@ output, and adding or removing trials never perturbs the others.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,7 @@ from .metrics import (
     MetricColumns,
     TrialMetrics,
     column_bundles,
+    join_columns,
     outcome_columns,
 )
 from .policy import (
@@ -171,9 +173,6 @@ class TrialRecord:
     metrics: TrialMetrics
 
 
-_POLICY_BY_INDEX = {policy.index: policy for policy in PolicyId}
-
-
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """Trials as columns, one row per mission, in `(condition, policy.index,
@@ -218,7 +217,8 @@ class TrialTable:
         condition_ids = self.condition.tolist()
         deltas = [conditions[c].delta for c in condition_ids]
         loads = [conditions[c].patient_load for c in condition_ids]
-        return tuple(TrialRecord(_POLICY_BY_INDEX[policy], delta, load, condition, trial,
+        policies = list(PolicyId)
+        return tuple(TrialRecord(policies[policy], delta, load, condition, trial,
                                  bundle)
                      for policy, delta, load, condition, trial, bundle in zip(
                          self.policy.tolist(), deltas, loads, condition_ids,
@@ -524,10 +524,10 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
 
     The tasks are the trial blocks of the (condition, policy) cells
     (`_run_cell`), in `(condition, policy.index, trial)` order. `workers` > 1
-    fans them out to a process pool of at most one worker per task. Each
-    returns only its metric columns; the columns are joined in submission
-    order and keyed here, so the result does not depend on the degree of
-    parallelism.
+    fans them out to a process pool of at most one worker per task and per
+    CPU. Each returns only its metric columns; the columns are joined in
+    submission order and keyed here, so the result does not depend on the
+    degree of parallelism.
     """
     config.validate()
     n = config.trials_per_condition
@@ -541,18 +541,16 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     if workers <= 1:
         blocks = list(map(_run_cell, configs, conditions, policies, firsts))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(firsts), os.cpu_count() or 1)) as pool:
             blocks = list(pool.map(_run_cell, configs, conditions, policies, firsts))
 
-    # Each field's pieces are joined and let go before the next field is joined.
-    pieces = [list(field) for field in zip(*blocks)]
-    del blocks
     rows = np.minimum(_TRIAL_BLOCK, n - np.array(firsts))
     trials = TrialTable(
         policy=np.repeat([policy.index for policy in policies], rows),
         condition=np.repeat([condition.condition_id for condition in conditions], rows),
         trial=np.tile(np.arange(n), len(config.conditions()) * len(config.policies)),
-        metrics=MetricColumns._make(np.concatenate(pieces.pop(0)) for _ in range(len(pieces))))
+        metrics=MetricColumns._make(join_columns(blocks)))
     return aggregate(config, trials)
 
 
@@ -617,8 +615,8 @@ def aggregate(config: SweepConfig,
         cells = [cell for (_, index), cell in by_cell.items() if index == policy.index]
         if not cells:
             raise ValueError(f"policies: {policy.value} has no trial to roll up")
-        pooled.append(_summarize_cell(policy, None, None, MetricColumns._make(
-            map(np.concatenate, zip(*cells)))))
+        pooled.append(_summarize_cell(policy, None, None,
+                                      MetricColumns._make(join_columns(cells))))
     rollups = [PolicyRollup(policy=s.policy, t_int_mean=s.delay.mean, rho=s.rho.mean,
                             r_fail=s.r_fail.mean, w_mean=s.workload.mean,
                             mission_time=s.mean_duration, delay_median=s.delay_median,

@@ -227,6 +227,15 @@ class MetricColumns(NamedTuple):
                 for start, stop, first, last in zip(bounds, bounds[1:], flat, flat[1:])]
 
 
+def join_columns(pieces: list[tuple]) -> list[np.ndarray]:
+    """Each column of `pieces`, equally shaped tuples of arrays, joined in
+    order. `pieces` is emptied and each column's pieces are let go before the
+    next is joined, so the join holds one joined column beyond the pieces."""
+    columns = [list(column) for column in zip(*pieces)]
+    pieces.clear()
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+
+
 def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
                     task_switches: np.ndarray, operator_interventions: np.ndarray,
                     intervene: np.ndarray, high: np.ndarray,

@@ -38,10 +38,7 @@ class PolicyId(Enum):
 
     @property
     def index(self) -> int:
-        return _POLICY_ORDER.index(self)
-
-
-_POLICY_ORDER = [PolicyId.PI1_TELEOP, PolicyId.PI2_AUTO, PolicyId.PI3_GEODT]
+        return list(PolicyId).index(self)
 
 
 @dataclass(frozen=True)

@@ -560,6 +560,19 @@ def test_report_reads_a_jsonl_run(tmp_path):
         assert read(out / name) == read(redo / name)
 
 
+def test_report_refuses_a_directory_holding_both_trials_tables(tmp_path, capsys):
+    # A CSV run, then a JSON-lines run of another seed into the same
+    # directory: manifest.json is the second run's, trials.csv the first's.
+    out, redo = tmp_path / "run", tmp_path / "redo"
+    assert run_cli("run", *FAST_FLAGS, "--seed", "1", "--out", str(out)) == 0
+    assert run_cli("run", *FAST_FLAGS, "--seed", "2", "--format", "jsonl",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(out), "--out", str(redo)) == 2
+    assert f"trials.csv and trials.jsonl: both are in {out}" in capsys.readouterr().err
+    assert not redo.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_report_rejects_a_table_that_disagrees_with_the_manifest(tmp_path, capsys, fmt):
     out = tmp_path / "run"

@@ -85,7 +85,9 @@ def test_parallel_and_serial_sweeps_are_identical():
     assert serial.front_pooled == parallel.front_pooled
 
 
-def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
+@pytest.mark.parametrize("cpus, size", [(1000, 12), (3, 3), (None, 1)])
+def test_pool_asks_for_no_more_workers_than_cells(monkeypatch, cpus, size):
+    # At most one worker per task (SMALL has 12 cells of one block) and per CPU.
     asked = []
 
     class SerialPool:
@@ -104,9 +106,11 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     pooled = run_sweep(SMALL, workers=100_000)
     serial = run_sweep(SMALL, workers=1)
-    assert asked == [len(SMALL.conditions()) * len(SMALL.policies)]
+    assert len(SMALL.conditions()) * len(SMALL.policies) == 12
+    assert asked == [size]
     assert pooled.records == serial.records
     assert pooled.summaries == serial.summaries
     assert pooled.rollups == serial.rollups

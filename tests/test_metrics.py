@@ -1,6 +1,7 @@
 """Metric extraction and aggregation against hand-computed values."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from medmission import (
     Patient,
     PolicyId,
     Scenario,
+    SweepConfig,
     aggregate_workload,
     dominates,
     failure_rate,
@@ -33,7 +35,14 @@ from medmission.engine import (
     OPERATOR_INTERVENTION,
     TASK_SWITCH,
 )
-from medmission.metrics import DelayRecord, TrialMetrics, outcome_columns
+from medmission.experiment import _run_cell
+from medmission.metrics import (
+    DelayRecord,
+    MetricColumns,
+    TrialMetrics,
+    join_columns,
+    outcome_columns,
+)
 
 
 def build_trace(event_specs, duration, aborted=False):
@@ -373,3 +382,26 @@ def test_outcome_columns_of_a_subnormal_duration_raise_no_warning():
                                   np.array([[True, False]]))
     assert columns.lambda_sw[0] == columns.lambda_int[0] == columns.workload[0] == math.inf
     assert columns.high_delays.tolist() == [5e-324]
+
+
+def test_join_columns_gives_back_a_split_cell_holding_one_joined_column_more():
+    # The default protocol's twin cell at delta 1 and load 40, split as the
+    # trials reader passes its blocks: an empty piece first, then the rest.
+    config = SweepConfig()
+    cell = _run_cell(config, config.conditions()[-1], PolicyId.PI3_GEODT, 0)
+    tracemalloc.start()
+    try:
+        pieces = [MetricColumns._make(column.copy() for column in piece)
+                  for piece in cell.split([0, 0, 1, 40, 100, 170, 250])]
+        held = tracemalloc.get_traced_memory()[0]
+        joined = join_columns(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pieces == []
+    for name, got, want in zip(MetricColumns._fields, joined, cell):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    # Each column's pieces go before the next column is joined: a join that
+    # held every piece to the end would hold all 38 KB of the cell beyond them.
+    largest = max(column.nbytes for column in joined)
+    assert peak - held <= largest * 3 // 2, (peak - held, largest)
