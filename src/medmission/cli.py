@@ -496,8 +496,11 @@ def _jsonl_row(line: str) -> list[str]:
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
-    # The writer's null is a NaN (`_json_safe`).
-    return [_fmt(math.nan if record[c] is None else record[c]) for c in TRIALS_COLUMNS]
+    # The writer's null is a NaN (`_json_safe`), and its one bool column is
+    # aborted; a bool elsewhere keeps its JSON text, which its column's parse names.
+    return [json.dumps(v) if isinstance(v, bool) and c != "aborted"
+            else _fmt(math.nan if v is None else v)
+            for c, v in zip(TRIALS_COLUMNS, map(record.__getitem__, TRIALS_COLUMNS))]
 
 
 def _block_table(columns: dict[str, list[str]], config: SweepConfig,

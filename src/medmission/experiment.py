@@ -64,23 +64,17 @@ MAX_PATIENT_LOAD = 1000   # nearest-neighbour planning is quadratic in the load
 DEFAULT_TRIALS_PER_CONDITION = 250
 DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
-# Patient slots of one cell: trials times the largest load plus the expected
-# intervals per mission. A cell runs as trial blocks (`_TRIAL_BLOCK`), and
-# tracemalloc puts a 256-trial block's peak at 177-229 bytes per patient
-# (loads 40 to 1000) and 164-243 B per expected interval (load 5, 1,000 per
-# mission). So a task holds at most 256 * (1000 * 229 + 10_000 * 243) B,
-# about 0.7 GB, however many trials its cell has.
-MAX_CELL_SLOTS = 2 ** 22
-# Missions and patients of one run. A result holds 183-217 bytes per mission.
-# Reading the trials table back, `report` holds the table and one block of
-# text (`cli._BLOCK_BYTES`), which parses into under 2 MB at any load. Its
-# tracemalloc peak is 114 B per mission on 60,000 missions at load 1 (85 B
-# for each mission past 30,000), 11.5 B per patient on the default protocol
-# and 13.9 B per patient on 120 missions at load 1000. The table is 2.5-4.3
-# B per patient at loads 40 to 1000. So 2**20 missions take about 0.1 GB,
-# and 2**24 patients under 0.1 GB.
+# Missions and patient slots of one run: its patients plus its missions times
+# the expected intervals per mission, each interval held and worked like one
+# more patient, so the slots bound the run's work too. A result holds 183-217 bytes per mission. Reading the trials table back,
+# `report` holds the table and one block of text (`cli._BLOCK_BYTES`), which
+# parses into under 2 MB at any load. Its tracemalloc peak is 114 B per
+# mission on 60,000 missions at load 1 (85 B for each mission past 30,000),
+# 11.5 B per patient on the default protocol and 13.9 B per patient on 120
+# missions at load 1000. The table is 2.5-4.3 B per patient at loads 40 to
+# 1000. So 2**20 missions take about 0.1 GB, and 2**24 slots under 0.1 GB.
 MAX_SWEEP_MISSIONS = 2 ** 20
-MAX_SWEEP_PATIENTS = 2 ** 24
+MAX_SWEEP_SLOTS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -128,24 +122,19 @@ class SweepConfig:
                              f"localization.integrity_rate: {loc.integrity_rate!r} and "
                              f"platform.horizon: {horizon!r} expect {intervals:.3g} "
                              f"intervals per mission, over the cap of {MAX_INTERVALS_PER_MISSION}")
-        # Each expected interval is held like one more patient of the mission.
         trials = self.trials_per_condition
-        slots = trials * (max(self.patient_loads) + intervals)
-        if slots > MAX_CELL_SLOTS:
-            raise ValueError(f"trials_per_condition: {trials!r} trials at a largest load of "
-                             f"{max(self.patient_loads)} and {intervals:.3g} expected intervals "
-                             f"per mission make {slots:.3g} patient slots per cell, over the "
-                             f"cap of {MAX_CELL_SLOTS}")
         if self.total_missions > MAX_SWEEP_MISSIONS:
             raise ValueError(f"trials_per_condition: {trials!r} trials in each of "
                              f"{self.total_missions // trials} cells make "
                              f"{self.total_missions} missions, over the cap of "
                              f"{MAX_SWEEP_MISSIONS}")
-        patients = self.total_missions // len(self.patient_loads) * sum(self.patient_loads)
-        if patients > MAX_SWEEP_PATIENTS:
+        slots = (self.total_missions // len(self.patient_loads) * sum(self.patient_loads)
+                 + self.total_missions * intervals)
+        if slots > MAX_SWEEP_SLOTS:
             raise ValueError(f"trials_per_condition: {trials!r} trials per cell at loads "
-                             f"{list(self.patient_loads)} make {patients} patients, over "
-                             f"the cap of {MAX_SWEEP_PATIENTS}")
+                             f"{list(self.patient_loads)} and {intervals:.3g} expected "
+                             f"intervals per mission make {slots:.3g} patient slots, over "
+                             f"the cap of {MAX_SWEEP_SLOTS}")
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""
@@ -465,7 +454,11 @@ def pareto_front(points) -> list:
 # Trials of one sweep task: a (condition, policy) cell runs as blocks of at
 # most this many trials, each with its own seed words, streams and arrays,
 # so a task's memory does not grow with `trials_per_condition`. The default
-# protocol's 250-trial cells are one block each.
+# protocol's 250-trial cells are one block each. tracemalloc puts a block's
+# peak at 177-229 bytes per patient (loads 40 to 1000) and 164-243 B per
+# expected interval (load 5, 1,000 per mission), so a task holds at most
+# 256 * (1000 * 229 + 10_000 * 243) B (`MAX_PATIENT_LOAD`,
+# `MAX_INTERVALS_PER_MISSION`), about 0.7 GB.
 _TRIAL_BLOCK = 256
 
 

@@ -325,11 +325,29 @@ def test_list_items_are_checked_not_converted(tmp_path, capsys):
 
 
 def test_trials_per_condition_must_fit_one_uint32_word(capsys):
-    # 2**32 trials fit the word and meet the cap on a cell's patient slots instead.
+    # 2**32 trials fit the word and meet the cap on a run's missions instead.
     assert run_cli("validate", "--trials", str(2**32), "--loads", "1") == 2
-    assert "patient slots per cell" in capsys.readouterr().err
+    assert "missions, over the cap" in capsys.readouterr().err
     assert run_cli("validate", "--trials", str(2**32 + 1)) == 2
     assert "trials_per_condition: must be in [1, 4294967296]" in capsys.readouterr().err
+
+
+# Expected intervals count in the run's slots, each like one more patient:
+# 830 levels of 421 trials under 3 policies at load 1 are 1,048,290 missions,
+# under their cap, but expect 9,960 intervals each, 1.04e10 slots, about five
+# hours of work. 5,000 trials at load 1000 are 5,002,400 slots, which run.
+@pytest.mark.parametrize("data, code", [
+    ({"degradation_levels": [i / 829 for i in range(830)], "patient_loads": [1],
+      "trials_per_condition": 421, "localization": {"outage_rate_coeff": 16.6}}, 2),
+    ({"trials_per_condition": 5000, "patient_loads": [1000], "degradation_levels": [0.0],
+      "policies": ["pi2_auto"]}, 0),
+])
+def test_expected_intervals_count_in_the_runs_slots(tmp_path, capsys, data, code):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli("validate", "--config", str(cfg)) == code
+    err = capsys.readouterr().err
+    assert ("trials_per_condition:" in err and "patient slots, over the cap" in err) == bool(code)
 
 
 def test_negative_seed_flag_fails_before_the_run(tmp_path, capsys):
@@ -694,6 +712,28 @@ def test_report_names_a_jsonl_record_without_a_column(tmp_path, capsys):
     code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
     assert code == 2
     assert "trials.jsonl: row 1 has no rho column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"duration": True}, "duration: 'true' is not a valid float"),
+    ({"trial": False}, "trial: 'false' is not a valid int"),
+    (dict.fromkeys(["high_sev_ids", "high_sev_delays", "high_sev_censored"], True),
+     "high_sev_ids: 'true' is not a valid int"),
+])
+def test_report_reads_a_jsonl_bool_only_in_aborted(tmp_path, capsys, edit, named):
+    # Read as 1 or 0, each edit would give a run that reports: a duration of
+    # 1.0, trial 0 as written, or one censored patient 1 at 1.0.
+    out = tmp_path / "run"
+    flags = ["--trials", "2", "--loads", "5", "--deltas", "0", "--format", "jsonl"]
+    assert run_cli("run", *flags, "--out", str(out)) == 0
+    table = out / "trials.jsonl"
+    records = [json.loads(line) for line in table.read_text().splitlines()]
+    assert records[0]["trial"] == 0 and isinstance(records[0]["aborted"], bool)
+    records[0].update(edit)
+    table.write_text("".join(json.dumps(record) + "\n" for record in records))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert f"trials.jsonl: row 1: {named}" in capsys.readouterr().err
 
 
 def _edit_trial_row(table, fmt, edit):

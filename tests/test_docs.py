@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
 from dataclasses import fields, is_dataclass
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import medmission
-from medmission import SweepConfig
+from medmission import SweepConfig, experiment
 from medmission.schema import json_key
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +22,8 @@ SECTIONS = {json_key(f): {json_key(g) for g in fields(f.default)}
 # Every backticked `module.name` (or `module.name.attribute`) of the package.
 NAMES = sorted({match[0] for match in re.findall(r"`((\w+)(\.\w+)+)", README.read_text())
                 if match[1] in MODULES})
+# Each size cap that `experiment` defines, rather than imports.
+CAPS = re.findall(r"^(MAX_\w+) = ", inspect.getsource(experiment), re.MULTILINE)
 
 
 @pytest.mark.parametrize("dotted", NAMES)
@@ -32,3 +35,8 @@ def test_each_module_name_in_the_readme_exists(dotted):
         assert len(path) == 1 and path[0] in SECTIONS.get(module, ()), (
             f"README names `{dotted}`, which is neither an attribute of "
             f"medmission.{module} nor a field of its config section")
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_each_cap_of_experiment_is_named_in_the_readme(cap):
+    assert f"experiment.{cap}" in NAMES, f"README does not name `experiment.{cap}`"
