@@ -39,7 +39,7 @@ from .experiment import (
     aggregate,
     run_sweep,
 )
-from .metrics import MetricColumns, join_columns
+from .metrics import MetricColumns, join_columns, table_columns
 from .policy import PolicyId
 from .scenario import Condition
 from .schema import json_key
@@ -339,13 +339,16 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     missing a column raises ConfigError naming the file and the column. A
     row that does not parse or is no new trial of `config` raises
     ConfigError naming the file, the first such row in file order and,
-    from the first check that row fails, the column.
+    from the first check that row fails, the column. An invalid `config`
+    raises ValueError naming its key, as in `run_sweep`: its caps bound
+    every value the table's narrow dtypes hold.
 
     The rows are read in blocks (`_table_blocks`), and each block is
     checked and parsed into typed columns (`_block_table`) before the next
     is read, so only one block's fields are held as text. A block with a
     bad row ends the reading: no later row can be the one named.
     """
+    config.validate()
     path = Path(trials_path)
     stop: list[str] = []   # what is wrong with the row after those read, which cannot be read
     with open(path, newline="", encoding="utf-8") as fh:
@@ -508,8 +511,11 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
                  first: int) -> tuple[tuple[np.ndarray, ...], list[tuple], int]:
     """The trials of a block of rows, whose `columns` hold its texts and
     whose first row is row `first` of the file (from 0), in file order, as
-    columns in the order TrialTable and MetricColumns take them; the faults
-    of its rows; and where among them the duplicate check's goes.
+    columns in the order TrialTable and MetricColumns take them, each in its
+    dtype (`MetricColumns.DTYPES`); the faults of its rows; and where among
+    them the duplicate check's goes. Ints are parsed and checked as int64
+    and cast only after every check, so a value out of its dtype's range is
+    named, never wrapped.
     `conditions` are `config.conditions()`, built once for the table.
 
     Every check here reads one row at a time. The checks run on whole
@@ -589,15 +595,17 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
         check(rho.view(np.int64) != (served / load).view(np.int64),
               lambda i: f"rho: {float(rho[i])!r} is not served / load = "
                         f"{int(served[i]) / int(load[i])!r}")
+    check(ids_n > load,
+          lambda i: f"high_sev_ids: {ids_n[i]} entries are more than load {load[i]}")
     row_load = np.repeat(load, ids_n)
     check((high_ids < 0) | (high_ids >= row_load),
           lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
-    return (policy, condition, trial, *MetricColumns(
+    return tuple(table_columns(
+        policy=policy, condition=condition, trial=trial,
         aborted=aborted, duration=floats["duration"], served=served, rho=rho,
         lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
-        workload=floats["workload"], high_count=ids_n,
-        high_ids=high_ids.astype(MetricColumns.ID_DTYPE),
-        high_delays=high_delays, high_censored=high_censored)), faults, split
+        workload=floats["workload"], high_count=ids_n, high_ids=high_ids,
+        high_delays=high_delays, high_censored=high_censored).values()), faults, split
 
 
 def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:

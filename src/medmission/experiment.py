@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +33,7 @@ from .metrics import (
     column_bundles,
     join_columns,
     outcome_columns,
+    table_columns,
 )
 from .policy import (
     DEFAULT_OPERATOR_ERROR_RATE,
@@ -66,13 +66,14 @@ DEFAULT_MASTER_SEED = 42
 MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # Missions and patient slots of one run: its patients plus its missions times
 # the expected intervals per mission, each interval held and worked like one
-# more patient, so the slots bound the run's work too. A result holds 183-217 bytes per mission. Reading the trials table back,
-# `report` holds the table and one block of text (`cli._BLOCK_BYTES`), which
-# parses into under 2 MB at any load. Its tracemalloc peak is 114 B per
-# mission on 60,000 missions at load 1 (85 B for each mission past 30,000),
-# 11.5 B per patient on the default protocol and 13.9 B per patient on 120
-# missions at load 1000. The table is 2.5-4.3 B per patient at loads 40 to
-# 1000. So 2**20 missions take about 0.1 GB, and 2**24 slots under 0.1 GB.
+# more patient, so the slots bound the run's work too. A result holds 118-150
+# bytes per mission. Reading the trials table back, `report` holds the table
+# and one block of text (`cli._BLOCK_BYTES`), which parses into under 2 MB at
+# any load. Its tracemalloc peak is 88 B per mission on 60,000 missions at
+# load 1 (58 B for each mission past 30,000), 10.1 B per patient on the
+# default protocol and 14.0 B per patient on 120 missions at load 1000. The
+# table is 2.4-3.7 B per patient at loads 40 to 1000. So 2**20 missions take
+# about 0.1 GB, and 2**24 slots under 0.1 GB.
 MAX_SWEEP_MISSIONS = 2 ** 20
 MAX_SWEEP_SLOTS = 2 ** 24
 
@@ -219,25 +220,21 @@ class TrialTable:
         records = sorted(records, key=lambda r: (r.condition_id, r.policy.index, r.trial))
         bundles = [r.metrics for r in records]
         delays = [d for m in bundles for d in m.high_severity_delays]
-
-        def column(values, dtype):
-            return np.array(list(values), dtype=dtype)
-
-        metrics = MetricColumns(
-            aborted=column((m.aborted for m in bundles), bool),
-            duration=column((m.duration for m in bundles), float),
-            served=column((m.served_count for m in bundles), np.int64),
-            rho=column((m.rho for m in bundles), float),
-            lambda_sw=column((m.lambda_sw for m in bundles), float),
-            lambda_int=column((m.lambda_int for m in bundles), float),
-            workload=column((m.workload for m in bundles), float),
-            high_count=column((len(m.high_severity_delays) for m in bundles), np.int64),
-            high_ids=column((d.patient_id for d in delays), MetricColumns.ID_DTYPE),
-            high_delays=column((d.delay for d in delays), float),
-            high_censored=column((d.censored for d in delays), bool))
-        return cls(policy=column((r.policy.index for r in records), np.int64),
-                   condition=column((r.condition_id for r in records), np.int64),
-                   trial=column((r.trial for r in records), np.int64),
+        metrics = MetricColumns(**table_columns(
+            aborted=[m.aborted for m in bundles],
+            duration=[m.duration for m in bundles],
+            served=[m.served_count for m in bundles],
+            rho=[m.rho for m in bundles],
+            lambda_sw=[m.lambda_sw for m in bundles],
+            lambda_int=[m.lambda_int for m in bundles],
+            workload=[m.workload for m in bundles],
+            high_count=[len(m.high_severity_delays) for m in bundles],
+            high_ids=[d.patient_id for d in delays],
+            high_delays=[d.delay for d in delays],
+            high_censored=[d.censored for d in delays]))
+        return cls(**table_columns(policy=[r.policy.index for r in records],
+                                   condition=[r.condition_id for r in records],
+                                   trial=[r.trial for r in records]),
                    metrics=metrics)
 
 
@@ -534,15 +531,18 @@ def run_sweep(config: SweepConfig = DEFAULT_SWEEP_CONFIG,
     if workers <= 1:
         blocks = list(map(_run_cell, configs, conditions, policies, firsts))
     else:
+        from concurrent.futures import ProcessPoolExecutor   # so a serial run loads no pool
+
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(firsts), os.cpu_count() or 1)) as pool:
             blocks = list(pool.map(_run_cell, configs, conditions, policies, firsts))
 
     rows = np.minimum(_TRIAL_BLOCK, n - np.array(firsts))
     trials = TrialTable(
-        policy=np.repeat([policy.index for policy in policies], rows),
-        condition=np.repeat([condition.condition_id for condition in conditions], rows),
-        trial=np.tile(np.arange(n), len(config.conditions()) * len(config.policies)),
+        **table_columns(
+            policy=np.repeat([policy.index for policy in policies], rows),
+            condition=np.repeat([condition.condition_id for condition in conditions], rows),
+            trial=np.tile(np.arange(n), len(config.conditions()) * len(config.policies))),
         metrics=MetricColumns._make(join_columns(blocks)))
     return aggregate(config, trials)
 

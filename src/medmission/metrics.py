@@ -205,7 +205,15 @@ class MetricColumns(NamedTuple):
     MISSION_FIELDS = ("aborted", "duration", "served", "rho", "lambda_sw", "lambda_int",
                       "workload")
     HIGH_FIELDS = ("high_ids", "high_delays", "high_censored")
-    ID_DTYPE = np.int16   # of `high_ids`: holds every id under the largest load allowed
+    # The dtype of every trials-table column, `experiment.TrialTable`'s keys
+    # and then these fields: the narrowest its caps allow. Policy indices are
+    # 0-2, the mission cap (2**20) bounds condition ids and trials, and the
+    # load cap (1000) bounds served and high-severity counts and ids.
+    DTYPES = {"policy": np.int8, "condition": np.int32, "trial": np.int32,
+              "aborted": np.bool_, "duration": np.float64, "served": np.int16,
+              "rho": np.float64, "lambda_sw": np.float64, "lambda_int": np.float64,
+              "workload": np.float64, "high_count": np.int16, "high_ids": np.int16,
+              "high_delays": np.float64, "high_censored": np.bool_}
 
     def _pick(self, rows, flat) -> MetricColumns:
         """The per-mission fields indexed by `rows`, the flat ones by `flat`."""
@@ -225,6 +233,14 @@ class MetricColumns(NamedTuple):
         flat = np.concatenate(([0], np.cumsum(self.high_count)))[bounds].tolist()
         return [self._pick(slice(start, stop), slice(first, last))
                 for start, stop, first, last in zip(bounds, bounds[1:], flat, flat[1:])]
+
+
+def table_columns(**columns) -> dict[str, np.ndarray]:
+    """Each of `columns`, named as trials-table columns, as its dtype in
+    `MetricColumns.DTYPES`, copied only if that changes it. An array value
+    past the dtype's range would wrap, so every caller bounds them first."""
+    return {name: np.asarray(values, MetricColumns.DTYPES[name])
+            for name, values in columns.items()}
 
 
 def join_columns(pieces: list[tuple]) -> list[np.ndarray]:
@@ -268,14 +284,14 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
     served = np.count_nonzero(waited <= tau_c, axis=1)
     rows, ids = np.nonzero(high)
     censored = np.isnan(intervene[rows, ids])
-    return MetricColumns(
+    return MetricColumns(**table_columns(
         aborted=aborted, duration=duration, served=served,
         rho=served / intervene.shape[1],
         lambda_sw=lambda_sw, lambda_int=lambda_int,
         workload=work,
-        high_count=np.count_nonzero(high, axis=1), high_ids=ids.astype(MetricColumns.ID_DTYPE),
+        high_count=np.count_nonzero(high, axis=1), high_ids=ids,
         high_delays=np.where(censored, duration[rows] - DETECT_TIME, waited[rows, ids]),
-        high_censored=censored)
+        high_censored=censored))
 
 
 def column_bundles(columns: MetricColumns, n_patients: list[int]) -> list[TrialMetrics]:

@@ -32,7 +32,7 @@ from medmission import (
 )
 from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
-from medmission.experiment import aggregate
+from medmission.experiment import TrialTable, aggregate
 from medmission.metrics import MetricColumns
 from medmission.schema import Bound
 
@@ -549,6 +549,13 @@ def test_a_run_without_high_severity_patients_has_no_pareto_row(tmp_path, fmt):
             assert rollup[name] == ("nan" if fmt == "csv" else None), name
 
 
+_TABLE_COLUMNS = ["policy", "condition", "trial", *MetricColumns._fields]
+
+
+def _columns(table: TrialTable) -> list[np.ndarray]:
+    return [table.policy, table.condition, table.trial, *table.metrics]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_a_trials_file_reads_back_as_the_sweeps_table_to_the_bit(tmp_path, fmt):
     # Policies out of index order, so the sweep must key its cells itself.
@@ -561,10 +568,14 @@ def test_a_trials_file_reads_back_as_the_sweeps_table_to_the_bit(tmp_path, fmt):
     def bits(column):
         return column.view(np.int64) if column.dtype == float else column
 
-    for name in ("policy", "condition", "trial"):
-        assert np.array_equal(getattr(read, name), getattr(made, name)), name
-    for name, got, want in zip(MetricColumns._fields, read.metrics, made.metrics):
+    for name, got, want in zip(_TABLE_COLUMNS, _columns(read), _columns(made)):
         assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want)), name
+    # Every column in its declared dtype, from the sweep, the reader and records.
+    assert list(MetricColumns.DTYPES) == _TABLE_COLUMNS
+    declared = [np.dtype(MetricColumns.DTYPES[name]) for name in _TABLE_COLUMNS]
+    for table in (made, read, TrialTable.from_records(result.records),
+                  TrialTable.from_records(())):
+        assert [column.dtype for column in _columns(table)] == declared
 
 
 def test_report_reads_a_jsonl_run(tmp_path):
@@ -798,6 +809,10 @@ def _negative(row):
     row["served"] = -1
 
 
+def _served_past_int16(row):
+    row["served"] = 70_000
+
+
 def _one_ulp_off(row):
     row["rho"] = repr(math.nextafter(float(row["rho"]), math.inf))
 
@@ -808,6 +823,15 @@ def _id_at_load(row):
 
 def _negative_id(row):
     row["high_sev_ids"] = ";".join(["-1", *row["high_sev_ids"].split(";")[1:]])
+
+
+def _entries(n):
+    """An edit that lists patient 0 `n` times in a row's high-severity lists
+    (under the CSV field limit), so only their count can be wrong."""
+    def edit(row):
+        row.update(high_sev_ids=";".join(["0"] * n), high_sev_delays=";".join(["1"] * n),
+                   high_sev_censored=";".join(["0"] * n))
+    return edit
 
 
 def _unparsable(column, text):
@@ -821,9 +845,14 @@ def _unparsable(column, text):
 @pytest.mark.parametrize("edit, message", [
     (_over_load, "served: {served} is outside [0, {load}]"),
     (_negative, "served: -1 is outside [0, {load}]"),
+    (_served_past_int16, "served: 70000 is outside [0, {load}]"),
     (_one_ulp_off, "rho: {rho} is not served / load = "),
     (_id_at_load, "high_sev_ids: {load} is outside [0, {load})"),
     (_negative_id, "high_sev_ids: -1 is outside [0, {load})"),
+    (_unparsable("high_sev_ids", "65537"), "high_sev_ids: 65537 is outside [0, {load})"),
+    (_entries(6), "high_sev_ids: 6 entries are more than load {load}"),
+    # 40,000 would wrap the table's int16 count.
+    (_entries(40_000), "high_sev_ids: 40000 entries are more than load {load}"),
     (_unparsable("duration", "x"), "duration: 'x' is not a valid float"),
     (_unparsable("served", "1.5"), "served: '1.5' is not a valid int"),
     (_unparsable("rho", ""), "rho: '' is not a valid float"),
@@ -846,6 +875,36 @@ def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt
     assert (f"trials.{fmt}: row {row_no}: " + message.format(**edited)
             in capsys.readouterr().err)
     assert not (tmp_path / "redo").exists()
+
+
+def test_loading_trials_under_a_config_past_a_cap_names_the_key(tmp_path):
+    # Past the mission cap a trial index could pass its check and wrap in int32.
+    config = SweepConfig(trials_per_condition=2**31 + 1, degradation_levels=(0.0,),
+                         patient_loads=(5,), policies=(PolicyId.PI2_AUTO,))
+    (tmp_path / "trials.csv").write_text(",".join(cli.TRIALS_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="trials_per_condition"):
+        cli.load_trials(tmp_path / "trials.csv", config)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_load_1000_table_at_its_caps_reads_back_to_the_bit(tmp_path, fmt):
+    # A served count of 1000 and a patient id of 999 are the largest values
+    # the int16 columns hold at the load cap.
+    config = SweepConfig(master_seed=7, degradation_levels=(1.0,), patient_loads=(1000,),
+                         policies=(PolicyId.PI2_AUTO,), trials_per_condition=2)
+    made = run_sweep(config).trials
+    served, rho, ids = (made.metrics.served.copy(), made.metrics.rho.copy(),
+                        made.metrics.high_ids.copy())
+    served[0], rho[0], ids[-1] = 1000, 1.0, 999   # the last mission's last id
+    made = TrialTable(made.policy, made.condition, made.trial,
+                      made.metrics._replace(served=served, rho=rho, high_ids=ids))
+    cli.emit_reports(aggregate(config, made), fmt, tmp_path)
+    read = cli.load_trials(tmp_path / f"trials.{fmt}", config)
+    assert read.metrics.served[0] == 1000 and read.metrics.high_ids[-1] == 999
+    for name, got, want in zip(_TABLE_COLUMNS, _columns(read), _columns(made)):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got.view(np.int64) if got.dtype == float else got,
+                              want.view(np.int64) if want.dtype == float else want), name
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Sweep orchestration and the statistics kernels."""
 
+import concurrent.futures
 import functools
 import math
 import os
@@ -105,7 +106,8 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch, cpus, size):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     pooled = run_sweep(SMALL, workers=100_000)
     serial = run_sweep(SMALL, workers=1)
@@ -116,6 +118,26 @@ def test_pool_asks_for_no_more_workers_than_cells(monkeypatch, cpus, size):
     assert pooled.rollups == serial.rollups
 
 
+def test_the_table_dtypes_hold_every_value_the_caps_allow():
+    dtypes = MetricColumns.DTYPES
+    assert np.iinfo(dtypes["policy"]).max >= len(PolicyId) - 1
+    for name in ("condition", "trial"):
+        assert np.iinfo(dtypes[name]).max >= experiment.MAX_SWEEP_MISSIONS, name
+    for name in ("served", "high_count", "high_ids"):
+        assert np.iinfo(dtypes[name]).max >= experiment.MAX_PATIENT_LOAD, name
+
+
+def test_a_serial_sweep_loads_no_process_pool():
+    probe = ("import sys\n"
+             "from medmission import SweepConfig, run_sweep\n"
+             "run_sweep(SweepConfig(trials_per_condition=2, patient_loads=(5,)))\n"
+             "print('multiprocessing' in sys.modules)")
+    src = str(Path(experiment.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
+
 def test_the_default_cells_ship_only_their_metric_columns():
     # A pool worker pickles its cell back to the parent, which keys the rows;
     # a per-row copy of a cell constant would show here.
@@ -124,7 +146,7 @@ def test_the_default_cells_ship_only_their_metric_columns():
     cells = [experiment._run_cell(config, condition, policy, 0)
              for condition in config.conditions() for policy in config.policies]
     assert all(type(cell) is MetricColumns for cell in cells)
-    assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_590_558   # 1,559,371 + 2%
+    assert sum(len(pickle.dumps(cell)) for cell in cells) <= 1_404_877   # 1,377,331 + 2%
 
 
 _BLOCKED = SweepConfig(master_seed=7, degradation_levels=(0.0, 1.0), patient_loads=(3, 6),
