@@ -39,7 +39,7 @@ from .experiment import (
     aggregate,
     run_sweep,
 )
-from .metrics import MetricColumns, join_columns, table_columns
+from .metrics import METRIC_COLUMNS, TABLE_COLUMNS, MetricColumns, join_columns, table_columns
 from .policy import PolicyId
 from .scenario import Condition
 from .schema import json_key
@@ -49,11 +49,11 @@ log = logging.getLogger("medmission")
 TABLE_FORMATS = ("csv", "jsonl")
 
 TRIALS_COLUMNS = ["policy", "delta", "load", "condition", "trial",
-                  *MetricColumns.MISSION_FIELDS,
-                  "high_sev_ids", "high_sev_delays", "high_sev_censored"]
+                  *(column.header for column in METRIC_COLUMNS if column.header)]
 ROLLUP_COLUMNS = [f.name for f in fields(PolicyRollup)]
 PARETO_COLUMNS = ["scope", *(f.name for f in fields(ParetoPoint)), "on_front"]
 _POLICY_NAMES = [policy.value for policy in PolicyId]   # by `PolicyId.index`
+_JSON_FLAGS = {c.header for c in TABLE_COLUMNS if c.parse is bool and not c.flat}
 
 
 class ConfigError(ValueError):
@@ -246,9 +246,8 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
         policy = _POLICY_NAMES[int(trials.policy[start])]
         yield (policy, condition.delta, condition.patient_load), [
             trials.condition[start:start + n], trials.trial[start:start + n],
-            *(getattr(block, name) for name in MetricColumns.MISSION_FIELDS),
-            *(joined(getattr(block, name)) for name in MetricColumns.HIGH_FIELDS),
-        ]
+            *(joined(values) if column.flat else values
+              for column, values in zip(METRIC_COLUMNS, block) if column.header)]
 
 
 def _record_chunk(cls, records: tuple, *shared):
@@ -403,6 +402,9 @@ def _table_blocks(fh, jsonl: bool, stop: list[str]):
     except KeyError as exc:   # a JSON-lines record without that column
         stop.append(f" has no {exc.args[0]} column")
     except (ValueError, RecursionError, csv.Error) as exc:
+        if isinstance(exc, csv.Error) and "field limit" in str(exc):   # csv.reader's words
+            exc = (f"a field is over {csv.field_size_limit()} characters, longer than "
+                   "any a run writes")
         stop.append(f": {exc}")
 
 
@@ -499,9 +501,9 @@ def _jsonl_row(line: str) -> list[str]:
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
-    # The writer's null is a NaN (`_json_safe`), and its one bool column is
-    # aborted; a bool elsewhere keeps its JSON text, which its column's parse names.
-    return [json.dumps(v) if isinstance(v, bool) and c != "aborted"
+    # The writer's null is a NaN (`_json_safe`), and its bools are the per-mission
+    # flags; a bool elsewhere keeps its JSON text, which its column's parse names.
+    return [json.dumps(v) if isinstance(v, bool) and c not in _JSON_FLAGS
             else _fmt(math.nan if v is None else v)
             for c, v in zip(TRIALS_COLUMNS, map(record.__getitem__, TRIALS_COLUMNS))]
 
@@ -511,11 +513,10 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
                  first: int) -> tuple[tuple[np.ndarray, ...], list[tuple], int]:
     """The trials of a block of rows, whose `columns` hold its texts and
     whose first row is row `first` of the file (from 0), in file order, as
-    columns in the order TrialTable and MetricColumns take them, each in its
-    dtype (`MetricColumns.DTYPES`); the faults of its rows; and where among
-    them the duplicate check's goes. Ints are parsed and checked as int64
-    and cast only after every check, so a value out of its dtype's range is
-    named, never wrapped.
+    the columns of `metrics.TABLE_COLUMNS`, each in its dtype; the faults
+    of its rows; and where among them the duplicate check's goes. Ints are
+    parsed and checked as int64 and cast only after every check, so a value
+    out of its dtype's range is named, never wrapped.
     `conditions` are `config.conditions()`, built once for the table.
 
     Every check here reads one row at a time. The checks run on whole
@@ -536,41 +537,34 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
             row = i if counts is None else int(np.searchsorted(np.cumsum(counts), i, "right"))
             faults.append((first + row, message, i))
 
-    def parsed(column: str, kind: type, texts=None, counts=None) -> np.ndarray:
+    def parsed(column: str, kind, texts=None, counts=None) -> np.ndarray:
         texts = columns[column] if texts is None else texts
         values, bad = _parse(texts, kind)
-        check(bad, lambda i: f"{column}: {texts[i]!r} is not a valid {kind.__name__}",
-              counts)
+        what = ("must be 0 or 1, got {!r}" if kind is bool else "{!r} is not a "
+                + (column if isinstance(kind, tuple) else f"valid {kind.__name__}"))
+        check(bad, lambda i: f"{column}: " + what.format(texts[i]), counts)
         return values
-
-    def flags(column: str, texts=None, counts=None) -> np.ndarray:
-        texts = columns[column] if texts is None else texts
-        if not set(texts) <= {"0", "1"}:
-            bad = np.array([text not in ("0", "1") for text in texts])
-            check(bad, lambda i: f"{column}: must be 0 or 1, got {texts[i]!r}", counts)
-        return np.array(list(map("1".__eq__, texts)), dtype=bool)
 
     def whole(column: str, i: int) -> int:   # as written, even past int64
         return int(columns[column][i])
 
-    ids_n, ids = _split_lists(columns["high_sev_ids"])
-    delays_n, delays = _split_lists(columns["high_sev_delays"])
-    flags_n, censored = _split_lists(columns["high_sev_censored"])
-    high_ids = parsed("high_sev_ids", int, ids, ids_n)
-    high_delays = parsed("high_sev_delays", float, delays, delays_n)
-    high_censored = flags("high_sev_censored", censored, flags_n)
+    table = dict.fromkeys(c.name for c in TABLE_COLUMNS)   # in table order
+    counts = {}   # each list column's entries per row
+    for c in TABLE_COLUMNS:
+        if c.flat:
+            counts[c.header], entries = _split_lists(columns[c.header])
+            table[c.name] = parsed(c.header, c.parse, entries, counts[c.header])
+        elif c.header:
+            table[c.name] = parsed(c.header, c.parse)
+    ids_n, delays_n, flags_n = counts.values()
+    table["high_count"] = ids_n
+    policy, condition, trial, served, rho, high_ids = map(
+        table.get, ("policy", "condition", "trial", "served", "rho", "high_ids"))
+    load, delta = parsed("load", int), parsed("delta", float)
     check((ids_n != delays_n) | (ids_n != flags_n),
           lambda i: f"high_sev_ids, high_sev_delays and high_sev_censored hold "
                     f"{ids_n[i]}, {delays_n[i]} and {flags_n[i]} entries")
-    load, served = parsed("load", int), parsed("served", int)
-    aborted = flags("aborted")
-    floats = {c: parsed(c, float) for c in ("lambda_sw", "lambda_int", "workload", "duration")}
-    policy_index = {name: index for index, name in enumerate(_POLICY_NAMES)}
-    policy = np.array([policy_index.get(v, -1) for v in columns["policy"]], dtype=np.int64)
-    check(policy < 0, lambda i: f"policy: {columns['policy'][i]!r} is not a policy")
-    delta, condition, trial = (parsed("delta", float), parsed("condition", int),
-                               parsed("trial", int))
-    of_run = np.zeros(len(_POLICY_NAMES) + 1, dtype=bool)   # the last entry is -1's, no policy
+    of_run = np.zeros(len(_POLICY_NAMES), dtype=bool)
     of_run[[p.index for p in config.policies]] = True
     check(~of_run[policy],
           lambda i: f"policy: {columns['policy'][i]!r} is not a policy of the run")
@@ -590,7 +584,6 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     split = len(faults)   # the duplicate check, which reads every row, comes here
     check((served < 0) | (served > load),
           lambda i: f"served: {whole('served', i)} is outside [0, {load[i]}]")
-    rho = parsed("rho", float)
     with np.errstate(invalid="ignore", divide="ignore"):
         check(rho.view(np.int64) != (served / load).view(np.int64),
               lambda i: f"rho: {float(rho[i])!r} is not served / load = "
@@ -599,25 +592,34 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
           lambda i: f"high_sev_ids: {ids_n[i]} entries are more than load {load[i]}")
     row_load = np.repeat(load, ids_n)
     check((high_ids < 0) | (high_ids >= row_load),
-          lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
-    return tuple(table_columns(
-        policy=policy, condition=condition, trial=trial,
-        aborted=aborted, duration=floats["duration"], served=served, rho=rho,
-        lambda_sw=floats["lambda_sw"], lambda_int=floats["lambda_int"],
-        workload=floats["workload"], high_count=ids_n, high_ids=high_ids,
-        high_delays=high_delays, high_censored=high_censored).values()), faults, split
+          lambda i: f"high_sev_ids: {int(high_ids[i])} is outside [0, {row_load[i]})", ids_n)
+    falls = np.diff(high_ids, prepend=0) <= 0   # an id not above the one before it,
+    falls[(np.cumsum(ids_n) - ids_n)[ids_n > 0]] = False   # unless it is its row's first
+    check(falls,
+          lambda i: f"high_sev_ids: {int(high_ids[i])} after {int(high_ids[i - 1])}: "
+                    f"a row's ids must ascend, none twice", ids_n)
+    return tuple(table_columns(**table).values()), faults, split
 
 
-def _parse(texts, kind: type) -> tuple[np.ndarray, np.ndarray]:
-    """`texts` parsed with `kind`, int or float, and a mask of those that do
-    not parse, which read as 0. An int past int64 is clipped to its range,
-    which every check on an int column rejects."""
+def _parse(texts, kind) -> tuple[np.ndarray, np.ndarray]:
+    """`texts` read as `kind`, a `Column.parse` (int, float, bool for a 0/1
+    flag, or names, read as their indices), and a mask of those that do not
+    parse, which read as 0. An int past int64 is clipped to its range, which
+    every check on an int column rejects."""
+    n = len(texts)
+    if kind is bool:
+        bad = set(texts) - {"0", "1"}
+        return (np.fromiter(map("1".__eq__, texts), bool, n),
+                np.fromiter(map(bad.__contains__, texts), bool, n) if bad else np.zeros(n, bool))
+    if isinstance(kind, tuple):
+        index = {name: i for i, name in enumerate(kind)}
+        values = np.fromiter(map(index.get, texts, repeat(-1)), np.int64, n)
+        return np.maximum(values, 0), values < 0
     dtype = np.int64 if kind is int else float
     try:
-        return (np.fromiter(map(kind, texts), dtype, len(texts)),
-                np.zeros(len(texts), dtype=bool))
+        return np.fromiter(map(kind, texts), dtype, n), np.zeros(n, bool)
     except (ValueError, OverflowError):
-        values, bad = np.zeros(len(texts), dtype=dtype), np.zeros(len(texts), dtype=bool)
+        values, bad = np.zeros(n, dtype=dtype), np.zeros(n, bool)
     for i, text in enumerate(texts):
         try:
             value = kind(text)

@@ -15,13 +15,14 @@ mission duration; dropping them instead would reward aborting early.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
+from .policy import PolicyId
 from .scenario import DETECT_TIME, Scenario
 
 DEFAULT_SERVICE_WINDOW = 60.0   # minutes; clinically acceptable delay
@@ -181,45 +182,47 @@ def trial_metrics(trace: MissionTrace, scenario: Scenario,
     )
 
 
-class MetricColumns(NamedTuple):
+# A trials-table column: its name in `experiment.TrialTable` or `MetricColumns`,
+# its header in the trials file (None: not written), its dtype, how its text
+# parses (float, int, bool for a 0/1 flag, or the names its values index) and
+# whether it is flat: one entry per high-severity patient, `high_count` per mission.
+Column = namedtuple("Column", "name header dtype parse flat", defaults=(float, False))
+
+# The trials table's columns in table order, each dtype the narrowest the caps allow.
+TABLE_COLUMNS = (
+    Column("policy", "policy", np.int8, tuple(policy.value for policy in PolicyId)),
+    Column("condition", "condition", np.int32, int),
+    Column("trial", "trial", np.int32, int),
+    Column("aborted", "aborted", np.bool_, bool),
+    Column("duration", "duration", np.float64),
+    Column("served", "served", np.int16, int),
+    Column("rho", "rho", np.float64),
+    Column("lambda_sw", "lambda_sw", np.float64),
+    Column("lambda_int", "lambda_int", np.float64),
+    Column("workload", "workload", np.float64),
+    Column("high_count", None, np.int16, int),   # the length of each mission's lists
+    Column("high_ids", "high_sev_ids", np.int16, int, True),
+    Column("high_delays", "high_sev_delays", np.float64, float, True),
+    Column("high_censored", "high_sev_censored", np.bool_, bool, True),
+)
+METRIC_COLUMNS = TABLE_COLUMNS[3:]   # after `experiment.TrialTable`'s keys
+
+
+class MetricColumns(namedtuple("MetricColumns", [column.name for column in METRIC_COLUMNS])):
     """The metric bundles of a batch of missions, one array per field.
 
     Each mission's high-severity patients take `high_count` consecutive
-    entries of the flat `high_ids`, `high_delays` and `high_censored`,
-    in mission order and by ascending id within a mission.
+    entries of the flat fields, in mission order and by ascending id
+    within a mission.
     """
 
-    aborted: np.ndarray
-    duration: np.ndarray
-    served: np.ndarray
-    rho: np.ndarray
-    lambda_sw: np.ndarray
-    lambda_int: np.ndarray
-    workload: np.ndarray
-    high_count: np.ndarray
-    high_ids: np.ndarray
-    high_delays: np.ndarray
-    high_censored: np.ndarray
-
-    # The fields with one entry per mission but `high_count`, and the flat ones.
-    MISSION_FIELDS = ("aborted", "duration", "served", "rho", "lambda_sw", "lambda_int",
-                      "workload")
-    HIGH_FIELDS = ("high_ids", "high_delays", "high_censored")
-    # The dtype of every trials-table column, `experiment.TrialTable`'s keys
-    # and then these fields: the narrowest its caps allow. Policy indices are
-    # 0-2, the mission cap (2**20) bounds condition ids and trials, and the
-    # load cap (1000) bounds served and high-severity counts and ids.
-    DTYPES = {"policy": np.int8, "condition": np.int32, "trial": np.int32,
-              "aborted": np.bool_, "duration": np.float64, "served": np.int16,
-              "rho": np.float64, "lambda_sw": np.float64, "lambda_int": np.float64,
-              "workload": np.float64, "high_count": np.int16, "high_ids": np.int16,
-              "high_delays": np.float64, "high_censored": np.bool_}
+    __slots__ = ()
+    DTYPES = {column.name: column.dtype for column in TABLE_COLUMNS}
 
     def _pick(self, rows, flat) -> MetricColumns:
         """The per-mission fields indexed by `rows`, the flat ones by `flat`."""
-        return MetricColumns(high_count=self.high_count[rows],
-                             **{name: getattr(self, name)[rows] for name in self.MISSION_FIELDS},
-                             **{name: getattr(self, name)[flat] for name in self.HIGH_FIELDS})
+        return self._make(values[flat if column.flat else rows]
+                          for column, values in zip(METRIC_COLUMNS, self))
 
     def take(self, rows: np.ndarray) -> MetricColumns:
         """The missions at the indices `rows`, in that order."""

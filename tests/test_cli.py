@@ -32,8 +32,8 @@ from medmission import (
 )
 from medmission import cli
 from medmission.cli import config_from_dict, config_to_dict, main
-from medmission.experiment import TrialTable, aggregate
-from medmission.metrics import MetricColumns
+from medmission.experiment import MAX_PATIENT_LOAD, TrialTable, aggregate
+from medmission.metrics import METRIC_COLUMNS, MetricColumns
 from medmission.schema import Bound
 
 FAST_FLAGS = ["--deltas", "0,1", "--loads", "3,5", "--trials", "2", "--seed", "7"]
@@ -841,6 +841,21 @@ def _unparsable(column, text):
     return edit
 
 
+def _ids(texts):
+    """An edit that lists the patients `texts` in a row's high-severity lists."""
+    def edit(row):
+        n = len(texts)
+        row.update(high_sev_ids=";".join(texts), high_sev_delays=";".join(["1"] * n),
+                   high_sev_censored=";".join(["0"] * n))
+    return edit
+
+
+# Text that no number parses as, in each declared number column of the file.
+_NOT_NUMBERS = [(_unparsable(column.header, "x"),
+                 f"{column.header}: 'x' is not a valid {column.parse.__name__}")
+                for column in METRIC_COLUMNS if column.header and column.parse is not bool]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("edit, message", [
     (_over_load, "served: {served} is outside [0, {load}]"),
@@ -853,11 +868,11 @@ def _unparsable(column, text):
     (_entries(6), "high_sev_ids: 6 entries are more than load {load}"),
     # 40,000 would wrap the table's int16 count.
     (_entries(40_000), "high_sev_ids: 40000 entries are more than load {load}"),
-    (_unparsable("duration", "x"), "duration: 'x' is not a valid float"),
     (_unparsable("served", "1.5"), "served: '1.5' is not a valid int"),
     (_unparsable("rho", ""), "rho: '' is not a valid float"),
-    (_unparsable("high_sev_delays", "x"), "high_sev_delays: 'x' is not a valid float"),
-    (_unparsable("high_sev_ids", "x"), "high_sev_ids: 'x' is not a valid int"),
+    (_ids(["0", "0"]), "high_sev_ids: 0 after 0: a row's ids must ascend, none twice"),
+    (_ids(["2", "0"]), "high_sev_ids: 0 after 2: a row's ids must ascend, none twice"),
+    *_NOT_NUMBERS,
 ])
 def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,
                                                            edit, message):
@@ -875,6 +890,21 @@ def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt
     assert (f"trials.{fmt}: row {row_no}: " + message.format(**edited)
             in capsys.readouterr().err)
     assert not (tmp_path / "redo").exists()
+
+
+def test_a_csv_field_past_the_field_limit_is_longer_than_any_a_run_writes(tmp_path, capsys):
+    # At the load cap a list field holds at most that many floats, each at
+    # most 24 characters and a separator.
+    limit = csv.field_size_limit()
+    assert MAX_PATIENT_LOAD * 25 < limit
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--out", str(out)) == 0
+    row_no = _edit_trial_row(out / "trials.csv", "csv",
+                             lambda row: row.update(high_sev_delays=";".join(["1.0"] * 40_000)))
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert (f"trials.csv: row {row_no}: a field is over {limit} characters, longer than "
+            "any a run writes") in capsys.readouterr().err
 
 
 def test_loading_trials_under_a_config_past_a_cap_names_the_key(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import medmission
-from medmission import SweepConfig, experiment
+from medmission import SweepConfig, cli, experiment
 from medmission.schema import json_key
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,3 +40,10 @@ def test_each_module_name_in_the_readme_exists(dotted):
 @pytest.mark.parametrize("cap", CAPS)
 def test_each_cap_of_experiment_is_named_in_the_readme(cap):
     assert f"experiment.{cap}" in NAMES, f"README does not name `experiment.{cap}`"
+
+
+def test_the_readme_lists_the_trials_columns_in_order():
+    listed = re.search(r"\*\*`trials\.csv`\*\* — one row per mission:\s*`([^`]*)`",
+                       README.read_text())
+    names = [re.sub(r"\(.*\)", "", name).strip() for name in listed[1].split(",")]
+    assert names == cli.TRIALS_COLUMNS

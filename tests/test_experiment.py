@@ -1,6 +1,7 @@
 """Sweep orchestration and the statistics kernels."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import math
 import os
@@ -39,7 +40,13 @@ from medmission import (
     trial_metrics,
 )
 from medmission.cli import emit_reports, load_trials, main
-from medmission.metrics import DelayRecord, MetricColumns, TrialMetrics, failure_rate
+from medmission.metrics import (
+    TABLE_COLUMNS,
+    DelayRecord,
+    MetricColumns,
+    TrialMetrics,
+    failure_rate,
+)
 
 SMALL = SweepConfig(degradation_levels=(0.0, 0.5), patient_loads=(3, 6),
                     trials_per_condition=2)
@@ -306,8 +313,17 @@ def test_aggregating_a_table_without_a_policys_rows_names_the_policy():
 
 
 def test_metric_columns_name_each_field_once_by_kind():
-    named = (*MetricColumns.MISSION_FIELDS, "high_count", *MetricColumns.HIGH_FIELDS)
-    assert sorted(named) == sorted(MetricColumns._fields)
+    # The declaration holds TrialTable's keys, then MetricColumns' fields, each
+    # once. Every column but high_count has a header of its own, and the flat
+    # columns, whose entries high_count counts, come right after it.
+    names = [column.name for column in TABLE_COLUMNS]
+    keys = [f.name for f in dataclasses.fields(experiment.TrialTable) if f.name != "metrics"]
+    assert names == [*keys, *MetricColumns._fields]
+    headers = [column.header for column in TABLE_COLUMNS]
+    assert headers[names.index("high_count")] is None
+    assert len(set(headers) - {None}) == len(names) - 1
+    flat = [column.flat for column in TABLE_COLUMNS]
+    assert flat == sorted(flat) and names[flat.index(True) - 1] == "high_count"
 
 
 @functools.lru_cache(maxsize=None)
