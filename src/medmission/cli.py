@@ -31,6 +31,7 @@ from . import __version__
 import numpy as np
 
 from .experiment import (
+    MAX_PATIENT_LOAD,
     ParetoPoint,
     PolicyRollup,
     SweepConfig,
@@ -201,11 +202,18 @@ def _json_text(value, indent: int | None = None) -> str:
     return json.dumps(_json_safe(value), indent=indent, allow_nan=False) + "\n"
 
 
+# The texts of 0 to MAX_PATIENT_LOAD, which bound every int16 column.
+_SMALL_INTS = np.array([str(i) for i in range(MAX_PATIENT_LOAD + 1)], dtype=object)
+
+
 def _text_column(values: np.ndarray) -> list[str]:
-    """`_fmt` of each value of a NumPy column, chosen once by its dtype."""
+    """`_fmt` of each value of a NumPy column, chosen once by its dtype; an
+    int column within 0 to MAX_PATIENT_LOAD is looked up in `_SMALL_INTS`."""
     if values.dtype == bool:
         return np.where(values, "1", "0").tolist()
     kind = values.dtype.kind
+    if kind == "i" and ((values >= 0) & (values <= MAX_PATIENT_LOAD)).all():
+        return _SMALL_INTS[values].tolist()
     return list(map(repr if kind == "f" else _fmt if kind == "O" else str, values.tolist()))
 
 
@@ -244,8 +252,8 @@ def _trial_chunks(trials: TrialTable, conditions: tuple[Condition, ...]):
 
         n, condition = len(counts), conditions[int(trials.condition[start])]
         policy = _POLICY_NAMES[int(trials.policy[start])]
-        yield (policy, condition.delta, condition.patient_load), [
-            trials.condition[start:start + n], trials.trial[start:start + n],
+        yield (policy, condition.delta, condition.patient_load, condition.condition_id), [
+            trials.trial[start:start + n],
             *(joined(values) if column.flat else values
               for column, values in zip(METRIC_COLUMNS, block) if column.header)]
 
@@ -558,8 +566,9 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
             table[c.name] = parsed(c.header, c.parse)
     ids_n, delays_n, flags_n = counts.values()
     table["high_count"] = ids_n
-    policy, condition, trial, served, rho, high_ids = map(
-        table.get, ("policy", "condition", "trial", "served", "rho", "high_ids"))
+    policy, condition, trial, duration, served, rho, high_ids, high_delays = map(
+        table.get, ("policy", "condition", "trial", "duration", "served", "rho", "high_ids",
+                    "high_delays"))
     load, delta = parsed("load", int), parsed("delta", float)
     check((ids_n != delays_n) | (ids_n != flags_n),
           lambda i: f"high_sev_ids, high_sev_delays and high_sev_censored hold "
@@ -582,6 +591,9 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
           lambda i: f"trial: {whole('trial', i)} is outside "
                     f"[0, {config.trials_per_condition})")
     split = len(faults)   # the duplicate check, which reads every row, comes here
+    horizon = config.platform.horizon   # a run ends by it: min(finish, horizon)
+    check(~((duration >= 0.0) & (duration <= horizon)),
+          lambda i: f"duration: {float(duration[i])!r} is outside [0, {horizon!r}]")
     check((served < 0) | (served > load),
           lambda i: f"served: {whole('served', i)} is outside [0, {load[i]}]")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -598,6 +610,9 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     check(falls,
           lambda i: f"high_sev_ids: {int(high_ids[i])} after {int(high_ids[i - 1])}: "
                     f"a row's ids must ascend, none twice", ids_n)
+    check(~((high_delays >= 0.0) & (high_delays <= horizon)),   # at most its row's duration
+          lambda i: f"high_sev_delays: {float(high_delays[i])!r} is outside [0, {horizon!r}]",
+          delays_n)
     return tuple(table_columns(**table).values()), faults, split
 
 

@@ -285,6 +285,75 @@ def run_mission(scenario: Scenario, policy: PolicyId,
                         duration=end.time, aborted=end.kind == ABORT)
 
 
+_VELTKAMP = 134217729.0   # 2**27 + 1: splits a double into two 26-bit halves
+_TINY = np.finfo(float).tiny   # the smallest normal float
+
+
+def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x * x`` as the unevaluated sum of two doubles, exact for |x| < 1:
+    CPython's `dl_mul(x, x)` (Dekker's mul12 on Veltkamp's split). Works in
+    `x`'s memory, which it overwrites."""
+    hi = x * _VELTKAMP
+    hi -= hi - x   # t - (t - x)
+    x -= hi        # lo
+    p = hi * hi
+    hi *= x
+    hi += hi       # hi * lo + lo * hi, both rounded alike
+    z = p + hi
+    p -= z
+    p += hi
+    x *= x
+    p += x
+    return z, p
+
+
+def _fast_sum(a: float | np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` and its rounding error, for |a| >= |b|: `dl_fast_sum`."""
+    total = a + b
+    return total, (a - total) + b
+
+
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`math.hypot` of each pair of `a` and `b`, to the bit, in NumPy.
+
+    It restates how CPython 3.11 computes a hypot of two coordinates
+    (`vector_norm` in Modules/mathmodule.c) in the same IEEE operations:
+    scale both magnitudes by the power of two that brings the larger into
+    [0.5, 1), square each losslessly (`_square`), add the squares to 1.0
+    with compensated sums, take the square root, and apply one differential
+    correction before scaling back. A pair whose larger magnitude is 0,
+    subnormal, infinite or NaN, which that code treats apart, is passed to
+    `math.hypot` itself. The magnitudes are scaled and squared in place,
+    so a batch holds at most about nine arrays of its size at once.
+    """
+    a, b = np.abs(a), np.abs(b)
+    big = np.maximum(a, b)
+    apart = np.nonzero(~((big >= _TINY) & (big < math.inf)))
+    hypots = list(map(math.hypot, a[apart].tolist(), b[apart].tolist()))
+    with np.errstate(all="ignore"):
+        exp = np.frexp(big)[1]
+        del big
+        # The sum starts at 1.0 and both error terms at 0.0, which the first
+        # coordinate's terms replace: a sign of zero cannot reach the result.
+        square, frac1 = _square(np.ldexp(a, -exp, out=a))
+        csum, frac2 = _fast_sum(1.0, square)
+        square, low = _square(np.ldexp(b, -exp, out=b))
+        frac1 += low
+        csum, low = _fast_sum(csum, square)
+        frac2 += low
+        del a, b, square, low   # each array let go once read
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        square, low = _square(h.copy())   # `dl_mul(-h, h)` is its negation
+        frac1 -= low
+        csum, low = _fast_sum(csum, -square)
+        frac2 += low
+        del square, low
+        h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+        out = np.ldexp(h, exp, out=h)
+    out[apart] = hypots
+    return out
+
+
 def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
                   order: np.ndarray, base: tuple[float, float], policy: PolicyId,
                   delta: float, params: PlatformParams = DEFAULT_PLATFORM_PARAMS,
@@ -300,7 +369,7 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
     A leg from the base or the previous patient takes distance over cruise
     speed, times the travel penalty, over the target's accessibility (a zero
     distance takes no time, even with an infinite penalty), and teleop flies
-    it and serves slower. Distances are `math.hypot` mapped over the batch,
+    it and serves slower. Distances are `math.hypot`'s, through `_hypot`,
     since `np.hypot` rounds differently; the rest takes the IEEE operations
     of one scalar leg in its order, and the times are a cumulative sum along
     each row, which adds left to right like the scalar loop.
@@ -319,8 +388,7 @@ def leg_timelines(xs: np.ndarray, ys: np.ndarray, access: np.ndarray,
     ox[:, :1], oy[:, :1] = base
     ox[:, 1:], oy[:, 1:] = tx[:, :-1], ty[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.array(list(map(math.hypot, (tx - ox).ravel().tolist(),
-                                 (ty - oy).ravel().tolist()))).reshape(tx.shape)
+        dist = _hypot(tx - ox, ty - oy)
         legs = np.where(dist == 0.0, 0.0,
                         dist / params.cruise_speed * penalty / access[rows, order])
         legs *= speed_scale

@@ -40,7 +40,7 @@ from .policy import (
     DEFAULT_TRIAGE_WEIGHTS,
     PolicyId,
     TriageWeights,
-    operator_picks,
+    block_picks,
     plan_orders,
 )
 from .scenario import (
@@ -452,8 +452,10 @@ def pareto_front(points) -> list:
 # most this many trials, each with its own seed words, streams and arrays,
 # so a task's memory does not grow with `trials_per_condition`. The default
 # protocol's 250-trial cells are one block each. tracemalloc puts a block's
-# peak at 177-229 bytes per patient (loads 40 to 1000) and 164-243 B per
-# expected interval (load 5, 1,000 per mission), so a task holds at most
+# peak at 157-229 bytes per patient (loads 40 to 1000) and 164-243 B per
+# expected interval (load 5, 1,000 per mission); teleop's raw words for its
+# picks, (trials, 2 * (load - 1)) uint64 (16 B per patient), are let go
+# before that peak. So a task holds at most
 # 256 * (1000 * 229 + 10_000 * 243) B (`MAX_PATIENT_LOAD`,
 # `MAX_INTERVALS_PER_MISSION`), about 0.7 GB.
 _TRIAL_BLOCK = 256
@@ -468,28 +470,27 @@ def _run_cell(config: SweepConfig, condition: Condition, policy: PolicyId,
     # Rows 2*(trial - first) + purpose: the seeds derive_stream would build one by one.
     seeds = cell_seed_words(config.master_seed, condition.condition_id,
                             policy.index, n_trials, first)
-    # Pass 1: every trial's field draws into the block's arrays, then the
-    # operator's picks from its mission stream. The stream is kept for its
-    # `mission_schedules`, drawn after the loop into the block's flat columns,
-    # and the twin's alert-suppression draws. The field's unit uniforms are
-    # mapped to their ranges after the loop, once for the block.
+    # Pass 1: every trial's field draws into the block's arrays, and its
+    # mission stream. After the loop, teleop's operator picks are drawn from
+    # the streams in lock step (`block_picks`), then each stream's
+    # `mission_schedules` into the block's flat columns; the twin's
+    # alert-suppression draws come last. The field's unit uniforms are mapped
+    # to their ranges after the loop, once for the block.
     scenario_params, base = config.scenario_params, config.scenario_params.base_position
     delta, platform, loc = condition.delta, config.platform, config.localization
-    teleop, error_rate = policy is PolicyId.PI1_TELEOP, config.operator_error_rate
     positions = np.empty((n_trials, load, 2))
     severities = np.empty((n_trials, load))
     access = np.empty((n_trials, load))
-    picks = np.full((n_trials, load), -1)   # -1: fly to the nearest patient
     streams = []
     for trial, (scenario_words, mission_words) in enumerate(
             zip(seeds[StreamPurpose.SCENARIO::2], seeds[StreamPurpose.MISSION::2])):
         draw_unit_field(seeded_stream(scenario_words), positions[trial],
                         severities[trial], access[trial], scenario_params)
-        stream = seeded_stream(mission_words)
-        if teleop:
-            picks[trial] = operator_picks(stream, load, error_rate)
-        streams.append(stream)
+        streams.append(seeded_stream(mission_words))
     scale_field(positions, access, scenario_params)
+    # Teleop's picks; every other walk flies to the nearest patient (-1) throughout.
+    picks = block_picks(streams, load, config.operator_error_rate
+                        if policy is PolicyId.PI1_TELEOP else 0.0)
     schedules = [mission_schedules(policy, delta, platform, stream, loc) for stream in streams]
     outages, episodes = map(IntervalColumns.of, zip(*schedules))
     # Then the block's orders and planned timelines, one call each.

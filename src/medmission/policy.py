@@ -93,6 +93,64 @@ def operator_picks(stream: np.random.Generator, n: int, error_rate: float) -> li
     return picks
 
 
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _lemire_threshold(bounds: np.ndarray) -> np.ndarray:
+    """The low halves below which `integers(bound)` redraws: 2**32 mod bound."""
+    return 2 ** 32 % bounds
+
+
+def block_picks(streams: list[np.random.Generator], n: int, error_rate: float) -> np.ndarray:
+    """`operator_picks` of each of `streams`, fresh PCG64 streams that have
+    drawn nothing yet, as the rows of a ``(len(streams), n)`` int array.
+
+    Each stream's raw words are read once, ``2 * (n - 1)`` of them, as many
+    as a walk can take. NumPy's draws are then replayed a step at a time
+    over the whole block: `random()` is ``(word >> 11) * 2**-53`` and
+    `integers(k)` is 32-bit Lemire on PCG64's half-word buffer (the low half
+    of a new word first, its high half for the next call). Each stream is
+    then moved back to just after the words it used, as PCG64's `advance`
+    takes its delta modulo the period. The scalar path may leave a buffered
+    high half where this leaves none; nothing reads it, as every later draw
+    of a mission stream (`engine.mission_schedules`, the twin's alerts)
+    takes whole words. A walk whose Lemire draw would have been redrawn
+    (under 2.4e-7 per pick at loads up to 1000) is drawn again by
+    `operator_picks` from the stream moved back to its start.
+    """
+    picks = np.full((len(streams), n), -1)
+    if not (error_rate > 0.0 and n > 1 and streams):
+        return picks
+    width = 2 * (n - 1)
+    words = np.stack([stream.bit_generator.random_raw(width) for stream in streams])
+    wrong = ((words >> np.uint64(11)) * 2.0 ** -53 < error_rate).ravel()
+    words = words.ravel()
+    start = np.arange(len(streams)) * width
+    at = start.copy()     # each walk's next unread word, as an index of `words`
+    held = start.copy()   # the word whose high half is buffered, while `buffered`
+    buffered = np.zeros(len(streams), dtype=bool)
+    redrawn = np.zeros(len(streams), dtype=bool)
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)   # patients left at each step
+    thresholds = _lemire_threshold(bounds)
+    for step in range(n - 1):
+        mis = wrong[at]
+        at += 1
+        fresh = mis & ~buffered
+        held = np.where(fresh, at, held)
+        word = words[held]
+        m = np.where(fresh, word & _LOW_HALF, word >> np.uint64(32)) * bounds[step]
+        at += fresh
+        buffered ^= mis
+        redrawn |= mis & ((m & _LOW_HALF) < thresholds[step])
+        picks[:, step] = np.where(mis, (m >> np.uint64(32)).astype(np.int64), -1)
+    for trial, (stream, used, redraw) in enumerate(zip(streams, (at - start).tolist(),
+                                                       redrawn.tolist())):
+        stream.bit_generator.advance((0 if redraw else used) - width)
+        if redraw:
+            picks[trial] = operator_picks(stream, n, error_rate)
+    return picks
+
+
 def nearest_walks(xs: np.ndarray, ys: np.ndarray, base: tuple[float, float],
                   picks: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     """Nearest-neighbour walks of a batch of fields, advanced in lock step.
@@ -101,8 +159,9 @@ def nearest_walks(xs: np.ndarray, ys: np.ndarray, base: tuple[float, float],
     order, and every walk starts at `base`. Returns the ``(walks, load)``
     column indices in visit order. A step is the nearest remaining patient
     by `math.hypot`, ties to the lower id (`ids`, by default the column
-    index), unless the walk's row of `picks` (from `operator_picks`, or all
-    -1 for a walk without mis-picks) names a mis-pick for that step.
+    index), unless the walk's row of `picks` (from `block_picks` or
+    `operator_picks`, or all -1 for a walk without mis-picks) names a
+    mis-pick for that step.
 
     Each step takes the squared distances over the whole batch and an
     argmin per row. A row whose runner-up lies in the band of its minimum

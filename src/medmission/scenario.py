@@ -139,13 +139,23 @@ class _Hashmix:
         self.const = init
         self.mult = mult
 
-    def __call__(self, value: int | np.ndarray) -> int | np.ndarray:
-        value = value ^ self.const
+    def __call__(self, value: int) -> int:
+        value ^= self.const
         self.const = (self.const * self.mult) & _MASK32
-        value = value * self.const
-        if type(value) is int:
-            value &= _MASK32
+        value = (value * self.const) & _MASK32
         return value ^ (value >> _XSHIFT)
+
+    def lanes(self, values: np.ndarray) -> np.ndarray:
+        """Each of the uint32 `values` (along its first axis) hashed as the
+        next call would, in turn, all at once: the calls' constants do not
+        depend on the data."""
+        consts = [self.const]
+        for _ in range(len(values)):
+            self.const = (self.const * self.mult) & _MASK32
+            consts.append(self.const)
+        consts = np.array(consts, dtype=np.uint32).reshape(-1, *[1] * (values.ndim - 1))
+        values = (values ^ consts[:-1]) * consts[1:]
+        return values ^ (values >> _XSHIFT)
 
 
 def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
@@ -173,11 +183,12 @@ def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
     master = _uint32_words(master_seed)
     # A spawn key makes SeedSequence pad the master words to the pool size.
     shared = master + [0] * (_POOL_SIZE - len(master)) + _uint32_words(condition_index)
-    # From the trial index on, each word and the pool are uint32 columns.
+    # From the trial index on, each word is a uint32 ``(trials, purposes)``
+    # column, and the pool a stack of four such columns.
     per_trial = ([np.arange(first, first + n_trials).astype(np.uint32)[:, None]]
-                 + [np.full(1, word, dtype=np.uint32)
+                 + [np.full((1, 1), word, dtype=np.uint32)
                     for word in _uint32_words(policy_index)]
-                 + [np.array([int(p) for p in StreamPurpose], dtype=np.uint32)])
+                 + [np.array([[int(p) for p in StreamPurpose]], dtype=np.uint32)])
 
     hashmix = _Hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in shared[:_POOL_SIZE]]
@@ -188,18 +199,16 @@ def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
     for word in shared[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    pool = [np.full(1, word, dtype=np.uint32) for word in pool]
+    pool = np.array(pool, dtype=np.uint32).reshape(_POOL_SIZE, 1, 1)
     for word in per_trial:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+        pool = _mix(pool, hashmix.lanes(np.broadcast_to(word, (_POOL_SIZE, *word.shape))))
 
     # generate_state: uint32 words cycling over the pool, paired little-endian.
-    hash_out = _Hashmix(_INIT_B, _MULT_B)
-    state = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64)
-             for i in range(2 * _PCG64_WORDS)]
-    words = np.stack([state[2 * j] | (state[2 * j + 1] << 32)
-                      for j in range(_PCG64_WORDS)], axis=-1)
-    return words.reshape(-1, _PCG64_WORDS)
+    state = _Hashmix(_INIT_B, _MULT_B).lanes(
+        np.tile(pool, (2 * _PCG64_WORDS // _POOL_SIZE, 1, 1))).astype(np.uint64)
+    words = state[0::2] | (state[1::2] << 32)
+    # Contiguous rows: PCG64 reads a row's memory as it lies.
+    return np.ascontiguousarray(np.moveaxis(words, 0, -1).reshape(-1, _PCG64_WORDS))
 
 
 class _SeedWords(ISeedSequence):

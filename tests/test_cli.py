@@ -850,6 +850,13 @@ def _ids(texts):
     return edit
 
 
+def _each_entry(column, text):
+    """An edit that puts `text` in place of every entry of `column`."""
+    def edit(row):
+        row[column] = ";".join([text] * len(str(row[column]).split(";")))
+    return edit
+
+
 # Text that no number parses as, in each declared number column of the file.
 _NOT_NUMBERS = [(_unparsable(column.header, "x"),
                  f"{column.header}: 'x' is not a valid {column.parse.__name__}")
@@ -872,6 +879,14 @@ _NOT_NUMBERS = [(_unparsable(column.header, "x"),
     (_unparsable("rho", ""), "rho: '' is not a valid float"),
     (_ids(["0", "0"]), "high_sev_ids: 0 after 0: a row's ids must ascend, none twice"),
     (_ids(["2", "0"]), "high_sev_ids: 0 after 2: a row's ids must ascend, none twice"),
+    # A run ends by its horizon, 600.0 here, and a delay is at most its row's duration.
+    (_each_entry("duration", "-5.0"), "duration: -5.0 is outside [0, 600.0]"),
+    (_each_entry("duration", "nan"), "duration: nan is outside [0, 600.0]"),
+    (_each_entry("duration", "inf"), "duration: inf is outside [0, 600.0]"),
+    (_each_entry("duration", "600.5"), "duration: 600.5 is outside [0, 600.0]"),
+    (_each_entry("high_sev_delays", "nan"), "high_sev_delays: nan is outside [0, 600.0]"),
+    (_unparsable("high_sev_delays", "-1.0"), "high_sev_delays: -1.0 is outside [0, 600.0]"),
+    (_unparsable("high_sev_delays", "inf"), "high_sev_delays: inf is outside [0, 600.0]"),
     *_NOT_NUMBERS,
 ])
 def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,
@@ -890,6 +905,18 @@ def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt
     assert (f"trials.{fmt}: row {row_no}: " + message.format(**edited)
             in capsys.readouterr().err)
     assert not (tmp_path / "redo").exists()
+
+
+def test_the_default_runs_durations_and_delays_pass_the_readers_range_checks(
+        default_sweep, tmp_path):
+    result, _ = default_sweep
+    table, horizon = result.trials.metrics, result.config.platform.horizon
+    assert ((table.duration >= 0.0) & (table.duration <= horizon)).all()
+    row_duration = np.repeat(table.duration, table.high_count)
+    assert ((table.high_delays >= 0.0) & (table.high_delays <= row_duration)).all()
+    cli.emit_reports(result, "csv", tmp_path)
+    read = cli.load_trials(tmp_path / "trials.csv", result.config)
+    assert np.array_equal(read.metrics.duration, table.duration)
 
 
 def test_a_csv_field_past_the_field_limit_is_longer_than_any_a_run_writes(tmp_path, capsys):

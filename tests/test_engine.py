@@ -207,6 +207,43 @@ def test_leg_timelines_equal_the_scalar_loop_bit_for_bit(batch, policy, cruise_s
         assert bits([service]) == bits([want_service])
 
 
+def assert_hypot_is_math_hypot(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    got = engine._hypot(a, b)
+    assert got.shape == a.shape
+    want = np.array(list(map(math.hypot, a.ravel().tolist(), b.ravel().tolist())))
+    assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+
+# Zeros, subnormals, the smallest normal float and its neighbour below,
+# ordinary and extreme magnitudes, the largest float, infinities and NaN.
+HYPOT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 3.3e-308, 1e-300, 1.0, 3.0, 4.0, 4000.0, 1e300,
+                  1.3e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan]
+
+
+def test_hypot_is_math_hypot_on_every_pair_of_special_values():
+    a, b = np.meshgrid(HYPOT_SPECIALS, HYPOT_SPECIALS)
+    assert_hypot_is_math_hypot(a, b)   # a 2-d batch, as leg_timelines passes
+
+
+def test_hypot_is_math_hypot_on_random_pairs():
+    rng = np.random.default_rng(17)
+    n = 200_000
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    a, b = signs * 10.0 ** rng.uniform(-310.0, 308.2, (2, n))   # every exponent
+    assert_hypot_is_math_hypot(a, b)
+    assert_hypot_is_math_hypot(a, a * 10.0 ** rng.uniform(-20.0, 0.0, n))   # close magnitudes
+    assert_hypot_is_math_hypot(*rng.uniform(-4000.0, 4000.0, (2, n)))   # leg components
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20))
+def test_hypot_is_math_hypot(pairs):
+    assert_hypot_is_math_hypot(*zip(*pairs))
+
+
 # ---------------------------------------------------------------------------
 # check_abort
 

@@ -17,7 +17,9 @@ from medmission import (
     order_triage,
     triage_score,
 )
-from medmission.policy import nearest_walks, operator_picks, triage_orders
+import medmission.policy as policy
+from medmission.policy import block_picks, nearest_walks, operator_picks, triage_orders
+from medmission.scenario import cell_seed_words, seeded_stream
 
 BASE = (0.0, 0.0)
 
@@ -216,6 +218,60 @@ def test_a_batch_of_walks_equals_each_walk_alone_and_its_draws(batch, error_rate
                 == nearest_walk_oracle(scenario, reference, error_rate))
         assert stream.random() == reference.random()   # same number of draws
         assert tuple(ids[row, plain[row]].tolist()) == nearest_walk_oracle(scenario)
+
+
+def mission_streams(seed, n):
+    """Two copies of `n` fresh mission streams of one cell, as the sweep seeds them."""
+    words = cell_seed_words(seed, 0, 0, n)[1::2]
+    return [seeded_stream(w) for w in words], [seeded_stream(w) for w in words]
+
+
+def assert_block_picks_are_the_scalar_picks(seed, n_streams, load, error_rate):
+    """`block_picks` equals `operator_picks` row by row, and leaves each
+    stream where the scalar path does: the next whole-word draws agree."""
+    streams, scalar = mission_streams(seed, n_streams)
+    picks = block_picks(streams, load, error_rate)
+    assert picks.shape == (n_streams, load)
+    assert picks.tolist() == [operator_picks(stream, load, error_rate) for stream in scalar]
+    for stream, reference in zip(streams, scalar):
+        assert stream.bit_generator.random_raw() == reference.bit_generator.random_raw()
+        assert stream.exponential() == reference.exponential()
+        assert stream.random() == reference.random()
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.15, 1.0])
+def test_block_picks_are_the_operator_picks_at_loads_1_to_40(error_rate):
+    for load in range(1, 41):
+        assert_block_picks_are_the_scalar_picks(load, 12, load, error_rate)
+
+
+@pytest.mark.parametrize("error_rate", [0.15, 1.0])
+def test_block_picks_are_the_operator_picks_at_load_1000(error_rate):
+    assert_block_picks_are_the_scalar_picks(5, 6, 1000, error_rate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_streams=st.integers(1, 8),
+       load=st.integers(1, 60),
+       error_rate=st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+                            st.floats(0.0, 1.0)))
+def test_block_picks_are_the_operator_picks(seed, n_streams, load, error_rate):
+    assert_block_picks_are_the_scalar_picks(seed, n_streams, load, error_rate)
+
+
+def test_a_pick_lemire_would_redraw_falls_back_to_the_scalar_draws(monkeypatch):
+    # Lemire redraws a pick under 2.4e-7 of the time, so no seed shows one;
+    # a threshold of 2**31 marks about half of the picks instead.
+    calls = []
+
+    def counted(stream, n, error_rate):
+        calls.append(n)
+        return operator_picks(stream, n, error_rate)
+
+    monkeypatch.setattr(policy, "_lemire_threshold", lambda bounds: bounds * 0 + 2 ** 31)
+    monkeypatch.setattr(policy, "operator_picks", counted)
+    assert_block_picks_are_the_scalar_picks(3, 16, 20, 0.15)
+    assert 0 < len(calls) < 16   # some walks fell back, and some did not
 
 
 def near_tie(rng):
