@@ -42,7 +42,7 @@ from .experiment import (
 )
 from .metrics import METRIC_COLUMNS, TABLE_COLUMNS, MetricColumns, join_columns, table_columns
 from .policy import PolicyId
-from .scenario import Condition
+from .scenario import DETECT_TIME, Condition
 from .schema import json_key
 
 log = logging.getLogger("medmission")
@@ -357,63 +357,51 @@ def load_trials(trials_path: str | Path, config: SweepConfig) -> TrialTable:
     """
     config.validate()
     path = Path(trials_path)
-    stop: list[str] = []   # what is wrong with the row after those read, which cannot be read
+    conditions = config.conditions()
+    seen = np.zeros(len(conditions) * len(_POLICY_NAMES) * config.trials_per_condition, bool)
+    # The blocks' columns, after an empty block's, which give their dtypes.
+    pieces = [_block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, conditions, seen)]
     with open(path, newline="", encoding="utf-8") as fh:
-        blocks = _table_blocks(fh, path.suffix == ".jsonl", stop)
-        header = next(blocks, TRIALS_COLUMNS)   # one that cannot be read misses no column
-        missing = [c for c in TRIALS_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
-        width = len(header)
-        index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
-        conditions = config.conditions()
-        # The blocks' columns, after an empty block's, which give their dtypes.
-        pieces = [_block_table(dict.fromkeys(TRIALS_COLUMNS, []), config, conditions, 0)[0]]
-        rows, faults, split = 0, [], 0
-        for block in blocks:
-            piece, faults, split = _block_table(
-                {c: block[index[c]::width] for c in TRIALS_COLUMNS}, config, conditions, rows)
-            del block
-            pieces.append(piece)
-            rows += len(piece[0])
-            if faults:
-                break
-            del piece
+        blocks = _table_blocks(fh, path.suffix == ".jsonl")
+        try:
+            header = next(blocks)
+            missing = [c for c in TRIALS_COLUMNS if c not in header]
+            if missing:
+                raise ConfigError(f"{path.name}: missing columns {', '.join(missing)}")
+            width = len(header)
+            index = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+            for block in blocks:
+                pieces.append(_block_table({c: block[index[c]::width] for c in TRIALS_COLUMNS},
+                                           config, conditions, seen))
+                del block
+        except _BadRow as bad:   # at its index in the rows after those of `pieces`
+            row = sum(len(piece[0]) for piece in pieces) + bad.args[0]
+            raise ConfigError(f"{path.name}: row {row + 1}{bad.args[1]}") from None
     policy, condition, trial, *metrics = join_columns(pieces)
     table = TrialTable(policy, condition, trial, MetricColumns(*metrics))
-    order = np.lexsort((trial, policy, condition))   # stable, so copies stay in file order
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[1:]] = ((np.diff(condition[order]) == 0) & (np.diff(policy[order]) == 0)
-                           & (np.diff(trial[order]) == 0))
-    if repeated.any():   # its row's policy is one, or an earlier check names the row
-        i = int(repeated.argmax())
-        faults.insert(split, (i, lambda i: f"trial: {trial[i]} of condition {condition[i]} "
-                                           f"under {_POLICY_NAMES[int(policy[i])]} appears twice",
-                              i))
-    if faults:
-        # The first check of the first row; only there are the values it reads parsed.
-        row, message, i = min(faults, key=lambda fault: fault[0])
-        raise ConfigError(f"{path.name}: row {row + 1}: {message(i)}")
-    if stop:
-        raise ConfigError(f"{path.name}: row {len(table) + 1}{stop[0]}")
+    order = np.lexsort((trial, policy, condition))
     # A table already in order, as `emit_reports` writes it, is not copied.
     return table if (np.diff(order) == 1).all() else table.take(order)
 
 
-def _table_blocks(fh, jsonl: bool, stop: list[str]):
+class _BadRow(Exception):
+    """A bad row: its index in its block, and what follows its number in the message."""
+
+
+def _table_blocks(fh, jsonl: bool):
     """The header of open trials file `fh`, then each block of its rows as
     one list of fields, each row as wide as the header: the one row source
-    of CSV and JSON lines. A row that cannot be read ends the rows, and
-    what is wrong with it goes to `stop`."""
+    of CSV and JSON lines. A row that cannot be read raises `_BadRow` at
+    index 0, after the blocks of the rows before it."""
     try:
         yield from _jsonl_blocks(fh) if jsonl else _csv_blocks(fh)
     except KeyError as exc:   # a JSON-lines record without that column
-        stop.append(f" has no {exc.args[0]} column")
+        raise _BadRow(0, f" has no {exc.args[0]} column") from None
     except (ValueError, RecursionError, csv.Error) as exc:
         if isinstance(exc, csv.Error) and "field limit" in str(exc):   # csv.reader's words
             exc = (f"a field is over {csv.field_size_limit()} characters, longer than "
                    "any a run writes")
-        stop.append(f": {exc}")
+        raise _BadRow(0, f": {exc}") from None
 
 
 def _blocks(items, size=len):
@@ -517,33 +505,34 @@ def _jsonl_row(line: str) -> list[str]:
 
 
 def _block_table(columns: dict[str, list[str]], config: SweepConfig,
-                 conditions: tuple[Condition, ...],
-                 first: int) -> tuple[tuple[np.ndarray, ...], list[tuple], int]:
-    """The trials of a block of rows, whose `columns` hold its texts and
-    whose first row is row `first` of the file (from 0), in file order, as
-    the columns of `metrics.TABLE_COLUMNS`, each in its dtype; the faults
-    of its rows; and where among them the duplicate check's goes. Ints are
-    parsed and checked as int64 and cast only after every check, so a value
-    out of its dtype's range is named, never wrapped.
-    `conditions` are `config.conditions()`, built once for the table.
+                 conditions: tuple[Condition, ...], seen: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The trials of a block of rows, whose `columns` hold its texts, in
+    file order, as the columns of `metrics.TABLE_COLUMNS`, each in its
+    dtype. Ints are parsed and checked as int64 and cast only after every
+    check, so a value out of its dtype's range is named, never wrapped.
+    `conditions` are `config.conditions()`, built once for the table, and
+    `seen` flags each (condition, policy, trial) slot that a row of an
+    earlier block holds; the block's rows are flagged in it.
 
-    Every check here reads one row at a time. The checks run on whole
-    columns, each marking the rows it rejects, in the order one row is
-    checked. A fault is a check's first rejected row, in the file, and the
-    message of that check as a function of the index of the value
-    rejected, and that index. A value that does not parse fails its own
-    check and reads as 0 in the later ones, none of which can then be the
-    first check its row fails.
+    Every check here reads one row at a time, and the duplicate check also
+    reads `seen`. The checks run on whole columns, each marking the rows it
+    rejects, in the order one row is checked. The first row any check
+    rejects raises `_BadRow` with the message of the first check that
+    rejects it. A value that does not parse fails its own check and reads
+    as 0 in the later ones. A message is built only for a row that no
+    earlier check rejects, so every value it reads is parsed and in range.
     """
-    faults: list[tuple] = []   # each failing check's first row, message and index
+    first, fault = len(columns["trial"]), ""   # the first row rejected so far, and why
 
     def check(bad: np.ndarray, message, counts=None) -> None:
-        """Record the first True of `bad`, a mask over the rows or, given each
+        """Reject the first True of `bad`, a mask over the rows or, given each
         row's entry `counts`, over the entries of the rows' lists in turn."""
+        nonlocal first, fault
         if bad.any():
             i = int(bad.argmax())
             row = i if counts is None else int(np.searchsorted(np.cumsum(counts), i, "right"))
-            faults.append((first + row, message, i))
+            if row < first:
+                first, fault = row, message(i)
 
     def parsed(column: str, kind, texts=None, counts=None) -> np.ndarray:
         texts = columns[column] if texts is None else texts
@@ -566,9 +555,10 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
             table[c.name] = parsed(c.header, c.parse)
     ids_n, delays_n, flags_n = counts.values()
     table["high_count"] = ids_n
-    policy, condition, trial, duration, served, rho, high_ids, high_delays = map(
-        table.get, ("policy", "condition", "trial", "duration", "served", "rho", "high_ids",
-                    "high_delays"))
+    (policy, condition, trial, duration, served, rho, lambda_sw, lambda_int, work, high_ids,
+     high_delays, censored) = map(table.get, (
+        "policy", "condition", "trial", "duration", "served", "rho", "lambda_sw", "lambda_int",
+        "workload", "high_ids", "high_delays", "high_censored"))
     load, delta = parsed("load", int), parsed("delta", float)
     check((ids_n != delays_n) | (ids_n != flags_n),
           lambda i: f"high_sev_ids, high_sev_delays and high_sev_censored hold "
@@ -590,7 +580,14 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     check((trial < 0) | (trial >= config.trials_per_condition),
           lambda i: f"trial: {whole('trial', i)} is outside "
                     f"[0, {config.trials_per_condition})")
-    split = len(faults)   # the duplicate check, which reads every row, comes here
+    slots = ((row_condition * len(_POLICY_NAMES) + policy) * config.trials_per_condition
+             + np.clip(trial, 0, config.trials_per_condition - 1))
+    again = np.ones(len(slots), bool)
+    again[np.unique(slots, return_index=True)[1]] = False   # each slot's first row of the block
+    check(again | seen[slots],
+          lambda i: f"trial: {trial[i]} of condition {condition[i]} "
+                    f"under {_POLICY_NAMES[int(policy[i])]} appears twice")
+    seen[slots] = True
     horizon = config.platform.horizon   # a run ends by it: min(finish, horizon)
     check(~((duration >= 0.0) & (duration <= horizon)),
           lambda i: f"duration: {float(duration[i])!r} is outside [0, {horizon!r}]")
@@ -613,7 +610,24 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     check(~((high_delays >= 0.0) & (high_delays <= horizon)),   # at most its row's duration
           lambda i: f"high_sev_delays: {float(high_delays[i])!r} is outside [0, {horizon!r}]",
           delays_n)
-    return tuple(table_columns(**table).values()), faults, split
+    for name, rate in (("lambda_sw", lambda_sw), ("lambda_int", lambda_int)):
+        check(~(rate >= 0.0), lambda i: f"{name}: {float(rate[i])!r} is outside [0, inf]")
+    with np.errstate(invalid="ignore", over="ignore"):   # 0 * inf is a NaN workload
+        weighed = float(config.alpha) * lambda_sw + float(config.beta) * lambda_int
+    check((work.view(np.int64) != weighed.view(np.int64))
+          & ~(np.isnan(work) & np.isnan(weighed)),   # NaNs whose bits differ match
+          lambda i: f"workload: {float(work[i])!r} is not alpha * lambda_sw + beta * "
+                    f"lambda_int = {float(weighed[i])!r}")
+    # Up to the shorter list: past a row whose lists differ in length, the
+    # entries of the two lists belong to different rows.
+    n = min(len(high_delays), len(censored))
+    ended = np.repeat(duration, delays_n)[:n] - DETECT_TIME
+    check(censored[:n] & (high_delays[:n].view(np.int64) != ended.view(np.int64)),
+          lambda i: f"high_sev_delays: {float(high_delays[i])!r} is censored, so must be "
+                    f"duration - {DETECT_TIME!r} = {float(ended[i])!r}", delays_n)
+    if fault:
+        raise _BadRow(first, f": {fault}")
+    return tuple(table_columns(**table).values())
 
 
 def _parse(texts, kind) -> tuple[np.ndarray, np.ndarray]:

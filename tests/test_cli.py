@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from datetime import timedelta
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -817,6 +818,10 @@ def _one_ulp_off(row):
     row["rho"] = repr(math.nextafter(float(row["rho"]), math.inf))
 
 
+def _workload_one_ulp_off(row):
+    row["workload"] = repr(math.nextafter(float(row["workload"]), math.inf))
+
+
 def _id_at_load(row):
     row["high_sev_ids"] = ";".join([str(row["load"]), *row["high_sev_ids"].split(";")[1:]])
 
@@ -869,6 +874,12 @@ _NOT_NUMBERS = [(_unparsable(column.header, "x"),
     (_negative, "served: -1 is outside [0, {load}]"),
     (_served_past_int16, "served: 70000 is outside [0, {load}]"),
     (_one_ulp_off, "rho: {rho} is not served / load = "),
+    (_each_entry("lambda_sw", "-1.0"), "lambda_sw: -1.0 is outside [0, inf]"),
+    (_each_entry("lambda_int", "nan"), "lambda_int: nan is outside [0, inf]"),
+    (_each_entry("workload", "-1.0"),
+     "workload: -1.0 is not alpha * lambda_sw + beta * lambda_int = "),
+    (_workload_one_ulp_off,
+     "workload: {workload} is not alpha * lambda_sw + beta * lambda_int = "),
     (_id_at_load, "high_sev_ids: {load} is outside [0, {load})"),
     (_negative_id, "high_sev_ids: -1 is outside [0, {load})"),
     (_unparsable("high_sev_ids", "65537"), "high_sev_ids: 65537 is outside [0, {load})"),
@@ -905,6 +916,53 @@ def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt
     assert (f"trials.{fmt}: row {row_no}: " + message.format(**edited)
             in capsys.readouterr().err)
     assert not (tmp_path / "redo").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_report_checks_a_censored_delay_against_its_rows_duration(tmp_path, capsys, fmt):
+    # A patient never reached waits until the mission ends: every patient is
+    # detected at time 0, so a censored delay is the row's duration.
+    out = tmp_path / "run"
+    assert run_cli("run", *FAST_FLAGS, "--format", fmt, "--out", str(out)) == 0
+    edited = {}
+
+    def censor_all(row):
+        row["high_sev_censored"] = ";".join(["1"] * len(row["high_sev_ids"].split(";")))
+        edited.update(row)
+
+    row_no = _edit_trial_row(out / f"trials.{fmt}", fmt, censor_all)
+    duration = float(edited["duration"])
+    delay = next(d for d in map(float, edited["high_sev_delays"].split(";")) if d != duration)
+    code = run_cli("report", "--in", str(out), "--out", str(tmp_path / "redo"))
+    assert code == 2
+    assert (f"trials.{fmt}: row {row_no}: high_sev_delays: {delay!r} is censored, so must be "
+            f"duration - 0.0 = {duration!r}") in capsys.readouterr().err
+    assert not (tmp_path / "redo").exists()
+
+
+@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+def test_censored_delays_are_checked_up_to_a_row_whose_lists_differ(tmp_path, block_bytes):
+    # Past a row whose high_sev_censored list is longer, the entries of the
+    # delays and the flags no longer line up; every entry before it does.
+    header, rows, config = _two_policy_run()
+    rows = [list(row) for row in rows]
+    flags = header.index("high_sev_censored")
+    k = next(i for i, row in enumerate(rows) if ";" in row[flags])
+    rows[k + 1][flags] = ";".join(filter(None, [rows[k + 1][flags], "1", "1"]))
+    path = tmp_path / "trials.csv"
+
+    def load():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+              pytest.raises(cli.ConfigError) as exc):
+            cli.load_trials(path, config)
+        return str(exc.value)
+
+    assert load().startswith(f"trials.csv: row {k + 2}: high_sev_ids, high_sev_delays and "
+                             "high_sev_censored hold")
+    rows[k][flags] = ";".join(["1"] * len(rows[k][flags].split(";")))
+    assert re.match(rf"trials\.csv: row {k + 1}: high_sev_delays: \S+ is censored", load())
 
 
 def test_the_default_runs_durations_and_delays_pass_the_readers_range_checks(
@@ -1239,6 +1297,28 @@ def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_bytes
         cli.load_trials(path, config)
     assert re.fullmatch(r"trials\.csv: row 6: trial: \d+ of condition \d+ under pi\w+ "
                         r"appears twice", str(exc.value)), str(exc.value)
+
+
+@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+def test_a_repeated_trial_is_named_before_a_later_row_that_cannot_be_read(tmp_path,
+                                                                          block_bytes):
+    # The duplicate check runs on each block as it is read, so the reading
+    # ends at the repeated row, before it reaches the byte that is not UTF-8.
+    config = SweepConfig(master_seed=7, trials_per_condition=3)
+    cli.emit_reports(run_sweep(config), "csv", tmp_path)
+    path = tmp_path / "trials.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[1]   # row 2 repeats row 1's trial
+    data = b"\n".join(lines)
+    at = data.index(b"\n", len(data) // 2) + 1   # the first byte of a row past a read chunk
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert len(list(islice(fh, 3))) == 3   # the byte is past the repeated row's chunk
+    with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+          pytest.raises(cli.ConfigError) as exc):
+        cli.load_trials(path, config)
+    assert str(exc.value) == ("trials.csv: row 2: trial: 0 of condition 0 under pi1_teleop "
+                              "appears twice")
 
 
 def test_a_repeated_trials_column_reads_its_last_copy(tmp_path):
