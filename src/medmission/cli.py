@@ -30,6 +30,7 @@ from pathlib import Path
 from . import __version__
 import numpy as np
 
+from .engine import _EPS
 from .experiment import (
     MAX_PATIENT_LOAD,
     ParetoPoint,
@@ -607,7 +608,9 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     check(falls,
           lambda i: f"high_sev_ids: {int(high_ids[i])} after {int(high_ids[i - 1])}: "
                     f"a row's ids must ascend, none twice", ids_n)
-    check(~((high_delays >= 0.0) & (high_delays <= horizon)),   # at most its row's duration
+    # A kernel counts an intervention that ends within `_EPS` of the terminal
+    # time, so a delay may pass a horizon-capped row's duration by that much.
+    check(~((high_delays >= 0.0) & (high_delays <= horizon + _EPS)),
           lambda i: f"high_sev_delays: {float(high_delays[i])!r} is outside [0, {horizon!r}]",
           delays_n)
     for name, rate in (("lambda_sw", lambda_sw), ("lambda_int", lambda_int)):
@@ -621,10 +624,17 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     # Up to the shorter list: past a row whose lists differ in length, the
     # entries of the two lists belong to different rows.
     n = min(len(high_delays), len(censored))
-    ended = np.repeat(duration, delays_n)[:n] - DETECT_TIME
-    check(censored[:n] & (high_delays[:n].view(np.int64) != ended.view(np.int64)),
-          lambda i: f"high_sev_delays: {float(high_delays[i])!r} is censored, so must be "
+    delays, censored = high_delays[:n], censored[:n]
+    terminal = np.repeat(duration, delays_n)[:n]   # a row's duration is its terminal time
+    ended = terminal - DETECT_TIME
+    check(censored & (delays.view(np.int64) != ended.view(np.int64)),
+          lambda i: f"high_sev_delays: {float(delays[i])!r} is censored, so must be "
                     f"duration - {DETECT_TIME!r} = {float(ended[i])!r}", delays_n)
+    cut = terminal + _EPS   # the kernels' cut
+    check(~censored & (delays + DETECT_TIME > cut),
+          lambda i: f"high_sev_delays: {float(delays[i])!r} is uncensored, so must be at most "
+                    f"duration + {_EPS!r} - {DETECT_TIME!r} = {float(cut[i] - DETECT_TIME)!r}",
+          delays_n)
     if fault:
         raise _BadRow(first, f": {fault}")
     return tuple(table_columns(**table).values())

@@ -100,11 +100,11 @@ def derive_stream(master_seed: int, condition_index: int, trial_index: int,
 
 
 # The pool hash of NumPy's SeedSequence (numpy/random/bit_generator.pyx),
-# restated so that one call hashes every stream of a cell. Its multipliers
-# advance once per hash, independently of the data, so the master-seed and
-# condition words, which every stream of a cell shares, are hashed once as
-# Python ints reduced modulo 2**32; from the trial index on, the words and the
-# pool are uint32 arrays, which wrap by themselves.
+# restated so that one call hashes every stream of a cell. NumPy itself mixes
+# the master-seed and condition words, which every stream of a cell shares;
+# the pool it leaves is restated from the trial index on, as uint32 arrays,
+# which wrap by themselves. The hash multiplier advances once per hash,
+# independently of the data, so it is known where NumPy left it.
 _POOL_SIZE = 4
 _PCG64_WORDS = 4   # generate_state(4, np.uint64): what PCG64 seeds from
 _INIT_A = 0x43B0D7E5
@@ -139,16 +139,10 @@ class _Hashmix:
         self.const = init
         self.mult = mult
 
-    def __call__(self, value: int) -> int:
-        value ^= self.const
-        self.const = (self.const * self.mult) & _MASK32
-        value = (value * self.const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
     def lanes(self, values: np.ndarray) -> np.ndarray:
-        """Each of the uint32 `values` (along its first axis) hashed as the
-        next call would, in turn, all at once: the calls' constants do not
-        depend on the data."""
+        """Each of the uint32 `values` (along its first axis) hashed as
+        SeedSequence's next hash would, in turn, all at once: the hashes'
+        constants do not depend on the data."""
         consts = [self.const]
         for _ in range(len(values)):
             self.const = (self.const * self.mult) & _MASK32
@@ -158,10 +152,8 @@ class _Hashmix:
         return values ^ (values >> _XSHIFT)
 
 
-def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    if type(result) is int:
-        result &= _MASK32
     return result ^ (result >> _XSHIFT)
 
 
@@ -174,32 +166,31 @@ def cell_seed_words(master_seed: int, condition_index: int, policy_index: int,
     ``2 * (trial - first) + purpose`` holds exactly the words the PCG64 of
     ``derive_stream(master_seed, condition_index, trial, policy_index,
     purpose)`` is seeded from; ``seeded_stream`` turns a row into that
-    stream. Trial indices must each fit one uint32 word, so trials past
-    ``MAX_TRIALS_PER_CELL`` raise ValueError.
+    stream. NumPy's own SeedSequence mixes the master-seed and condition
+    words; only the trial, policy and purpose words are hashed here, for
+    every trial at once. Trial indices must each fit one uint32 word, so
+    trials past ``MAX_TRIALS_PER_CELL`` raise ValueError, and a negative
+    coordinate raises ValueError too.
     """
     if min(first, n_trials) < 0 or first + n_trials > MAX_TRIALS_PER_CELL:
         raise ValueError(f"first and n_trials must be nonnegative, with first + n_trials "
                          f"at most {MAX_TRIALS_PER_CELL}, got {first} and {n_trials}")
-    master = _uint32_words(master_seed)
-    # A spawn key makes SeedSequence pad the master words to the pool size.
-    shared = master + [0] * (_POOL_SIZE - len(master)) + _uint32_words(condition_index)
+    # NumPy mixes the words every stream of the cell shares: the master seed's,
+    # padded to the pool size under a spawn key, then the condition index's.
+    # Filling the pool takes 4 hashes, cross-mixing it 12 and each further
+    # word 4: `_POOL_SIZE` hashes per shared word in all.
+    pool = np.random.SeedSequence(master_seed, spawn_key=(condition_index,)).pool
+    shared = (max(_POOL_SIZE, len(_uint32_words(master_seed)))
+              + len(_uint32_words(condition_index)))
+    hashmix = _Hashmix(_INIT_A * pow(_MULT_A, _POOL_SIZE * shared, 2 ** 32) & _MASK32,
+                       _MULT_A)
     # From the trial index on, each word is a uint32 ``(trials, purposes)``
     # column, and the pool a stack of four such columns.
     per_trial = ([np.arange(first, first + n_trials).astype(np.uint32)[:, None]]
                  + [np.full((1, 1), word, dtype=np.uint32)
                     for word in _uint32_words(policy_index)]
                  + [np.array([[int(p) for p in StreamPurpose]], dtype=np.uint32)])
-
-    hashmix = _Hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in shared[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in shared[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    pool = np.array(pool, dtype=np.uint32).reshape(_POOL_SIZE, 1, 1)
+    pool = pool.reshape(_POOL_SIZE, 1, 1)
     for word in per_trial:
         pool = _mix(pool, hashmix.lanes(np.broadcast_to(word, (_POOL_SIZE, *word.shape))))
 

@@ -483,6 +483,13 @@ _ONE_CELL = {"patient_loads": (3,), "degradation_levels": (0.0,),
     {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, reference_distance=5e-324)},
     # An infinite config value, which the manifest writes "inf" and `report` reads back.
     {**_ONE_CELL, "platform": PlatformParams(horizon=1.7e308, service_time=math.inf)},
+    # A horizon 4e-10 below the planned end: teleop counts the intervention
+    # that ends within `engine._EPS` after it, so the row's uncensored delay
+    # is above its duration and the horizon, and `report` must accept it.
+    {"master_seed": 3, "trials_per_condition": 1, "patient_loads": (1,),
+     "degradation_levels": (0.0,), "policies": (PolicyId.PI1_TELEOP,),
+     "scenario_params": ScenarioParams(high_severity_threshold=0.0),
+     "platform": PlatformParams(horizon=114.80928554496799)},
 ])
 def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
     # A NaN from `inf * 0` or an empty quantile warns before it reaches a
@@ -490,8 +497,8 @@ def test_small_run_and_report_raise_no_warning(tmp_path, extreme, fmt):
     # computes silently; as an error it fails here instead.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run_sweep(SweepConfig(master_seed=7, trials_per_condition=3, **extreme),
-                           workers=1)
+        result = run_sweep(SweepConfig(**{"master_seed": 7, "trials_per_condition": 3,
+                                          **extreme}), workers=1)
         cli.emit_reports(result, fmt, tmp_path / "run")
         assert run_cli("report", "--in", str(tmp_path / "run"),
                        "--out", str(tmp_path / "redo"), "--format", fmt) == 0
@@ -898,6 +905,9 @@ _NOT_NUMBERS = [(_unparsable(column.header, "x"),
     (_each_entry("high_sev_delays", "nan"), "high_sev_delays: nan is outside [0, 600.0]"),
     (_unparsable("high_sev_delays", "-1.0"), "high_sev_delays: -1.0 is outside [0, 600.0]"),
     (_unparsable("high_sev_delays", "inf"), "high_sev_delays: inf is outside [0, 600.0]"),
+    # An uncensored delay ends by its row's duration, up to the kernels' `_EPS`.
+    (_each_entry("high_sev_delays", "124.79"), "high_sev_delays: 124.79 is uncensored, so "
+     "must be at most duration + 1e-09 - 0.0 = "),
     *_NOT_NUMBERS,
 ])
 def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,

@@ -60,6 +60,13 @@ master_seeds = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
+# The shared words' count sets where the per-trial hashes start: master seeds
+# at the edges of four words, and condition indices at the edges of one and two.
+@example(seed=2**96, condition=0, policy=0, n_trials=1, first=0)
+@example(seed=2**128 - 1, condition=2**32, policy=2, n_trials=2, first=0)
+@example(seed=2**128, condition=2**64, policy=2**36, n_trials=1, first=0)
+@example(seed=0, condition=2**32, policy=0, n_trials=1, first=0)
+@example(seed=0, condition=2**64, policy=0, n_trials=1, first=0)
 @given(seed=master_seeds,
        condition=st.one_of(st.integers(0, 63), st.integers(2**32, 2**40)),
        policy=st.one_of(st.integers(0, 2), st.integers(3, 2**36)),
@@ -91,8 +98,9 @@ def test_cell_seed_words_reject_trial_indices_beyond_one_word():
         with pytest.raises(ValueError, match="first"):
             cell_seed_words(MASTER, 0, 0, n_trials, first)
     assert cell_seed_words(MASTER, 0, 0, 1, MAX_TRIALS_PER_CELL - 1).shape == (2, 4)
-    with pytest.raises(ValueError):
-        cell_seed_words(-1, 0, 0, 1)
+    for master, condition, policy in ((-1, 0, 0), (MASTER, -1, 0), (MASTER, 0, -1)):
+        with pytest.raises(ValueError):
+            cell_seed_words(master, condition, policy, 1)
 
 
 def test_no_stream_collisions_over_the_full_sweep_domain():
