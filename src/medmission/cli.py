@@ -30,7 +30,6 @@ from pathlib import Path
 from . import __version__
 import numpy as np
 
-from .engine import _EPS
 from .experiment import (
     MAX_PATIENT_LOAD,
     ParetoPoint,
@@ -41,9 +40,10 @@ from .experiment import (
     aggregate,
     run_sweep,
 )
-from .metrics import METRIC_COLUMNS, TABLE_COLUMNS, MetricColumns, join_columns, table_columns
+from .metrics import (METRIC_COLUMNS, TABLE_COLUMNS, MetricColumns, join_columns, table_columns,
+                      written_rules)
 from .policy import PolicyId
-from .scenario import DETECT_TIME, Condition
+from .scenario import Condition
 from .schema import json_key
 
 log = logging.getLogger("medmission")
@@ -515,13 +515,14 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
     `seen` flags each (condition, policy, trial) slot that a row of an
     earlier block holds; the block's rows are flagged in it.
 
-    Every check here reads one row at a time, and the duplicate check also
-    reads `seen`. The checks run on whole columns, each marking the rows it
-    rejects, in the order one row is checked. The first row any check
-    rejects raises `_BadRow` with the message of the first check that
-    rejects it. A value that does not parse fails its own check and reads
-    as 0 in the later ones. A message is built only for a row that no
-    earlier check rejects, so every value it reads is parsed and in range.
+    The checks here read the text and the run's identity: each value parses,
+    the lists agree in length, the row is a trial of the run that no other
+    row holds, and `duration` and `served` are in range. Then each of
+    `metrics.written_rules` holds the row to what a run writes. Every check
+    marks the rows it rejects on whole columns, in the order one row is
+    checked, and the first row any rejects raises `_BadRow` with the message
+    of its first check. A value that does not parse reads as 0 after its
+    own check, and a message is built only for a row no earlier check rejects.
     """
     first, fault = len(columns["trial"]), ""   # the first row rejected so far, and why
 
@@ -556,10 +557,8 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
             table[c.name] = parsed(c.header, c.parse)
     ids_n, delays_n, flags_n = counts.values()
     table["high_count"] = ids_n
-    (policy, condition, trial, duration, served, rho, lambda_sw, lambda_int, work, high_ids,
-     high_delays, censored) = map(table.get, (
-        "policy", "condition", "trial", "duration", "served", "rho", "lambda_sw", "lambda_int",
-        "workload", "high_ids", "high_delays", "high_censored"))
+    policy, condition, trial, duration, served = map(
+        table.get, ("policy", "condition", "trial", "duration", "served"))
     load, delta = parsed("load", int), parsed("delta", float)
     check((ids_n != delays_n) | (ids_n != flags_n),
           lambda i: f"high_sev_ids, high_sev_delays and high_sev_censored hold "
@@ -594,47 +593,8 @@ def _block_table(columns: dict[str, list[str]], config: SweepConfig,
           lambda i: f"duration: {float(duration[i])!r} is outside [0, {horizon!r}]")
     check((served < 0) | (served > load),
           lambda i: f"served: {whole('served', i)} is outside [0, {load[i]}]")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        check(rho.view(np.int64) != (served / load).view(np.int64),
-              lambda i: f"rho: {float(rho[i])!r} is not served / load = "
-                        f"{int(served[i]) / int(load[i])!r}")
-    check(ids_n > load,
-          lambda i: f"high_sev_ids: {ids_n[i]} entries are more than load {load[i]}")
-    row_load = np.repeat(load, ids_n)
-    check((high_ids < 0) | (high_ids >= row_load),
-          lambda i: f"high_sev_ids: {int(high_ids[i])} is outside [0, {row_load[i]})", ids_n)
-    falls = np.diff(high_ids, prepend=0) <= 0   # an id not above the one before it,
-    falls[(np.cumsum(ids_n) - ids_n)[ids_n > 0]] = False   # unless it is its row's first
-    check(falls,
-          lambda i: f"high_sev_ids: {int(high_ids[i])} after {int(high_ids[i - 1])}: "
-                    f"a row's ids must ascend, none twice", ids_n)
-    # A kernel counts an intervention that ends within `_EPS` of the terminal
-    # time, so a delay may pass a horizon-capped row's duration by that much.
-    check(~((high_delays >= 0.0) & (high_delays <= horizon + _EPS)),
-          lambda i: f"high_sev_delays: {float(high_delays[i])!r} is outside [0, {horizon!r}]",
-          delays_n)
-    for name, rate in (("lambda_sw", lambda_sw), ("lambda_int", lambda_int)):
-        check(~(rate >= 0.0), lambda i: f"{name}: {float(rate[i])!r} is outside [0, inf]")
-    with np.errstate(invalid="ignore", over="ignore"):   # 0 * inf is a NaN workload
-        weighed = float(config.alpha) * lambda_sw + float(config.beta) * lambda_int
-    check((work.view(np.int64) != weighed.view(np.int64))
-          & ~(np.isnan(work) & np.isnan(weighed)),   # NaNs whose bits differ match
-          lambda i: f"workload: {float(work[i])!r} is not alpha * lambda_sw + beta * "
-                    f"lambda_int = {float(weighed[i])!r}")
-    # Up to the shorter list: past a row whose lists differ in length, the
-    # entries of the two lists belong to different rows.
-    n = min(len(high_delays), len(censored))
-    delays, censored = high_delays[:n], censored[:n]
-    terminal = np.repeat(duration, delays_n)[:n]   # a row's duration is its terminal time
-    ended = terminal - DETECT_TIME
-    check(censored & (delays.view(np.int64) != ended.view(np.int64)),
-          lambda i: f"high_sev_delays: {float(delays[i])!r} is censored, so must be "
-                    f"duration - {DETECT_TIME!r} = {float(ended[i])!r}", delays_n)
-    cut = terminal + _EPS   # the kernels' cut
-    check(~censored & (delays + DETECT_TIME > cut),
-          lambda i: f"high_sev_delays: {float(delays[i])!r} is uncensored, so must be at most "
-                    f"duration + {_EPS!r} - {DETECT_TIME!r} = {float(cut[i] - DETECT_TIME)!r}",
-          delays_n)
+    for rule in written_rules(table, delays_n, load, horizon, config.alpha, config.beta):
+        check(*rule)
     if fault:
         raise _BadRow(first, f": {fault}")
     return tuple(table_columns(**table).values())

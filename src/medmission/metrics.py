@@ -7,21 +7,21 @@ a log holds as a whole batch's columns, as `engine.cell_outcomes` gives
 them, and the field's high-severity flags instead of a `Scenario`;
 that is what the sweep uses, so it builds no event log, no patients and no
 per-mission bundle. `column_bundles` turns its columns back into
-`TrialMetrics` for readers that want them. High-severity patients never
-reached before the mission ends contribute a censored delay equal to the
-mission duration; dropping them instead would reward aborting early.
+`TrialMetrics`, and `written_rules` holds a trials file to them. High-severity
+patients never reached before the mission ends contribute a censored delay
+equal to the mission duration; dropping them instead would reward aborting early.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
+from .engine import _EPS, INTERVENE, OPERATOR_INTERVENTION, TASK_SWITCH, MissionTrace
 from .policy import PolicyId
 from .scenario import DETECT_TIME, Scenario
 
@@ -282,19 +282,76 @@ def outcome_columns(duration: np.ndarray, aborted: np.ndarray,
         flying = duration > 0.0
         lambda_sw = np.where(flying, np.maximum(task_switches - 1, 0) / duration, 0.0)
         lambda_int = np.where(flying, operator_interventions / duration, 0.0)
-        work = float(alpha) * lambda_sw + float(beta) * lambda_int
     waited = intervene - DETECT_TIME
     served = np.count_nonzero(waited <= tau_c, axis=1)
     rows, ids = np.nonzero(high)
     censored = np.isnan(intervene[rows, ids])
+    rho, work, ended = _written(served, intervene.shape[1], lambda_sw, lambda_int,
+                                alpha, beta, duration[rows])
     return MetricColumns(**table_columns(
-        aborted=aborted, duration=duration, served=served,
-        rho=served / intervene.shape[1],
-        lambda_sw=lambda_sw, lambda_int=lambda_int,
-        workload=work,
+        aborted=aborted, duration=duration, served=served, rho=rho,
+        lambda_sw=lambda_sw, lambda_int=lambda_int, workload=work,
         high_count=np.count_nonzero(high, axis=1), high_ids=ids,
-        high_delays=np.where(censored, duration[rows] - DETECT_TIME, waited[rows, ids]),
+        high_delays=np.where(censored, ended, waited[rows, ids]),
         high_censored=censored))
+
+
+def _written(served, load, lambda_sw, lambda_int, alpha, beta, terminal) -> tuple:
+    """`rho`, `workload` and each censored delay as `outcome_columns` writes them."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # 0 * inf is NaN
+        return (served / load, float(alpha) * lambda_sw + float(beta) * lambda_int,
+                terminal - DETECT_TIME)
+
+
+def written_rules(table: Mapping[str, np.ndarray], delays_n: np.ndarray, load: np.ndarray,
+                  horizon: float, alpha: float, beta: float) -> Iterator[tuple]:
+    """The rules a block of trials-table rows keeps if a run of horizon
+    `horizon` and weights `alpha` and `beta` wrote it, in the order a row is
+    checked, each as (mask, message, counts): the mask flags the rows that
+    break it (counts None) or the entries of the rows' lists in turn (counts
+    each row's entries), and message(i) names its i-th True. `table` holds
+    the block's columns by name, `high_count` counting its ids; `delays_n`
+    counts its delays and `load` is each row's load. A message reads values
+    in range only for a row that no earlier check rejects."""
+    ids_n, ids, all_delays = table["high_count"], table["high_ids"], table["high_delays"]
+    rho, work, censored = table["rho"], table["workload"], table["high_censored"]
+    # Up to the shorter list: past a row whose lists differ in length, the
+    # entries of the two lists belong to different rows.
+    n = min(len(all_delays), len(censored))
+    delays, censored = all_delays[:n], censored[:n]
+    terminal = np.repeat(table["duration"], delays_n)[:n]   # a row's duration is its terminal time
+    share, weighed, ended = _written(table["served"], load, table["lambda_sw"],
+                                     table["lambda_int"], alpha, beta, terminal)
+    yield (rho.view(np.int64) != share.view(np.int64),
+           lambda i: f"rho: {float(rho[i])!r} is not served / load = {float(share[i])!r}", None)
+    yield (ids_n > load,
+           lambda i: f"high_sev_ids: {ids_n[i]} entries are more than load {load[i]}", None)
+    row_load = np.repeat(load, ids_n)
+    yield ((ids < 0) | (ids >= row_load),
+           lambda i: f"high_sev_ids: {int(ids[i])} is outside [0, {row_load[i]})", ids_n)
+    falls = np.diff(ids, prepend=0) <= 0   # an id not above the one before it,
+    falls[(np.cumsum(ids_n) - ids_n)[ids_n > 0]] = False   # unless it is its row's first
+    yield (falls, lambda i: f"high_sev_ids: {int(ids[i])} after {int(ids[i - 1])}: "
+                            f"a row's ids must ascend, none twice", ids_n)
+    # A kernel counts an intervention that ends within `_EPS` of the terminal
+    # time, so a delay may pass a horizon-capped row's duration by that much.
+    yield (~((all_delays >= 0.0) & (all_delays <= horizon + _EPS)),
+           lambda i: f"high_sev_delays: {float(all_delays[i])!r} is outside [0, {horizon!r}]",
+           delays_n)
+    for name in ("lambda_sw", "lambda_int"):
+        yield (~(table[name] >= 0.0), lambda i, name=name, rate=table[name]:
+               f"{name}: {float(rate[i])!r} is outside [0, inf]", None)
+    yield ((work.view(np.int64) != weighed.view(np.int64))
+           & ~(np.isnan(work) & np.isnan(weighed)),   # NaNs whose bits differ match
+           lambda i: f"workload: {float(work[i])!r} is not alpha * lambda_sw + beta * "
+                     f"lambda_int = {float(weighed[i])!r}", None)
+    yield (censored & (delays.view(np.int64) != ended.view(np.int64)),
+           lambda i: f"high_sev_delays: {float(delays[i])!r} is censored, so must be "
+                     f"duration - {DETECT_TIME!r} = {float(ended[i])!r}", delays_n)
+    yield (~censored & (delays + DETECT_TIME > terminal + _EPS),   # the kernels' cut
+           lambda i: f"high_sev_delays: {float(delays[i])!r} is uncensored, so must be at most "
+                     f"duration + {_EPS!r} - {DETECT_TIME!r} = "
+                     f"{float(terminal[i] + _EPS - DETECT_TIME)!r}", delays_n)
 
 
 def column_bundles(columns: MetricColumns, n_patients: list[int]) -> list[TrialMetrics]:

@@ -31,10 +31,11 @@ from medmission import (
     TriageWeights,
     run_sweep,
 )
-from medmission import cli
+from medmission import cli, experiment
 from medmission.cli import config_from_dict, config_to_dict, main
+from medmission.engine import _EPS
 from medmission.experiment import MAX_PATIENT_LOAD, TrialTable, aggregate
-from medmission.metrics import METRIC_COLUMNS, MetricColumns
+from medmission.metrics import METRIC_COLUMNS, MetricColumns, written_rules
 from medmission.schema import Bound
 
 FAST_FLAGS = ["--deltas", "0,1", "--loads", "3,5", "--trials", "2", "--seed", "7"]
@@ -869,6 +870,22 @@ def _each_entry(column, text):
     return edit
 
 
+def _both(*edits):
+    """An edit that applies each of `edits` in turn."""
+    def edit(row):
+        for each in edits:
+            each(row)
+    return edit
+
+
+def _late_then_censored(row):
+    """An edit that makes a row's first delay uncensored and past its
+    duration, and its second censored but not its duration."""
+    delays, flags = row["high_sev_delays"].split(";"), row["high_sev_censored"].split(";")
+    delays[:2], flags[:2] = [repr(float(row["duration"]) + 1.0), "1.0"], ["0", "1"]
+    row.update(high_sev_delays=";".join(delays), high_sev_censored=";".join(flags))
+
+
 # Text that no number parses as, in each declared number column of the file.
 _NOT_NUMBERS = [(_unparsable(column.header, "x"),
                  f"{column.header}: 'x' is not a valid {column.parse.__name__}")
@@ -908,6 +925,10 @@ _NOT_NUMBERS = [(_unparsable(column.header, "x"),
     # An uncensored delay ends by its row's duration, up to the kernels' `_EPS`.
     (_each_entry("high_sev_delays", "124.79"), "high_sev_delays: 124.79 is uncensored, so "
      "must be at most duration + 1e-09 - 0.0 = "),
+    # A row that breaks two rules is named by the one checked first.
+    (_both(_one_ulp_off, _each_entry("workload", "-1.0")), "rho: {rho} is not served / load = "),
+    (_late_then_censored,
+     "high_sev_delays: 1.0 is censored, so must be duration - 0.0 = {duration}"),
     *_NOT_NUMBERS,
 ])
 def test_report_checks_served_rho_and_ids_against_the_load(tmp_path, capsys, fmt,
@@ -982,9 +1003,119 @@ def test_the_default_runs_durations_and_delays_pass_the_readers_range_checks(
     assert ((table.duration >= 0.0) & (table.duration <= horizon)).all()
     row_duration = np.repeat(table.duration, table.high_count)
     assert ((table.high_delays >= 0.0) & (table.high_delays <= row_duration)).all()
+    loads = np.array([condition.patient_load for condition in result.config.conditions()])
+    _assert_keeps_written_rules(table, loads[result.trials.condition], result.config)
     cli.emit_reports(result, "csv", tmp_path)
     read = cli.load_trials(tmp_path / "trials.csv", result.config)
     assert np.array_equal(read.metrics.duration, table.duration)
+
+
+def _assert_keeps_written_rules(columns: MetricColumns, loads, config: SweepConfig):
+    """No mission of `columns`, at the patient loads `loads`, breaks a rule
+    of `metrics.written_rules` for a run of `config`."""
+    for bad, message, _ in written_rules(columns._asdict(), columns.high_count, loads,
+                                         config.platform.horizon, config.alpha, config.beta):
+        assert not bad.any(), message(int(bad.argmax()))
+
+
+def _bits(column: np.ndarray) -> bytes:
+    """The bytes of `column`, each NaN as `math.nan`: a NaN's text holds no
+    sign or payload."""
+    return (np.where(np.isnan(column), math.nan, column) if column.dtype == float
+            else column).tobytes()
+
+
+def _round_trip(config: SweepConfig) -> None:
+    """Run `config`, holding each trial block to `metrics.written_rules` as
+    the sweep makes it; then write the run in each format, read its table
+    back to the bit and rebuild its summary files byte for byte, with
+    warnings as errors."""
+    run_cell = experiment._run_cell
+
+    def held_cell(config, condition, policy, first):
+        block = run_cell(config, condition, policy, first)
+        _assert_keeps_written_rules(block, np.full(len(block.served), condition.patient_load),
+                                    config)
+        return block
+
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(experiment, "_run_cell", held_cell):
+            result = run_sweep(config)
+        for fmt in cli.TABLE_FORMATS:
+            out, redo = Path(tmp) / fmt, Path(tmp) / f"{fmt}-redo"
+            cli.emit_reports(result, fmt, out)
+            back = cli.load_trials(out / f"trials.{fmt}", config)
+            for name, got, want in zip(_TABLE_COLUMNS, _columns(back), _columns(result.trials)):
+                assert got.dtype == want.dtype and _bits(got) == _bits(want), (fmt, name)
+            assert run_cli("report", "--in", str(out), "--out", str(redo), "--format", fmt) == 0
+            for name in ("summary.json", f"rollup.{fmt}", f"pareto.{fmt}"):
+                assert read(redo / name) == read(out / name), (fmt, name)
+
+
+# Values at the edges of each range: a float range's ends, the smallest
+# subnormal, one ulp in from 1, the kernels' `_EPS`, and values between.
+_UNIT = st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]) | st.floats(0.0, 1.0)
+_SPAN = st.sampled_from([0.0, 5e-324, _EPS, 1.0, 600.0, 1e300, math.inf]) | st.floats(0.0, 1e3)
+_POSITIVE = st.sampled_from([5e-324, _EPS, 1.0, 1e300]) | st.floats(1e-6, 1e6)
+_RATE = st.sampled_from([0.0, 1e-3, 0.05, 1.0]) | st.floats(0.0, 1.0)
+_WEIGHT = st.sampled_from([0.0, 5e-324, 1.0, 1e300]) | st.floats(0.0, 1e300)
+# Keys of a whole config, drawn together; a rate of at most 1 over a horizon
+# of at most 600 keeps each mission under 1,200 expected intervals.
+_WHOLE_KEYS = {
+    "platform.horizon": st.sampled_from([1e-3, 600.0]) | st.floats(1e-3, 600.0),
+    "platform.cruise_speed": _POSITIVE | st.just(math.inf),
+    "platform.service_time": _SPAN,
+    "platform.abort_grace": _SPAN,
+    "platform.comm_timeout_teleop": _SPAN,
+    "platform.comm_timeout_auto": _SPAN,
+    "platform.comm_timeout_dt": _SPAN,
+    "platform.uncertainty_threshold": _SPAN,
+    "platform.alert_suppression": _UNIT,
+    "platform.assess_fraction": _UNIT,
+    "platform.alert_handling_time": _SPAN,
+    "localization.outage_rate_coeff": _RATE,
+    "localization.outage_mean_duration": _POSITIVE,
+    "localization.integrity_rate": _RATE,
+    "localization.integrity_mean_duration": _POSITIVE,
+    "scenario.high_severity_threshold": _UNIT,
+    "scenario.area_extent": _POSITIVE,
+    "tau_c": st.sampled_from([1e-6, _EPS, 60.0, math.inf]) | st.floats(1e-6, 1e3),
+    "alpha": _WEIGHT,
+    "beta": _WEIGHT,
+    "operator_error_rate": _UNIT,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.fixed_dictionaries({}, optional=_WHOLE_KEYS),
+       seed=st.integers(0, 2**64), delta=_UNIT, load=st.integers(1, 7), trials=st.integers(1, 3))
+def test_a_whole_config_round_trips_and_keeps_the_written_rules(keys, seed, delta, load, trials):
+    data = {"master_seed": seed, "degradation_levels": [delta], "patient_loads": [load],
+            "trials_per_condition": trials}
+    for key, value in keys.items():
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+    _round_trip(config_from_dict(data))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32), policy=st.sampled_from(list(PolicyId)), delta=_UNIT,
+       load=st.integers(1, 3))
+def test_a_horizon_at_a_missions_own_end_round_trips(seed, policy, delta, load):
+    # One mission, rerun with the horizon a few ulp or a few `_EPS` from where
+    # it ends under the default horizon: an intervention that ends within
+    # `_EPS` after the horizon counts, so its delay may pass the row's duration.
+    config = SweepConfig(master_seed=seed, trials_per_condition=1, patient_loads=(load,),
+                         degradation_levels=(delta,), policies=(policy,),
+                         scenario_params=ScenarioParams(high_severity_threshold=0.0))
+    below = above = end = float(run_sweep(config).trials.metrics.duration[0])
+    horizons = {end, *(end + k * _EPS for k in (-2.0, -1.1, -1.0, -0.9, -0.4, 0.4, 1.0, 2.0))}
+    for _ in range(3):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        horizons |= {below, above}
+    for horizon in sorted(h for h in horizons if h > 0.0):
+        _round_trip(replace(config, platform=replace(config.platform, horizon=horizon)))
 
 
 def test_a_csv_field_past_the_field_limit_is_longer_than_any_a_run_writes(tmp_path, capsys):
