@@ -68,7 +68,7 @@ MAX_INTERVALS_PER_MISSION = 10_000   # expected outage and integrity intervals
 # the expected intervals per mission, each interval held and worked like one
 # more patient, so the slots bound the run's work too. A result holds 118-150
 # bytes per mission. Reading the trials table back, `report` holds the table
-# and one block of text (`cli._BLOCK_BYTES`), which parses into under 2 MB at
+# and one block of text (`runfiles._BLOCK_BYTES`), which parses into under 2 MB at
 # any load. Its tracemalloc peak is 88 B per mission on 60,000 missions at
 # load 1 (58 B for each mission past 30,000), 10.1 B per patient on the
 # default protocol and 14.0 B per patient on 120 missions at load 1000. The
@@ -116,26 +116,34 @@ class SweepConfig:
                              f"<= scenario.accessibility_high: {scenario.accessibility_high!r}")
         # Each outage a teleop mission meets costs it an epoch of `engine._WINDOW` steps.
         loc, horizon = self.localization, self.platform.horizon
-        intervals = ((loc.outage_rate_coeff * max(self.degradation_levels)
-                      + loc.integrity_rate) * horizon)
+        missions, intervals, slots = self.run_size()
         if not intervals <= MAX_INTERVALS_PER_MISSION:
             raise ValueError(f"localization.outage_rate_coeff: {loc.outage_rate_coeff!r}, "
                              f"localization.integrity_rate: {loc.integrity_rate!r} and "
                              f"platform.horizon: {horizon!r} expect {intervals:.3g} "
                              f"intervals per mission, over the cap of {MAX_INTERVALS_PER_MISSION}")
         trials = self.trials_per_condition
-        if self.total_missions > MAX_SWEEP_MISSIONS:
+        if missions > MAX_SWEEP_MISSIONS:
             raise ValueError(f"trials_per_condition: {trials!r} trials in each of "
-                             f"{self.total_missions // trials} cells make "
-                             f"{self.total_missions} missions, over the cap of "
-                             f"{MAX_SWEEP_MISSIONS}")
-        slots = (self.total_missions // len(self.patient_loads) * sum(self.patient_loads)
-                 + self.total_missions * intervals)
+                             f"{missions // trials} cells make {missions} missions, over "
+                             f"the cap of {MAX_SWEEP_MISSIONS}")
         if slots > MAX_SWEEP_SLOTS:
             raise ValueError(f"trials_per_condition: {trials!r} trials per cell at loads "
                              f"{list(self.patient_loads)} and {intervals:.3g} expected "
                              f"intervals per mission make {slots:.3g} patient slots, over "
                              f"the cap of {MAX_SWEEP_SLOTS}")
+
+    def run_size(self) -> tuple[int, float, float]:
+        """The run's missions, its expected outage and integrity intervals per
+        mission (at its highest degradation level) and its patient slots: its
+        patients plus its missions times those intervals. Its caps are
+        MAX_SWEEP_MISSIONS, MAX_INTERVALS_PER_MISSION and MAX_SWEEP_SLOTS."""
+        loc, missions = self.localization, self.total_missions
+        intervals = ((loc.outage_rate_coeff * max(self.degradation_levels)
+                      + loc.integrity_rate) * self.platform.horizon)
+        slots = (missions // len(self.patient_loads) * sum(self.patient_loads)
+                 + missions * intervals)
+        return missions, intervals, slots
 
     def conditions(self) -> tuple[Condition, ...]:
         """Cells enumerated degradation-major, load-minor; ids are ordinal."""

@@ -7,7 +7,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -19,6 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +36,7 @@ from medmission import (
     TriageWeights,
     run_sweep,
 )
-from medmission import cli, experiment
+from medmission import cli, experiment, runfiles
 from medmission.cli import config_from_dict, config_to_dict, main
 from medmission.engine import _EPS
 from medmission.experiment import MAX_PATIENT_LOAD, TrialTable, aggregate
@@ -414,6 +419,26 @@ def test_run_emits_all_files_and_consistent_counts(tmp_path):
     assert len(rollup) - 1 == 3
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["cells"]) == 2 * 2 * 3
+
+
+def test_runs_start_line_names_its_size_caps_and_stack(tmp_path):
+    # In a child, whose stderr is the log's: in-process, pytest takes the records.
+    call = ("import sys; from medmission.cli import main; "
+            f"sys.exit(main(['run', *{FAST_FLAGS!r}, '--out', {str(tmp_path)!r}]))")
+    src = str(Path(experiment.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == ""
+    start = done.stderr.splitlines()[0]
+    missions, intervals, slots = config_from_dict(
+        json.loads((tmp_path / "manifest.json").read_text())["config"]).run_size()
+    for text in (f"running {missions} missions", f"cap {experiment.MAX_SWEEP_MISSIONS})",
+                 f"{intervals:.3g} expected intervals per mission",
+                 f"(cap {experiment.MAX_INTERVALS_PER_MISSION})",
+                 f"{slots:.0f} patient slots (cap {experiment.MAX_SWEEP_SLOTS})",
+                 f"Python {platform.python_version()}", f"NumPy {np.__version__}",
+                 f"SciPy {scipy.__version__}"):
+        assert text in start, (text, start)
 
 
 def test_rerunning_the_same_config_is_byte_identical(tmp_path):
@@ -971,7 +996,7 @@ def test_report_checks_a_censored_delay_against_its_rows_duration(tmp_path, caps
     assert not (tmp_path / "redo").exists()
 
 
-@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+@pytest.mark.parametrize("block_bytes", [runfiles._BLOCK_BYTES, 1, 300])
 def test_censored_delays_are_checked_up_to_a_row_whose_lists_differ(tmp_path, block_bytes):
     # Past a row whose high_sev_censored list is longer, the entries of the
     # delays and the flags no longer line up; every entry before it does.
@@ -985,7 +1010,7 @@ def test_censored_delays_are_checked_up_to_a_row_whose_lists_differ(tmp_path, bl
     def load():
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+        with (mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes),
               pytest.raises(cli.ConfigError) as exc):
             cli.load_trials(path, config)
         return str(exc.value)
@@ -1137,7 +1162,7 @@ def test_loading_trials_under_a_config_past_a_cap_names_the_key(tmp_path):
     # Past the mission cap a trial index could pass its check and wrap in int32.
     config = SweepConfig(trials_per_condition=2**31 + 1, degradation_levels=(0.0,),
                          patient_loads=(5,), policies=(PolicyId.PI2_AUTO,))
-    (tmp_path / "trials.csv").write_text(",".join(cli.TRIALS_COLUMNS) + "\n")
+    (tmp_path / "trials.csv").write_text(",".join(runfiles.TRIALS_COLUMNS) + "\n")
     with pytest.raises(ValueError, match="trials_per_condition"):
         cli.load_trials(tmp_path / "trials.csv", config)
 
@@ -1178,7 +1203,7 @@ def _two_policy_run():
 # The block size, one row (any size up to a row's text) and a few rows of a
 # small run's table (59 to 148 characters each), so that a block boundary
 # falls anywhere in it.
-_BLOCK_SIZES = st.sampled_from([cli._BLOCK_BYTES, 1, 150, 300, 600])
+_BLOCK_SIZES = st.sampled_from([runfiles._BLOCK_BYTES, 1, 150, 300, 600])
 
 _CELL_TEXTS = ["", "0", "1", "2", "-1", "3", "5", "99", "0.0", "-0.0", "0.5", "nan", "inf",
                "1e400", " 3", "3_0", "x", "0;1", "1;;2", ";", "1;0;1", "pi1_teleop",
@@ -1209,14 +1234,14 @@ def test_an_edited_table_loads_or_names_its_first_bad_row(data):
             """load_trials on the header and the first `n` rows."""
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows([header, *rows[:n]])
-            with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+            with mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes):
                 return cli.load_trials(path, config)
 
         try:
             table = load(len(rows))
         except cli.ConfigError as exc:
             named = re.match(r"trials\.csv: row (\d+): (\w+)", str(exc))
-            assert named and named[2] in cli.TRIALS_COLUMNS, str(exc)
+            assert named and named[2] in runfiles.TRIALS_COLUMNS, str(exc)
             row_no = int(named[1])
             load(row_no - 1)   # the rows before the one named hold no fault
             with pytest.raises(cli.ConfigError) as again:
@@ -1237,7 +1262,7 @@ def test_a_fresh_trials_file_is_read_without_csv_reader(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader was called")
 
-    monkeypatch.setattr(cli.csv, "reader", refuse)
+    monkeypatch.setattr(runfiles.csv, "reader", refuse)
     table = cli.load_trials(tmp_path / "trials.csv", config_from_dict(manifest["config"]))
     assert len(table) == manifest["trial_rows"]
 
@@ -1287,7 +1312,7 @@ def _small_trials_text():
     return text, config_from_dict(manifest["config"])
 
 
-_LIST_COLUMNS = [cli.TRIALS_COLUMNS.index(c)
+_LIST_COLUMNS = [runfiles.TRIALS_COLUMNS.index(c)
                  for c in ("high_sev_ids", "high_sev_delays", "high_sev_censored")]
 
 
@@ -1319,8 +1344,8 @@ def _edit_lines(data, lines: list[str]) -> list[str]:
     elif how == "wide":   # a long row whose line passes the limit, no field of it
         lines[i] += ("," + "7" * 1000) * (limit // 1000 + 1)
     elif how == "repeat":   # a header name again at the end; the last one counts
-        name = data.draw(st.sampled_from(cli.TRIALS_COLUMNS))
-        k = cli.TRIALS_COLUMNS.index(name)
+        name = data.draw(st.sampled_from(runfiles.TRIALS_COLUMNS))
+        k = runfiles.TRIALS_COLUMNS.index(name)
         values = [(line.split(",")[k:] or [""])[0] for line in lines[1:]]   # "" if short
         values = [data.draw(st.sampled_from([value, *_CELL_TEXTS])) for value in values]
         lines[:] = [lines[0] + "," + name,
@@ -1365,9 +1390,9 @@ def test_the_bulk_reader_reads_what_csv_reader_reads(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trials.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes):
             bulk = load(path)
-        with mock.patch.object(cli, "_plain_fields", lambda lines, width: None):
+        with mock.patch.object(runfiles, "_plain_fields", lambda lines, width: None):
             assert load(path) == bulk   # csv.reader reads the whole file
 
 
@@ -1396,13 +1421,13 @@ def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt, flags)
             record["trial"] += copy * trials
             return json.dumps(record)
         values = line.split(",")
-        k = cli.TRIALS_COLUMNS.index("trial")
+        k = runfiles.TRIALS_COLUMNS.index("trial")
         values[k] = str(int(values[k]) + copy * trials)
         return ",".join(values)
 
     transients, text = [], sum(len(line) + 1 for line in body)
     for blocks in (2, 10):
-        copies = -(-blocks * cli._BLOCK_BYTES // text)
+        copies = -(-blocks * runfiles._BLOCK_BYTES // text)
         path = tmp_path / f"trials{blocks}.{fmt}"
         path.write_text("".join(f"{line}\n" for line in head + [
             renumbered(line, copy) for copy in range(copies) for line in body]),
@@ -1418,11 +1443,11 @@ def test_reading_a_table_holds_one_block_of_text_at_a_time(tmp_path, fmt, flags)
         transients.append(peak - sum(column.nbytes for column in columns))
     # About 8 to 13 bytes per character of a block (tracemalloc); the table's
     # own bytes grow fivefold between the two sizes.
-    assert max(transients) < 16 * cli._BLOCK_BYTES, transients
+    assert max(transients) < 16 * runfiles._BLOCK_BYTES, transients
     assert transients[1] - transients[0] < 1_000_000, transients
 
 
-@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+@pytest.mark.parametrize("block_bytes", [runfiles._BLOCK_BYTES, 1, 300])
 def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_bytes):
     # The duplicate check reads every row, but it still comes after the trial
     # check and before the served check of the row it names.
@@ -1433,14 +1458,14 @@ def test_a_repeated_trial_is_named_before_its_later_checks(tmp_path, block_bytes
     path = tmp_path / "trials.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows[:5], later])
-    with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+    with (mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes),
           pytest.raises(cli.ConfigError) as exc):
         cli.load_trials(path, config)
     assert re.fullmatch(r"trials\.csv: row 6: trial: \d+ of condition \d+ under pi\w+ "
                         r"appears twice", str(exc.value)), str(exc.value)
 
 
-@pytest.mark.parametrize("block_bytes", [cli._BLOCK_BYTES, 1, 300])
+@pytest.mark.parametrize("block_bytes", [runfiles._BLOCK_BYTES, 1, 300])
 def test_a_repeated_trial_is_named_before_a_later_row_that_cannot_be_read(tmp_path,
                                                                           block_bytes):
     # The duplicate check runs on each block as it is read, so the reading
@@ -1455,7 +1480,7 @@ def test_a_repeated_trial_is_named_before_a_later_row_that_cannot_be_read(tmp_pa
     path.write_bytes(data[:at] + b"\xff" + data[at:])
     with open(path, newline="", encoding="utf-8") as fh:
         assert len(list(islice(fh, 3))) == 3   # the byte is past the repeated row's chunk
-    with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+    with (mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes),
           pytest.raises(cli.ConfigError) as exc):
         cli.load_trials(path, config)
     assert str(exc.value) == ("trials.csv: row 2: trial: 0 of condition 0 under pi1_teleop "
@@ -1478,7 +1503,7 @@ _LIST_TEXTS = st.lists(st.sampled_from(["", "0", "1", "17", "x", "2.5"]), max_si
 @settings(max_examples=300, deadline=None)
 @given(texts=st.lists(_LIST_TEXTS, max_size=8))
 def test_list_cells_split_into_their_nonempty_entries(texts):
-    counts, entries = cli._split_lists(texts)
+    counts, entries = runfiles._split_lists(texts)
     parts = [[x for x in text.split(";") if x] for text in texts]
     assert counts.dtype == np.int64 and counts.tolist() == list(map(len, parts))
     assert entries == [x for part in parts for x in part]
@@ -1499,8 +1524,8 @@ def test_a_trials_file_that_is_not_utf8_names_the_row_csv_reader_stops_at(tmp_pa
             for row in reader:
                 rows += bool(row)
     assert rows > 0
-    for block_bytes in (cli._BLOCK_BYTES, 1, 150, 300, 600):   # the byte anywhere in a block
-        with (mock.patch.object(cli, "_BLOCK_BYTES", block_bytes),
+    for block_bytes in (runfiles._BLOCK_BYTES, 1, 150, 300, 600):   # the byte anywhere in a block
+        with (mock.patch.object(runfiles, "_BLOCK_BYTES", block_bytes),
               pytest.raises(cli.ConfigError) as exc):
             cli.load_trials(path, config)
         assert str(exc.value) == f"trials.csv: row {rows + 1}: {stop.value}"

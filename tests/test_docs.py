@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import medmission
-from medmission import SweepConfig, cli, experiment
+from medmission import SweepConfig, experiment, runfiles
 from medmission.schema import json_key
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,4 +46,4 @@ def test_the_readme_lists_the_trials_columns_in_order():
     listed = re.search(r"\*\*`trials\.csv`\*\* — one row per mission:\s*`([^`]*)`",
                        README.read_text())
     names = [re.sub(r"\(.*\)", "", name).strip() for name in listed[1].split(",")]
-    assert names == cli.TRIALS_COLUMNS
+    assert names == runfiles.TRIALS_COLUMNS

@@ -447,6 +447,20 @@ def test_config_validation_names_the_offending_key():
         SweepConfig(tau_c=0.0).validate()
 
 
+def test_a_runs_size_is_its_missions_intervals_and_slots():
+    missions, intervals, slots = SweepConfig().run_size()
+    assert missions == SweepConfig().total_missions == 15_000
+    assert intervals == pytest.approx(3.48)   # at delta 1, over the 600-minute horizon
+    assert slots == 15_000 // 4 * (5 + 10 + 20 + 40) + 15_000 * intervals
+    assert round(slots) == 333_450
+    # 20,000 missions at load 1000: `validate` refuses the slots `run_size` gives.
+    sized = SweepConfig(trials_per_condition=4000, patient_loads=(1000,),
+                        policies=(PolicyId.PI2_AUTO,))
+    assert sized.run_size()[2] > experiment.MAX_SWEEP_SLOTS
+    with pytest.raises(ValueError, match="patient slots, over the cap"):
+        sized.validate()
+
+
 def test_condition_enumeration_is_degradation_major():
     conditions = SweepConfig(degradation_levels=(0.0, 1.0),
                              patient_loads=(5, 10)).conditions()

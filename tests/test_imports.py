@@ -3,6 +3,9 @@ every private name a module defines is read by a module of the package,
 so an import or a helper that a deletion leaves behind fails here."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,26 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def test_the_package_has_modules_to_check():
-    assert {"cli.py", "experiment.py", "metrics.py", "policy.py"} <= {p.name for p in MODULES}
+    assert ({"cli.py", "experiment.py", "metrics.py", "policy.py", "runfiles.py"}
+            <= {p.name for p in MODULES})
+
+
+def test_a_runs_files_are_read_and_written_without_the_command_line():
+    # SciPy loads argparse itself, so the probe names a module of the package
+    # that imports it rather than look for it in sys.modules.
+    probe = ("import builtins, sys\n"
+             "real = builtins.__import__\n"
+             "def spy(name, globals=None, *rest, **kw):\n"
+             "    if name == 'argparse' and (globals or {}).get('__package__') == 'medmission':\n"
+             "        print(globals['__name__'], 'imports argparse')\n"
+             "    return real(name, globals, *rest, **kw)\n"
+             "builtins.__import__ = spy\n"
+             "import medmission.runfiles\n"
+             "print('medmission.cli' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
