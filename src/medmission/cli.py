@@ -12,13 +12,14 @@ defaults; the defaults reproduce the full experimental protocol
 (5 degradation levels x 4 patient loads x 3 policies x 250 trials).
 All state flows through flags and files so runs are reproducible; the
 emitted files are byte-identical for identical inputs. `runfiles` writes
-those files and reads them back.
+those files and reads them back. The subcommands print their lines to
+stderr, whatever logging the host has set up; stdout holds only
+`validate`'s echo.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import platform
 import sys
 import time
@@ -28,14 +29,15 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, runfiles
 from .experiment import (MAX_INTERVALS_PER_MISSION, MAX_SWEEP_MISSIONS, MAX_SWEEP_SLOTS,
-                         SweepConfig, aggregate, run_sweep)
+                         SweepConfig, run_sweep)
 from .runfiles import (TABLE_FORMATS, ConfigError, _json_text, _read_json, _write_summaries,
-                       config_from_dict, config_to_dict, emit_reports, load_trials)
+                       config_from_dict, config_to_dict, emit_reports, load_run)
 from .schema import json_key
 
-log = logging.getLogger("medmission")
+# Kept for scripts that import the trials reader from here, as `bench/run.py` does.
+load_trials = runfiles.load_trials
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
@@ -86,56 +88,45 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         type=float)
 
 
+def _size_line(config: SweepConfig) -> str:
+    """The size of a run of `config` (`SweepConfig.run_size`), each figure
+    beside its cap, and the stack its bytes rest on."""
+    missions, intervals, slots = config.run_size()
+    # The bytes rest on these versions too (`tests/test_dependencies.py`). They go
+    # to stderr only, so the five files stay a function of the config alone.
+    return ("%d missions (%d cells x %d trials; cap %d), %.3g expected intervals per "
+            "mission (cap %d), %.0f patient slots (cap %d); Python %s, NumPy %s, SciPy %s"
+            % (missions, len(config.conditions()) * len(config.policies),
+               config.trials_per_condition, MAX_SWEEP_MISSIONS, intervals,
+               MAX_INTERVALS_PER_MISSION, slots, MAX_SWEEP_SLOTS, platform.python_version(),
+               np.__version__, scipy.__version__))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"workers: must be at least 1, got {args.workers!r}")
     config = parse_config(args)
-    missions, intervals, slots = config.run_size()
-    # The bytes rest on these versions too (`tests/test_dependencies.py`). They go
-    # to the log only, so the five files stay a function of the config alone.
-    log.info("running %d missions (%d cells x %d trials; cap %d), %.3g expected "
-             "intervals per mission (cap %d), %.0f patient slots (cap %d); Python %s, "
-             "NumPy %s, SciPy %s", missions, len(config.conditions()) * len(config.policies),
-             config.trials_per_condition, MAX_SWEEP_MISSIONS, intervals,
-             MAX_INTERVALS_PER_MISSION, slots, MAX_SWEEP_SLOTS, platform.python_version(),
-             np.__version__, scipy.__version__)
+    print(f"running {_size_line(config)}", file=sys.stderr)
     started = time.perf_counter()
     result = run_sweep(config, workers=args.workers)
     elapsed = time.perf_counter() - started
     paths = emit_reports(result, args.format, args.out)
-    log.info("completed %d missions in %.1fs; wrote %s",
-             len(result.trials), elapsed, ", ".join(str(p) for p in paths))
+    print(f"completed {len(result.trials)} missions in {elapsed:.1f}s; wrote "
+          + ", ".join(str(p) for p in paths), file=sys.stderr)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    indir = Path(args.indir)
-    manifest = _read_json(indir / "manifest.json", "manifest.json")
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ConfigError("manifest.json: config: must be an object")
-    config = config_from_dict(manifest["config"])
-    rows = manifest.get("trial_rows")
-    if not isinstance(rows, int) or isinstance(rows, bool):
-        raise ConfigError(f"trial_rows: must be an int, got {rows!r}")
-    tables = [path for path in (indir / "trials.csv", indir / "trials.jsonl") if path.exists()]
-    if len(tables) > 1:   # from two runs, and manifest.json is of one of them
-        raise ConfigError(f"trials.csv and trials.jsonl: both are in {indir}; keep only "
-                          "the trials table of the run that wrote manifest.json")
-    trials_path = tables[0] if tables else indir / "trials.csv"
-    trials = load_trials(trials_path, config)
-    if rows != len(trials):
-        raise ConfigError(f"trial_rows: manifest says {rows!r}, "
-                          f"{trials_path.name} holds {len(trials)} rows")
-    for policy in config.policies:
-        if not (trials.policy == policy.index).any():   # its rollup would be over no trial
-            raise ConfigError(f"{trials_path.name}: policy: {policy.value} has no row")
-    _write_summaries(aggregate(config, trials), args.format, Path(args.out))
-    log.info("recomputed summaries for %d trials from %s", len(trials), trials_path)
+    result = load_run(args.indir)
+    _write_summaries(result, args.format, Path(args.out))
+    print(f"recomputed summaries for {len(result.trials)} trials from {args.indir}",
+          file=sys.stderr)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = parse_config(args)
+    print(f"would run {_size_line(config)}", file=sys.stderr)
     sys.stdout.write(_json_text(config_to_dict(config), indent=2))
     return 0
 
@@ -172,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s",
-                        stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,11 @@
-"""A run's files: the config JSON, the report writer and the trials reader.
+"""A run's files: the config JSON, the report writer and the run reader.
 
 Everything between a `SweepConfig` or `SweepResult` and the bytes of a run
 directory is here: a config's JSON form (`config_to_dict`,
 `config_from_dict`), the five report files `emit_reports` writes, and
-`load_trials`, which reads a trials table back and holds each row to the
-run. `cli` turns argv into calls to these.
+`load_run`, its inverse, which reads `manifest.json` and the trials table
+back (`load_trials` holds each row to the run). `cli` turns argv into calls
+to these.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .experiment import (
     SweepConfig,
     SweepResult,
     TrialTable,
+    aggregate,
 )
 from .metrics import (METRIC_COLUMNS, TABLE_COLUMNS, MetricColumns, join_columns, table_columns,
                       written_rules)
@@ -298,7 +300,41 @@ def emit_reports(result: SweepResult, fmt: str, outdir: str | Path) -> list[Path
 
 
 # ---------------------------------------------------------------------------
-# Reading a previous run back for the `report` subcommand.
+# Reading a previous run back.
+
+def load_run(indir: str | Path) -> SweepResult:
+    """The run in directory `indir`, as `emit_reports` wrote it: its
+    config from `manifest.json`, its trials table read by `load_trials`,
+    and what `aggregate` builds from them.
+
+    The manifest must be an object holding a `config` object and an int
+    `trial_rows`. The directory must hold at most one trials table, in
+    either format, since the manifest is of one run; the table must hold
+    `trial_rows` rows and a row of each of the config's policies. Any
+    other directory raises ConfigError naming the file and the key.
+    """
+    indir = Path(indir)
+    manifest = _read_json(indir / "manifest.json", "manifest.json")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError("manifest.json: config: must be an object")
+    config = config_from_dict(manifest["config"])
+    rows = manifest.get("trial_rows")
+    if not isinstance(rows, int) or isinstance(rows, bool):
+        raise ConfigError(f"trial_rows: must be an int, got {rows!r}")
+    tables = [path for path in (indir / "trials.csv", indir / "trials.jsonl") if path.exists()]
+    if len(tables) > 1:   # from two runs, and manifest.json is of one of them
+        raise ConfigError(f"trials.csv and trials.jsonl: both are in {indir}; keep only "
+                          "the trials table of the run that wrote manifest.json")
+    trials_path = tables[0] if tables else indir / "trials.csv"
+    trials = load_trials(trials_path, config)
+    if rows != len(trials):
+        raise ConfigError(f"trial_rows: manifest says {rows!r}, "
+                          f"{trials_path.name} holds {len(trials)} rows")
+    for policy in config.policies:
+        if not (trials.policy == policy.index).any():   # its rollup would be over no trial
+            raise ConfigError(f"{trials_path.name}: policy: {policy.value} has no row")
+    return aggregate(config, trials)
+
 
 # Text of a trials table read at a time, in characters (bytes, in the ASCII
 # the writer writes): each block's fields are parsed into typed columns and

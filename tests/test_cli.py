@@ -7,11 +7,8 @@ import hashlib
 import io
 import json
 import math
-import os
 import platform
 import re
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -421,17 +418,15 @@ def test_run_emits_all_files_and_consistent_counts(tmp_path):
     assert len(summary["cells"]) == 2 * 2 * 3
 
 
-def test_runs_start_line_names_its_size_caps_and_stack(tmp_path):
-    # In a child, whose stderr is the log's: in-process, pytest takes the records.
-    call = ("import sys; from medmission.cli import main; "
-            f"sys.exit(main(['run', *{FAST_FLAGS!r}, '--out', {str(tmp_path)!r}]))")
-    src = str(Path(experiment.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
-                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout == ""
-    start = done.stderr.splitlines()[0]
+def test_runs_start_line_names_its_size_caps_and_stack(tmp_path, capsys):
+    # In-process, under pytest's own logging handlers: the lines reach stderr anyway.
+    run, redo = tmp_path / "run", tmp_path / "redo"
+    assert run_cli("run", *FAST_FLAGS, "--out", str(run)) == 0
+    done = capsys.readouterr()
+    assert done.out == ""
+    start, end = done.err.splitlines()
     missions, intervals, slots = config_from_dict(
-        json.loads((tmp_path / "manifest.json").read_text())["config"]).run_size()
+        json.loads((run / "manifest.json").read_text())["config"]).run_size()
     for text in (f"running {missions} missions", f"cap {experiment.MAX_SWEEP_MISSIONS})",
                  f"{intervals:.3g} expected intervals per mission",
                  f"(cap {experiment.MAX_INTERVALS_PER_MISSION})",
@@ -439,6 +434,16 @@ def test_runs_start_line_names_its_size_caps_and_stack(tmp_path):
                  f"Python {platform.python_version()}", f"NumPy {np.__version__}",
                  f"SciPy {scipy.__version__}"):
         assert text in start, (text, start)
+    assert end.startswith(f"completed {missions} missions in "), end
+    # `validate` writes the same size line; its stdout is the echo alone.
+    assert run_cli("validate", *FAST_FLAGS) == 0
+    checked = capsys.readouterr()
+    assert checked.err == start.replace("running ", "would run ", 1) + "\n"
+    assert config_from_dict(json.loads(checked.out)).run_size() == (missions, intervals, slots)
+    assert run_cli("report", "--in", str(run), "--out", str(redo)) == 0
+    reported = capsys.readouterr()
+    assert reported.out == ""
+    assert reported.err == f"recomputed summaries for {missions} trials from {run}\n"
 
 
 def test_rerunning_the_same_config_is_byte_identical(tmp_path):
@@ -604,6 +609,17 @@ def test_a_trials_file_reads_back_as_the_sweeps_table_to_the_bit(tmp_path, fmt):
 
     for name, got, want in zip(_TABLE_COLUMNS, _columns(read), _columns(made)):
         assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want)), name
+    # The whole run reads back as the sweep made it, a NaN matching any NaN.
+    run = runfiles.load_run(tmp_path)
+    assert run.config == config
+    for name, got, want in zip(_TABLE_COLUMNS, _columns(run.trials), _columns(made)):
+        nan = np.isnan(want) if want.dtype == float else np.zeros(len(want), bool)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(np.isnan(got) if got.dtype == float else nan, nan), name
+        assert np.array_equal(bits(got)[~nan], bits(want)[~nan]), name
+    for part in ("summaries", "rollups", "pareto_condition", "front_condition",
+                 "pareto_pooled", "front_pooled"):
+        assert repr(getattr(run, part)) == repr(getattr(result, part)), part
     # Every column in its declared dtype, from the sweep, the reader and records.
     assert list(MetricColumns.DTYPES) == _TABLE_COLUMNS
     declared = [np.dtype(MetricColumns.DTYPES[name]) for name in _TABLE_COLUMNS]
