@@ -310,8 +310,9 @@ def load_run(indir: str | Path) -> SweepResult:
     The manifest must be an object holding a `config` object and an int
     `trial_rows`. The directory must hold at most one trials table, in
     either format, since the manifest is of one run; the table must hold
-    `trial_rows` rows and a row of each of the config's policies. Any
-    other directory raises ConfigError naming the file and the key.
+    `trial_rows` rows and a row of each of the config's policies. A
+    directory that breaks one of these rules raises ConfigError naming the
+    file and the key; a missing or unreadable file raises OSError.
     """
     indir = Path(indir)
     manifest = _read_json(indir / "manifest.json", "manifest.json")
